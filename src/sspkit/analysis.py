@@ -1,23 +1,28 @@
 """Order, SSP coefficient, stability function/radii, and error measures.
 
-Everything here is a pure function of tableau arrays.  Order conditions
-are evaluated in two equivalent bookkeeping forms:
+Everything here is a pure function of tableau arrays.  For a fixed stage
+matrix A every order condition is linear in the weights, so one engine,
+``OrderConditions``, evaluates the rooted trees of ``TREES`` once and
+holds, per order q = 1..5, the tree matrix ``phi[q]`` (one row per tree)
+and the vector ``g[q]`` of 1/gamma.  Every residual is then
+``phi[q] @ w - g[q]``:
 
-* per rooted tree, residual ``w @ phi(t) - 1/gamma(t)`` (keys ``t1``,
-  ``t2``, ``t31`` .. ``t59``) -- these feed the truncation-error norms;
+* per rooted tree (keys ``t1``, ``t2``, ``t31`` .. ``t59``) -- these feed
+  the truncation-error norms;
 * per displayed condition in the composite arrangement (keys ``q1``,
-  ``q2``, ``q3a``/``q3b``, ``q4a``..``q4d``) -- these decide
-  non-defectiveness, since a composite condition can vanish even when no
-  individual tree residual does.
+  ``q2``, ``q3a``/``q3b``, ``q4a``..``q4d``), each a fixed combination of
+  the tree rows of its order -- these decide non-defectiveness, since a
+  composite condition can vanish even when no individual tree residual
+  does.
 
-The two forms have identical zero sets order by order, which is one of
-the property tests.
+The SSP coefficient and the four stability radii are suprema of a
+monotone feasibility test, all found by the one bisection ``_bisect_sup``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +30,8 @@ import numpy as np
 __all__ = [
     "TREES",
     "CONDITIONS",
+    "OrderConditions",
     "order_condition_residuals",
-    "tree_residual_vector",
     "classify_order",
     "vacuous_conditions",
     "is_non_defective",
@@ -57,35 +62,30 @@ class Tree:
     name: str
     order: int
     gamma: int      # density: right-hand side of the tree condition is 1/gamma
-    sigma: int      # symmetry order, used only by the weighted residual variant
-    phi: callable   # (A, c) -> stage-weight vector
-
-
-def _t(name, order, gamma, sigma, phi):
-    return Tree(name, order, gamma, sigma, phi)
+    phi: callable   # (A, c) -> elementary weight vector
 
 
 # The nine order-5 trees are the standard rooted trees with densities
 # {5,10,20,15,30,20,40,60,120}; they are validated against a fifth-order
 # method rather than trusted (see tests).
 TREES: tuple[Tree, ...] = (
-    _t("t1", 1, 1, 1, lambda A, c: np.ones_like(c)),
-    _t("t2", 2, 2, 1, lambda A, c: c),
-    _t("t31", 3, 3, 2, lambda A, c: c * c),
-    _t("t32", 3, 6, 1, lambda A, c: A @ c),
-    _t("t41", 4, 4, 6, lambda A, c: c ** 3),
-    _t("t42", 4, 8, 1, lambda A, c: c * (A @ c)),
-    _t("t43", 4, 12, 2, lambda A, c: A @ (c * c)),
-    _t("t44", 4, 24, 1, lambda A, c: A @ (A @ c)),
-    _t("t51", 5, 5, 24, lambda A, c: c ** 4),
-    _t("t52", 5, 10, 2, lambda A, c: (c * c) * (A @ c)),
-    _t("t53", 5, 20, 2, lambda A, c: (A @ c) ** 2),
-    _t("t54", 5, 15, 2, lambda A, c: c * (A @ (c * c))),
-    _t("t55", 5, 30, 1, lambda A, c: c * (A @ (A @ c))),
-    _t("t56", 5, 20, 6, lambda A, c: A @ (c ** 3)),
-    _t("t57", 5, 40, 1, lambda A, c: A @ (c * (A @ c))),
-    _t("t58", 5, 60, 2, lambda A, c: A @ (A @ (c * c))),
-    _t("t59", 5, 120, 1, lambda A, c: A @ (A @ (A @ c))),
+    Tree("t1", 1, 1, lambda A, c: np.ones_like(c)),
+    Tree("t2", 2, 2, lambda A, c: c),
+    Tree("t31", 3, 3, lambda A, c: c * c),
+    Tree("t32", 3, 6, lambda A, c: A @ c),
+    Tree("t41", 4, 4, lambda A, c: c ** 3),
+    Tree("t42", 4, 8, lambda A, c: c * (A @ c)),
+    Tree("t43", 4, 12, lambda A, c: A @ (c * c)),
+    Tree("t44", 4, 24, lambda A, c: A @ (A @ c)),
+    Tree("t51", 5, 5, lambda A, c: c ** 4),
+    Tree("t52", 5, 10, lambda A, c: (c * c) * (A @ c)),
+    Tree("t53", 5, 20, lambda A, c: (A @ c) ** 2),
+    Tree("t54", 5, 15, lambda A, c: c * (A @ (c * c))),
+    Tree("t55", 5, 30, lambda A, c: c * (A @ (A @ c))),
+    Tree("t56", 5, 20, lambda A, c: A @ (c ** 3)),
+    Tree("t57", 5, 40, lambda A, c: A @ (c * (A @ c))),
+    Tree("t58", 5, 60, lambda A, c: A @ (A @ (c * c))),
+    Tree("t59", 5, 120, lambda A, c: A @ (A @ (A @ c))),
 )
 
 
@@ -93,21 +93,81 @@ TREES: tuple[Tree, ...] = (
 class Condition:
     name: str
     order: int
-    rhs: float
-    phi: callable   # (A, c) -> functional vector v; the condition is w @ v = rhs
+    coef: tuple[float, ...]  # combination of the tree conditions of this order, in TREES order
 
 
 # Composite arrangement of the order conditions through order 4.
 CONDITIONS: tuple[Condition, ...] = (
-    Condition("q1", 1, 1.0, lambda A, c: np.ones_like(c)),
-    Condition("q2", 2, 0.5, lambda A, c: c),
-    Condition("q3a", 3, 1 / 3, lambda A, c: c * c),
-    Condition("q3b", 3, 0.0, lambda A, c: c * c / 2 - A @ c),
-    Condition("q4a", 4, 0.25, lambda A, c: c ** 3),
-    Condition("q4b", 4, 0.0, lambda A, c: A @ (c * c / 2 - A @ c)),
-    Condition("q4c", 4, 0.0, lambda A, c: c ** 3 / 6 - A @ (c * c) / 2),
-    Condition("q4d", 4, 0.0, lambda A, c: c * (c * c / 2 - A @ c)),
+    Condition("q1", 1, (1.0,)),
+    Condition("q2", 2, (1.0,)),
+    Condition("q3a", 3, (1.0, 0.0)),
+    Condition("q3b", 3, (0.5, -1.0)),              # w @ (c^2/2 - Ac) = 0
+    Condition("q4a", 4, (1.0, 0.0, 0.0, 0.0)),
+    Condition("q4b", 4, (0.0, 0.0, 0.5, -1.0)),    # w @ A(c^2/2 - Ac) = 0
+    Condition("q4c", 4, (1 / 6, 0.0, -0.5, 0.0)),  # w @ (c^3/6 - A c^2/2) = 0
+    Condition("q4d", 4, (0.5, -1.0, 0.0, 0.0)),    # w @ c(c^2/2 - Ac) = 0
 )
+
+
+def _ratio(num, den) -> float:
+    return float(num / den) if den != 0.0 else math.inf
+
+
+class OrderConditions:
+    """The order conditions of a fixed stage matrix A, linear in the weights.
+
+    For q = 1..5, ``phi[q]`` stacks the elementary weight vectors of the
+    trees of order q (rows in TREES order, names in ``names[q]``) and
+    ``g[q]`` their right-hand sides 1/gamma, so the tree residuals of
+    weights w are ``tau(w, q) = phi[q] @ w - g[q]``.  ``conditions[q]``
+    is the set deciding non-defectiveness at order q, as
+    ``(names, V, rhs)`` for the conditions ``V @ w = rhs``: the composite
+    arrangement through order 4, and the trees themselves at order 5,
+    which has no displayed arrangement.
+    """
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        c = A.sum(axis=1)
+        self.names, self.phi, self.g, self.conditions = {}, {}, {}, {}
+        for q in range(1, 6):
+            trees = [t for t in TREES if t.order == q]
+            self.names[q] = [t.name for t in trees]
+            self.phi[q] = np.array([t.phi(A, c) for t in trees])
+            self.g[q] = np.array([1.0 / t.gamma for t in trees])
+            comp = [cd for cd in CONDITIONS if cd.order == q]
+            if comp:
+                C = np.array([cd.coef for cd in comp])
+                self.conditions[q] = ([cd.name for cd in comp], C @ self.phi[q], C @ self.g[q])
+            else:
+                self.conditions[q] = (self.names[q], self.phi[q], self.g[q])
+
+    def tau(self, w, q: int) -> np.ndarray:
+        """Residuals of the trees of order q."""
+        return self.phi[q] @ w - self.g[q]
+
+    def up_to(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """(M, rhs) with one row M @ w = rhs per tree of order <= q."""
+        orders = range(1, q + 1)
+        return np.concatenate([self.phi[k] for k in orders]), np.concatenate([self.g[k] for k in orders])
+
+    def error_norms(self, tau_main, w, p: int) -> tuple[float, ...]:
+        """Norms of the leading truncation errors of a pair.
+
+        ``tau_main`` holds the order-(p+1) tree residuals of the advancing
+        weights and ``w`` are the embedded weights.  Returns (A2_main,
+        Ainf_main, A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
+        ``error_measures``; a ratio with a zero denominator is inf.
+        """
+        tau_emb = self.tau(w, p)
+        diff = self.tau(w, p + 1) - tau_main
+        a2, ainf = np.linalg.norm(tau_main), np.max(np.abs(tau_main))
+        a2e, ainfe = np.linalg.norm(tau_emb), np.max(np.abs(tau_emb))
+        return (
+            float(a2), float(ainf), float(a2e), float(ainfe),
+            _ratio(a2, a2e), _ratio(ainf, ainfe),
+            _ratio(np.linalg.norm(diff), a2e), _ratio(np.max(np.abs(diff)), ainfe),
+        )
 
 
 def _as_arrays(A, w):
@@ -128,29 +188,14 @@ def order_condition_residuals(A, w, q_max: int = 4) -> dict[str, float]:
     if not 1 <= q_max <= 5:
         raise ValueError("q_max must be between 1 and 5")
     A, w = _as_arrays(A, w)
-    c = A.sum(axis=1)
+    oc = OrderConditions(A)
     out = {}
-    for t in TREES:
-        if t.order <= q_max:
-            out[t.name] = float(w @ t.phi(A, c) - 1.0 / t.gamma)
-    for q in CONDITIONS:
-        if q.order <= q_max:
-            out[q.name] = float(w @ q.phi(A, c) - q.rhs)
+    for q in range(1, q_max + 1):
+        out.update(zip(oc.names[q], oc.tau(w, q).tolist()))
+    for q in range(1, min(q_max, 4) + 1):
+        names, V, rhs = oc.conditions[q]
+        out.update(zip(names, (V @ w - rhs).tolist()))
     return out
-
-
-def tree_residual_vector(A, w, order: int, weighted: bool = False) -> np.ndarray:
-    """Vector of tree residuals of exactly the given order (the tau vector)."""
-    A, w = _as_arrays(A, w)
-    c = A.sum(axis=1)
-    vals = []
-    for t in TREES:
-        if t.order == order:
-            r = w @ t.phi(A, c) - 1.0 / t.gamma
-            vals.append(r / t.sigma if weighted else r)
-    if not vals:
-        raise ValueError(f"no trees tabulated at order {order}")
-    return np.array(vals)
 
 
 def classify_order(A, w, tol: float = 1e-10) -> int:
@@ -158,27 +203,13 @@ def classify_order(A, w, tol: float = 1e-10) -> int:
     if tol <= 0:
         raise ValueError("tol must be positive")
     A, w = _as_arrays(A, w)
-    c = A.sum(axis=1)
+    oc = OrderConditions(A)
     p = 0
     for q in range(1, 6):
-        ok = all(
-            abs(w @ t.phi(A, c) - 1.0 / t.gamma) <= tol
-            for t in TREES
-            if t.order == q
-        )
-        if not ok:
+        if not np.all(np.abs(oc.tau(w, q)) <= tol):
             break
         p = q
     return p
-
-
-def _conditions_at(order: int):
-    """Condition set deciding non-defectiveness at the given order."""
-    comp = [q for q in CONDITIONS if q.order == order]
-    if comp:
-        return [(q.name, q.phi, q.rhs) for q in comp]
-    # order 5 has no displayed composite arrangement; fall back to trees
-    return [(t.name, t.phi, 1.0 / t.gamma) for t in TREES if t.order == order]
 
 
 def vacuous_conditions(A, order: int, tol: float = 1e-10) -> set[str]:
@@ -190,14 +221,11 @@ def vacuous_conditions(A, order: int, tol: float = 1e-10) -> set[str]:
     ``order - 1`` then satisfies it automatically, so it cannot be
     violated and is exempt from the non-defectiveness requirement.
     """
-    A = np.asarray(A, dtype=float)
-    c = A.sum(axis=1)
-    lower = [(t.phi(A, c), 1.0 / t.gamma) for t in TREES if t.order < order]
-    M = np.column_stack([v for v, _ in lower])
-    rho = np.array([r for _, r in lower])
+    oc = OrderConditions(A)
+    M, rho = oc.up_to(order - 1)
+    M = M.T
     names = set()
-    for name, phi, rhs in _conditions_at(order):
-        v = phi(A, c)
+    for name, v, rhs in zip(*oc.conditions[order]):
         x, *_ = np.linalg.lstsq(M, v, rcond=None)
         span_ok = np.max(np.abs(M @ x - v)) <= tol * max(1.0, np.max(np.abs(v)))
         rhs_ok = abs(x @ rho - rhs) <= tol
@@ -224,53 +252,21 @@ def is_non_defective(t, exempt=None, tol: float = 1e-10) -> NonDefectiveReport:
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    A = t.A
-    c = t.c
     if exempt is None:
-        exempt = vacuous_conditions(A, t.p, tol)
+        exempt = vacuous_conditions(t.A, t.p, tol)
     exempt = frozenset(exempt)
-    residuals = {}
-    ok = True
-    for name, phi, rhs in _conditions_at(t.p):
-        r = float(t.b_tilde @ phi(A, c) - rhs)
-        residuals[name] = r
-        if name not in exempt and abs(r) <= tol:
-            ok = False
+    names, V, rhs = OrderConditions(t.A).conditions[t.p]
+    residuals = dict(zip(names, (V @ t.b_tilde - rhs).tolist()))
+    ok = not any(name not in exempt and abs(r) <= tol for name, r in residuals.items())
     return NonDefectiveReport(ok=ok, order=t.p, residuals=residuals, exempt=exempt)
 
 
-def ssp_coefficient_arrays(A, w, tol: float = 1e-6, r_max: float | None = None) -> float:
-    """SSP coefficient of the method (A, w) by bisection.
+def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
+    """Supremum of {x in [lo, hi] : feasible(x)} to within tol.
 
-    Assembles K = [[A, 0], [w^T, 0]] and finds the supremum of r with
-    K (I + rK)^{-1} >= 0 (componentwise slack -1e-10) and
-    r K (I + rK)^{-1} e <= e (slack +1e-10).  A singular probe counts as
-    infeasible.  Any negative entry in A or w forces the coefficient to 0.
+    ``feasible`` is monotone (true up to a threshold, false beyond) and
+    is taken as true at ``lo``; ``hi`` itself is returned when feasible.
     """
-    A, w = _as_arrays(A, w)
-    s = len(w)
-    if np.min(A) < -_FEAS_TOL or np.min(w) < -_FEAS_TOL:
-        return 0.0  # positive SSP coefficient requires nonnegative coefficients
-    K = np.zeros((s + 1, s + 1))
-    K[:s, :s] = A
-    K[s, :s] = w
-    eye = np.eye(s + 1)
-    ones = np.ones(s + 1)
-
-    def feasible(r: float) -> bool:
-        try:
-            M = np.linalg.solve((eye + r * K).T, K.T).T  # K (I + rK)^{-1}
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(M)):
-            return False
-        if np.min(M) < -_FEAS_TOL:
-            return False
-        return np.max(r * (M @ ones)) <= 1.0 + _FEAS_TOL
-
-    if r_max is None:
-        r_max = 2.0 * s
-    lo, hi = 0.0, r_max
     if feasible(hi):
         return hi
     while hi - lo > tol:
@@ -280,6 +276,48 @@ def ssp_coefficient_arrays(A, w, tol: float = 1e-6, r_max: float | None = None) 
         else:
             hi = mid
     return lo
+
+
+def _bordered(A, w, tol: float = _FEAS_TOL):
+    """K = [[A, 0], [w^T, 0]], or None when an entry of A or w is below
+    -tol: a positive SSP coefficient requires nonnegative coefficients."""
+    A, w = _as_arrays(A, w)
+    if np.min(A) < -tol or np.min(w) < -tol:
+        return None
+    s = len(w)
+    K = np.zeros((s + 1, s + 1))
+    K[:s, :s] = A
+    K[s, :s] = w
+    return K
+
+
+def _ssp_feasible(K, r: float, tol: float = _FEAS_TOL) -> bool:
+    """Componentwise SSP conditions of the bordered matrix K at coefficient r.
+
+    With M = K (I + rK)^{-1}: M >= 0 entrywise (slack -tol) and
+    r M e <= e (slack +tol).  A singular probe counts as infeasible.
+    """
+    n = len(K)
+    try:
+        M = np.linalg.solve((np.eye(n) + r * K).T, K.T).T
+    except np.linalg.LinAlgError:
+        return False
+    if not np.all(np.isfinite(M)) or np.min(M) < -tol:
+        return False
+    return bool(np.max(r * (M @ np.ones(n))) <= 1.0 + tol)
+
+
+def ssp_coefficient_arrays(A, w, tol: float = 1e-6, r_max: float | None = None) -> float:
+    """SSP coefficient of the method (A, w): the supremum of r in
+    [0, r_max] (default 2s) passing the componentwise SSP conditions,
+    found by bisection.  Any negative entry in A or w forces it to 0.
+    """
+    K = _bordered(A, w)
+    if K is None:
+        return 0.0
+    if r_max is None:
+        r_max = 2.0 * (len(K) - 1)
+    return _bisect_sup(lambda r: _ssp_feasible(K, r), 0.0, r_max, tol)
 
 
 def ssp_coefficient(t, which: str = "advancing", tol: float = 1e-6) -> float:
@@ -339,26 +377,20 @@ def _eval_noise(coeffs, z):
     return 8.0 * np.finfo(float).eps * np.real(psi_eval(mags, np.abs(z)))
 
 
+def _bounded_by_one(coeffs, z) -> bool:
+    """|psi| <= 1 + 1e-12 (+ rounding noise) at every sample point z."""
+    return bool(np.all(np.abs(psi_eval(coeffs, z)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, z)))
+
+
 def real_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
     """Largest gamma with |psi| <= 1 (+noise slack) on [-gamma, 0]."""
-    cap = _radius_cap(coeffs)
 
     def feasible(g: float) -> bool:
-        x = np.linspace(-g, 0.0, 2048)
-        return np.all(np.abs(psi_eval(coeffs, x)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, x))
+        return _bounded_by_one(coeffs, np.linspace(-g, 0.0, 2048))
 
     if not feasible(tol):
         return 0.0
-    lo, hi = tol, cap
-    if feasible(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_sup(feasible, tol, _radius_cap(coeffs), tol)
 
 
 def imag_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
@@ -385,23 +417,8 @@ def imag_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
         return _radius_cap(coeffs)  # |psi| == 1 on the whole axis
     if q[nz[0]] > 0:
         return 0.0
-
-    def feasible(g: float) -> bool:
-        y = np.linspace(0.0, g, 2048)
-        return np.all(
-            np.abs(psi_eval(coeffs, 1j * y)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, y)
-        )
-
-    lo, hi = 0.0, _radius_cap(coeffs)
-    if feasible(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_sup(lambda g: _bounded_by_one(coeffs, 1j * np.linspace(0.0, g, 2048)),
+                       0.0, _radius_cap(coeffs), tol)
 
 
 def circle_contractivity_radius(coeffs, tol: float = 1e-6) -> float:
@@ -417,21 +434,7 @@ def circle_contractivity_radius(coeffs, tol: float = 1e-6) -> float:
         return cap
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ring = np.exp(1j * theta) - 1.0  # unit circle through 0 centered at -1
-
-    def feasible(r: float) -> bool:
-        z = r * ring
-        return np.all(np.abs(psi_eval(coeffs, z)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, z))
-
-    lo, hi = 0.0, cap
-    if feasible(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_sup(lambda r: _bounded_by_one(coeffs, r * ring), 0.0, cap, tol)
 
 
 def _taylor_shift(coeffs, x0) -> list:
@@ -467,18 +470,9 @@ def absolute_monotonicity_radius(coeffs, tol: float = 1e-8) -> float:
         amp = _taylor_shift(np.abs(coeffs), r)
         return all(dj >= -max(eps4 * float(mj), -_AM_TOL) for dj, mj in zip(d, amp))
 
-    lo, hi = 0.0, _radius_cap(coeffs)
     if not feasible(0.0):
         return 0.0
-    if feasible(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_sup(feasible, 0.0, _radius_cap(coeffs), tol)
 
 
 @dataclass(frozen=True)
@@ -509,60 +503,27 @@ class ErrorMeasures:
     C2: float
     Cinf: float
     D: float
-    convention: str = "plain"   # tree residuals carry no 1/sigma weighting
-    literal_b: bool = False
 
 
-def error_measures(t, weighted: bool = False, literal_b: bool = False) -> ErrorMeasures:
+def error_measures(t) -> ErrorMeasures:
     """Principal error measures of an embedded pair.
 
     A-measures are norms of the leading truncation-error vectors: order
     p+1 tree residuals for the advancing weights, order p for the
-    embedded.  B compares the two leading errors, B2 = A2_main / A2_emb
-    (the literal variant divides by the advancing order-p residual norm,
-    which vanishes for an exactly order-p method; it is divide-guarded
-    and returns inf there).  C measures the gap between the pairs' leading
-    errors relative to the embedded one, and D is the largest coefficient
-    magnitude in the extended tableau.
+    embedded.  B compares the two leading errors, B2 = A2_main / A2_emb.
+    C measures the gap between the pairs' leading errors relative to the
+    embedded one, and D is the largest coefficient magnitude in the
+    extended tableau.
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
     p = t.p
     if p > 4:
         raise ValueError("error measures need trees to order p+1 <= 5")
-    tau_main = tree_residual_vector(t.A, t.b, p + 1, weighted)
-    tau_emb_p = tree_residual_vector(t.A, t.b_tilde, p, weighted)
-    tau_emb_hi = tree_residual_vector(t.A, t.b_tilde, p + 1, weighted)
-    a2, ainf = np.linalg.norm(tau_main), np.max(np.abs(tau_main))
-    a2e, ainfe = np.linalg.norm(tau_emb_p), np.max(np.abs(tau_emb_p))
-
-    def ratio(num, den):
-        return float(num / den) if den != 0.0 else math.inf
-
-    if literal_b:
-        tau_main_p = tree_residual_vector(t.A, t.b, p, weighted)
-        b2 = ratio(a2, np.linalg.norm(tau_main_p))
-        binf = ratio(ainf, np.max(np.abs(tau_main_p)))
-    else:
-        b2 = ratio(a2, a2e)
-        binf = ratio(ainf, ainfe)
-    diff = tau_emb_hi - tau_main
-    c2 = ratio(np.linalg.norm(diff), a2e)
-    cinf = ratio(np.max(np.abs(diff)), ainfe)
+    oc = OrderConditions(t.A)
+    norms = oc.error_norms(oc.tau(t.b, p + 1), t.b_tilde, p)
     d = max(np.max(np.abs(t.A)), np.max(np.abs(t.b)), np.max(np.abs(t.b_tilde)), np.max(np.abs(t.c)))
-    return ErrorMeasures(
-        A2_main=float(a2),
-        Ainf_main=float(ainf),
-        A2_emb=float(a2e),
-        Ainf_emb=float(ainfe),
-        B2=b2,
-        Binf=binf,
-        C2=c2,
-        Cinf=cinf,
-        D=float(d),
-        convention="weighted" if weighted else "plain",
-        literal_b=literal_b,
-    )
+    return ErrorMeasures(*norms, D=float(d))
 
 
 def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), nx: int = 201, ny: int = 201):

@@ -1,5 +1,6 @@
 """Work-precision benchmarking: methods x problems x tolerance ladder,
-one CSV row per run, with a cached high-accuracy reference per problem.
+one CSV row per run, against a high-accuracy reference solve per problem
+(recomputed on every call).
 
 Work is counted as function evaluations, s per attempted step.  Individual
 run failures become rows with a failure status; the sweep never aborts.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +53,8 @@ class BenchPlan:
             raise ValueError("need at least one method and one problem")
         if any(b >= a for a, b in zip(self.tolerances, self.tolerances[1:])):
             raise ValueError("tolerances must be strictly decreasing")
+        if self.n_jobs < 1:
+            raise ValueError(f"n_jobs must be at least 1, got {self.n_jobs}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,10 @@ class WorkPrecisionRow:
     status: str = "ok"
 
 
-def reference_endpoint(problem_id: str, seed: int = 0) -> np.ndarray:
-    """Endpoint of the problem under the reference method at tight tolerance."""
-    prob = make_problem(problem_id)
+def reference_endpoint(problem_id: str, seed: int = 0, n_cells: int = 200) -> np.ndarray:
+    """Endpoint of the problem (on ``n_cells`` cells for the PDEs) under
+    the reference method at tight tolerance."""
+    prob = make_problem(problem_id, n_cells=n_cells)
     tab = resolve(REFERENCE_METHOD, seed=seed)
     res = integrate_adaptive(
         prob, tab, make_controller("pid"), REFERENCE_TOL, REFERENCE_TOL
@@ -91,15 +96,11 @@ def run_single(
         res = integrate_adaptive(
             prob, tab, make_controller(controller), tol, tol
         )
-    except StiffnessError:
+    except (StiffnessError, BudgetError) as exc:
+        status = "stiffness-failure" if isinstance(exc, StiffnessError) else "budget-failure"
         return WorkPrecisionRow(
             method_id, problem_id, tol, 0, 0, 0, float("nan"),
-            1e3 * (time.perf_counter() - t0), "stiffness-failure",
-        )
-    except BudgetError:
-        return WorkPrecisionRow(
-            method_id, problem_id, tol, 0, 0, 0, float("nan"),
-            1e3 * (time.perf_counter() - t0), "budget-failure",
+            1e3 * (time.perf_counter() - t0), status,
         )
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(res.u - u_ref))
@@ -115,7 +116,10 @@ def _worker(task):
 
 
 def run_bench(plan: BenchPlan) -> list[WorkPrecisionRow]:
-    """All rows of the plan, sorted by (problem, method, tol descending)."""
+    """All rows of the plan, sorted by (problem, method, tol descending).
+
+    The worker count is capped at the machine's CPU count.
+    """
     refs = {pid: reference_endpoint(pid, plan.seed) for pid in plan.problems}
     tasks = [
         (m, p, tol, plan.controller, refs[p], plan.seed)
@@ -123,8 +127,9 @@ def run_bench(plan: BenchPlan) -> list[WorkPrecisionRow]:
         for m in plan.methods
         for tol in plan.tolerances
     ]
-    if plan.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=plan.n_jobs) as pool:
+    n_jobs = min(plan.n_jobs, os.cpu_count() or 1)
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             rows = list(pool.map(_worker, tasks))
     else:
         rows = [_worker(t) for t in tasks]

@@ -120,7 +120,7 @@ def _cmd_integrate(args) -> int:
         "t_final": res.t,
     }
     if not args.skip_error:
-        u_ref = reference_endpoint(args.problem, seed=args.seed)
+        u_ref = reference_endpoint(args.problem, seed=args.seed, n_cells=args.n_cells)
         summary["l2_error"] = float(np.linalg.norm(res.u - u_ref))
     if args.json:
         _emit(args, [json.dumps(summary, default=_json_default)])

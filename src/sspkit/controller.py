@@ -2,12 +2,14 @@
 
 Each controller turns recent local error estimates into a step-size factor
 beta; the shared clamp then yields dt_opt = dt * min(facmax, max(facmin,
-fac * beta)).  On the proposal immediately following a rejected step both
-fac and facmax are pinned to 0.9 so the retry step strictly shrinks.
+fac * beta)), or dt * facmin for a non-finite beta.  On the proposal
+immediately following a rejected step both fac and facmax are pinned to
+0.9 so the retry step strictly shrinks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["GAINS", "ControllerState", "make_controller"]
@@ -71,6 +73,8 @@ class ControllerState:
         raise ValueError(f"unknown controller kind {self.kind!r}")
 
     def clamp(self, dt: float, beta: float) -> float:
+        if not math.isfinite(beta):
+            return dt * self.facmin  # NaN factor from a NaN error estimate: shrink fully
         # one-proposal cap after a rejection prevents the reject loop
         fac = 0.9 if self.just_rejected else self.fac
         facmax = 0.9 if self.just_rejected else self.facmax

@@ -169,6 +169,8 @@ def integrate_adaptive(
     """Accept/reject loop: a step stands iff error_norm <= 1.
 
     The final step is truncated to land on T exactly (not a rejection).
+    With ``t_eval``, ``dense_u`` holds the solution at those times,
+    linearly interpolated between accepted steps.
     Raises StiffnessError on step underflow and BudgetError past
     max_attempts attempted steps.
     """

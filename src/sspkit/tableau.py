@@ -72,10 +72,6 @@ class EmbeddedTableau:
     def s(self) -> int:
         return len(self.b)
 
-    @property
-    def has_embedded(self) -> bool:
-        return self.b_tilde is not None
-
 
 @dataclass(frozen=True)
 class MethodId:

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sspkit.analysis import (
+    TREES,
+    OrderConditions,
     absolute_monotonicity_radius,
     analyze_method,
     circle_contractivity_radius,
@@ -58,6 +60,33 @@ def test_composite_residuals_are_tree_combinations(s, seed):
     assert r["q4b"] == pytest.approx(r["t43"] / 2 - r["t44"], abs=1e-12)
     assert r["q4c"] == pytest.approx(r["t41"] / 6 - r["t43"] / 2, abs=1e-12)
     assert r["q4d"] == pytest.approx(r["t41"] / 2 - r["t42"], abs=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31))
+def test_tree_matrices_match_the_per_tree_loop(s, seed):
+    # reference: one dot product per tree and the displayed composite
+    # vectors; the matrix products may sum in another order, so allow a
+    # few ulps of the summed magnitudes
+    eps = np.finfo(float).eps
+    A, w = _random_tableau(np.random.default_rng(seed), s)
+    c = A.sum(axis=1)
+    oc = OrderConditions(A)
+    for q in range(1, 6):
+        trees = [t for t in TREES if t.order == q]
+        want = np.array([w @ t.phi(A, c) - 1.0 / t.gamma for t in trees])
+        scale = np.abs(oc.phi[q]) @ np.abs(w) + oc.g[q]
+        assert np.all(np.abs(oc.tau(w, q) - want) <= 8 * eps * scale), q
+    displayed = {
+        "q1": np.ones(s), "q2": c, "q3a": c * c, "q3b": c * c / 2 - A @ c,
+        "q4a": c ** 3, "q4b": A @ (c * c / 2 - A @ c),
+        "q4c": c ** 3 / 6 - A @ (c * c) / 2, "q4d": c * (c * c / 2 - A @ c),
+    }
+    rhs = {"q1": 1.0, "q2": 0.5, "q3a": 1 / 3, "q4a": 0.25}
+    for q in range(1, 5):
+        for name, v, r in zip(*oc.conditions[q]):
+            tol = 8 * eps * max(1.0, np.max(np.abs(oc.phi[q])))
+            assert np.all(np.abs(v - displayed[name]) <= tol), name
+            assert r == rhs.get(name, 0.0), name
 
 
 def test_tree_residuals_vanish_up_to_claimed_order():

@@ -4,8 +4,10 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
+from sspkit import bench
 from sspkit.bench import (
     CSV_COLUMNS,
     BenchPlan,
@@ -30,6 +32,39 @@ def test_plan_rejects_empty_axes_and_unsorted_tolerances():
         BenchPlan(methods=("ssp2,2-b2",), problems=())
     with pytest.raises(ValueError):
         BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), tolerances=(1e-3, 1e-2))
+
+
+def test_plan_rejects_fewer_than_one_job():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+            BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), n_jobs=n)
+
+
+@pytest.mark.parametrize("n_jobs, cpus, workers", [(8, 2, 2), (2, 4, 2), (3, None, None)])
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, n_jobs, cpus, workers):
+    # a stand-in pool that records its size and maps in process
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(bench, "reference_endpoint", lambda pid, seed=0: np.zeros(2))
+    plan = BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), tolerances=(1e-2,), n_jobs=n_jobs)
+    rows = run_bench(plan)
+    assert started == ([] if workers is None else [workers])
+    assert [r.status for r in rows] == ["ok"]
 
 
 def test_reference_endpoint_is_reproducible():

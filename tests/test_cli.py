@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -119,6 +120,15 @@ def test_integrate_trace_lists_every_attempt(tmp_path, capsys):
     assert sum(accepted_flags) == doc["accepted"]
 
 
+def test_integrate_error_uses_the_requested_grid(capsys):
+    # the reference solve runs on the same n_cells as the integration
+    code, lines, _ = run_cli(capsys, "integrate", "--method", "ssp10,4-b3",
+                             "--problem", "advection", "--n-cells", "50", "--json")
+    assert code == 0
+    doc = json.loads(lines[1])
+    assert math.isfinite(doc["l2_error"]) and doc["l2_error"] > 0.0
+
+
 def test_integrate_rejects_unknown_problem(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--method", "ssp2,2-b2", "--problem", "heat"])
@@ -137,6 +147,14 @@ def test_bench_csv_parses_with_quoted_method_ids(capsys):
     assert {r["method"] for r in recs} == {"ssp2,2-b2", "ssp4,3-b1"}
     assert all(r["status"] == "ok" for r in recs)
     assert all(int(r["nfev"]) > 0 for r in recs)
+
+
+def test_bench_rejects_zero_jobs(capsys):
+    code, lines, err = run_cli(capsys, "bench", "--methods", "ssp2,2-b2",
+                               "--problems", "vdp", "--jobs", "0")
+    assert code == 1
+    assert lines == []
+    assert "n_jobs must be at least 1" in err
 
 
 def test_bench_relative_work_column(capsys):

@@ -100,6 +100,17 @@ def test_clamp_after_rejection_forces_a_strict_shrink():
     assert st_.clamp(1.0, 0.5) == pytest.approx(0.45)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_nan_estimate_shrinks_by_facmin_and_keeps_the_history(kind):
+    st_ = make_controller(kind)
+    st_.on_accept(1e-3)
+    st_.on_accept(2e-3)
+    beta = st_.propose_factor(float("nan"), 2)
+    st_.on_reject()  # a NaN error never satisfies err <= 1
+    assert st_.clamp(0.5, beta) == 0.5 * st_.facmin
+    assert st_.err_n == 2e-3 and st_.err_nm1 == 1e-3
+
+
 def test_accept_shifts_history_and_clears_flags():
     st_ = make_controller("pid")
     st_.on_reject()

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from sspkit.analysis import error_measures, ssp_coefficient
 from sspkit.optimizer import (
     OptimizationSpec,
     objective,
     optimize_embedded,
     ssp_feasible,
 )
-from sspkit.tableau import resolve
+from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids
 
 A22 = np.array([[0.0, 0.0], [1.0, 0.0]])
 B22 = np.array([0.5, 0.5])
@@ -44,7 +45,31 @@ def test_screen_matches_claimed_coefficient_for_nine_stage_second_order():
     assert not ssp_feasible(t.A, t.b, 8.5)
 
 
+def test_screen_brackets_the_bisected_coefficient_catalog_wide():
+    # the screen and the SSP coefficient share one feasibility test
+    for mid in ssp_catalog_ids():
+        t = resolve(mid)
+        r = ssp_coefficient(t)
+        assert ssp_feasible(t.A, t.b, r), mid
+        assert not ssp_feasible(t.A, t.b, r + 1e-3), mid
+
+
 # ------------------------------------------------------------ cost function
+
+
+def test_objective_equals_the_public_error_measures_exactly():
+    # the search precomputes the advancing residuals; its cost must stay
+    # the max-norm of the measures analysis reports, to the last bit
+    checked = 0
+    for mid in catalog_ids():
+        t = resolve(mid)
+        if not 2 <= t.p <= 4:
+            continue
+        m = error_measures(t)
+        f = [m.A2_emb, m.Ainf_emb, m.B2 - 1.0, m.Binf - 1.0, m.C2 - 1.0, m.Cinf - 1.0]
+        assert objective(t.A, t.b, t.b_tilde) == max(abs(x) for x in f), mid
+        checked += 1
+    assert checked == len(catalog_ids()) - 1  # every pair but dp54
 
 
 def test_objective_of_known_embedded_weights_is_a_quarter():
