@@ -109,6 +109,14 @@ CONDITIONS: tuple[Condition, ...] = (
 )
 
 
+@dataclass(frozen=True)
+class NonDefectiveReport:
+    ok: bool
+    order: int
+    residuals: dict[str, float]
+    exempt: frozenset[str]
+
+
 def _ratio(num, den) -> float:
     return float(num / den) if den != 0.0 else math.inf
 
@@ -150,6 +158,43 @@ class OrderConditions:
         """(M, rhs) with one row M @ w = rhs per tree of order <= q."""
         orders = range(1, q + 1)
         return np.concatenate([self.phi[k] for k in orders]), np.concatenate([self.g[k] for k in orders])
+
+    def classify(self, w, tol: float = 1e-10) -> int:
+        """Largest q <= 5 with every tree residual of order <= q within tol."""
+        p = 0
+        for q in range(1, 6):
+            if not np.all(np.abs(self.tau(w, q)) <= tol):
+                break
+            p = q
+        return p
+
+    def vacuous(self, order: int, tol: float = 1e-10) -> set[str]:
+        """Names of the order-``order`` conditions implied by the lower orders.
+
+        A condition w @ v = rhs is vacuous when v lies in the span of the
+        lower-order tree functionals and the same combination of their
+        right-hand sides reproduces rhs: every weight vector of order
+        ``order - 1`` then satisfies it, so it cannot be violated.
+        """
+        M, rho = self.up_to(order - 1)
+        M = M.T
+        names = set()
+        for name, v, rhs in zip(*self.conditions[order]):
+            x, *_ = np.linalg.lstsq(M, v, rcond=None)
+            span_ok = np.max(np.abs(M @ x - v)) <= tol * max(1.0, np.max(np.abs(v)))
+            rhs_ok = abs(x @ rho - rhs) <= tol
+            if span_ok and rhs_ok:
+                names.add(name)
+        return names
+
+    def non_defective(self, w, order: int, exempt=None, tol: float = 1e-10) -> NonDefectiveReport:
+        """Whether w violates every order-``order`` condition not in
+        ``exempt`` (default: the vacuous ones)."""
+        exempt = frozenset(self.vacuous(order, tol) if exempt is None else exempt)
+        names, V, rhs = self.conditions[order]
+        residuals = dict(zip(names, (V @ w - rhs).tolist()))
+        ok = not any(name not in exempt and abs(r) <= tol for name, r in residuals.items())
+        return NonDefectiveReport(ok=ok, order=order, residuals=residuals, exempt=exempt)
 
     def error_norms(self, tau_main, w, p: int) -> tuple[float, ...]:
         """Norms of the leading truncation errors of a pair.
@@ -203,43 +248,12 @@ def classify_order(A, w, tol: float = 1e-10) -> int:
     if tol <= 0:
         raise ValueError("tol must be positive")
     A, w = _as_arrays(A, w)
-    oc = OrderConditions(A)
-    p = 0
-    for q in range(1, 6):
-        if not np.all(np.abs(oc.tau(w, q)) <= tol):
-            break
-        p = q
-    return p
+    return OrderConditions(A).classify(w, tol)
 
 
 def vacuous_conditions(A, order: int, tol: float = 1e-10) -> set[str]:
-    """Names of order-``order`` conditions implied by the lower-order ones.
-
-    A condition w @ v = rhs is vacuous for this A when v lies in the span
-    of the lower-order tree functionals and the corresponding combination
-    of their right-hand sides reproduces rhs: every weight vector of order
-    ``order - 1`` then satisfies it automatically, so it cannot be
-    violated and is exempt from the non-defectiveness requirement.
-    """
-    oc = OrderConditions(A)
-    M, rho = oc.up_to(order - 1)
-    M = M.T
-    names = set()
-    for name, v, rhs in zip(*oc.conditions[order]):
-        x, *_ = np.linalg.lstsq(M, v, rcond=None)
-        span_ok = np.max(np.abs(M @ x - v)) <= tol * max(1.0, np.max(np.abs(v)))
-        rhs_ok = abs(x @ rho - rhs) <= tol
-        if span_ok and rhs_ok:
-            names.add(name)
-    return names
-
-
-@dataclass(frozen=True)
-class NonDefectiveReport:
-    ok: bool
-    order: int
-    residuals: dict[str, float]
-    exempt: frozenset[str]
+    """Names of the order-``order`` conditions vacuous for A (see ``OrderConditions.vacuous``)."""
+    return OrderConditions(A).vacuous(order, tol)
 
 
 def is_non_defective(t, exempt=None, tol: float = 1e-10) -> NonDefectiveReport:
@@ -252,13 +266,7 @@ def is_non_defective(t, exempt=None, tol: float = 1e-10) -> NonDefectiveReport:
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    if exempt is None:
-        exempt = vacuous_conditions(t.A, t.p, tol)
-    exempt = frozenset(exempt)
-    names, V, rhs = OrderConditions(t.A).conditions[t.p]
-    residuals = dict(zip(names, (V @ t.b_tilde - rhs).tolist()))
-    ok = not any(name not in exempt and abs(r) <= tol for name, r in residuals.items())
-    return NonDefectiveReport(ok=ok, order=t.p, residuals=residuals, exempt=exempt)
+    return OrderConditions(t.A).non_defective(t.b_tilde, t.p, exempt, tol)
 
 
 def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:

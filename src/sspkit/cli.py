@@ -22,7 +22,7 @@ from .bench import (
     rows_to_csv,
     run_bench,
 )
-from .controller import make_controller
+from .controller import GAINS, make_controller
 from .integrator import BudgetError, StiffnessError, integrate_adaptive
 from .optimizer import OptimizationSpec, optimize_embedded
 from .problems import PROBLEM_IDS, make_problem
@@ -200,7 +200,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--controller", choices=("i", "pi", "pid", "gustafsson"), default="pid")
+    sp.add_argument("--controller", choices=tuple(GAINS), default="pid")
     sp.add_argument("--k1", type=float, default=None)
     sp.add_argument("--k2", type=float, default=None)
     sp.add_argument("--k3", type=float, default=None)
@@ -216,7 +216,7 @@ def build_parser() -> _Parser:
                     help="method ids (space separated; ids contain commas)")
     sp.add_argument("--problems", required=True, nargs="+", choices=PROBLEM_IDS)
     sp.add_argument("--tols", type=float, nargs="+", default=list(DEFAULT_TOLERANCES))
-    sp.add_argument("--controller", choices=("i", "pi", "pid", "gustafsson"), default="pid")
+    sp.add_argument("--controller", choices=tuple(GAINS), default="pid")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--relative-to", default=None, help="normalize nfev by this method")
     common(sp)

@@ -56,11 +56,8 @@ class ControllerState:
         embedded order of the pair.
         """
         e = max(err_new, ERR_FLOOR)
-        if self.kind == "i":
-            return e ** (-self.k1 / p)
-        if self.kind == "pi":
-            return e ** (-self.k1 / p) * self.err_n ** (self.k2 / p)
-        if self.kind == "pid":
+        if self.kind in ("i", "pi", "pid"):
+            # one PID formula; I and PI are PID with zero default k2/k3
             return (
                 e ** (-self.k1 / p)
                 * self.err_n ** (self.k2 / p)

@@ -9,12 +9,15 @@ extrapolation); the embedded weights enter only through the error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .controller import ControllerState
 from .tableau import EmbeddedTableau
+
+if TYPE_CHECKING:
+    from .problems import Grid1D
 
 __all__ = [
     "OdeSystem",
@@ -45,7 +48,8 @@ class OdeSystem:
 
     cfl_hint, when present, maps a state vector to a stability-motivated
     step bound; it only caps the starting step, the error controller owns
-    the step afterwards.
+    the step afterwards.  grid is the finite-volume grid of a PDE problem
+    (None for an ODE).
     """
 
     f: Callable[[float, np.ndarray], np.ndarray]
@@ -53,6 +57,7 @@ class OdeSystem:
     u0: np.ndarray
     cfl_hint: Callable[[np.ndarray], float] | None = None
     name: str = ""
+    grid: Grid1D | None = None
 
     @property
     def dimension(self) -> int:

@@ -72,11 +72,15 @@ def ssp_feasible(A, w, r: float, tol: float = 1e-10) -> bool:
     return K is not None and analysis._ssp_feasible(K, r, tol)
 
 
-def _f_components(oc: analysis.OrderConditions, tau_main, w, p: int) -> np.ndarray:
-    """F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of the pair with
-    advancing residuals tau_main and embedded weights w."""
+def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
+    """||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of the
+    pair with advancing residuals tau_main and embedded weights w, or inf
+    when an entry is not finite (a defective pair)."""
     _, _, a2e, ainfe, b2, binf, c2, cinf = oc.error_norms(tau_main, w, p)
-    return np.array([a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0])
+    f = np.array([a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0])
+    if not np.all(np.isfinite(f)):
+        return math.inf
+    return float(np.max(np.abs(f)))
 
 
 def objective(A, b, w, tol_order: float = 1e-10) -> float:
@@ -89,17 +93,14 @@ def objective(A, b, w, tol_order: float = 1e-10) -> float:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     w = np.asarray(w, dtype=float)
-    p = analysis.classify_order(A, b)
+    oc = analysis.OrderConditions(A)
+    p = oc.classify(b)
     if p < 2 or p > 4:
         raise ValueError("objective needs an advancing method of order 2..4")
-    oc = analysis.OrderConditions(A)
     M, rhs = oc.up_to(p - 1)
     if np.max(np.abs(M @ w - rhs)) > tol_order:
         return math.inf
-    f = _f_components(oc, oc.tau(b, p + 1), w, p)
-    if not np.all(np.isfinite(f)):
-        return math.inf
-    return float(np.max(np.abs(f)))
+    return _cost(oc, oc.tau(b, p + 1), w, p)
 
 
 def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
@@ -116,7 +117,10 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     ``seed``.
     """
     t = spec.tableau
-    p = analysis.classify_order(t.A, t.b)
+    A, b = t.A, t.b
+    s = t.s
+    oc = analysis.OrderConditions(A)
+    p = oc.classify(b)
     p_tilde = spec.target_order if spec.target_order is not None else p - 1
     if p_tilde < 1:
         raise ValueError("invalid spec: target_order must be at least 1")
@@ -125,9 +129,6 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     if p > 4:
         raise ValueError("invalid spec: advancing order above 4 is not supported")
 
-    A, b = t.A, t.b
-    s = t.s
-    oc = analysis.OrderConditions(A)
     M, rhs = oc.up_to(p_tilde)
     w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     if np.max(np.abs(M @ w_part - rhs)) > 1e-8:
@@ -141,6 +142,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     N = Vt[rank:].T                     # s x k, orthonormal columns
 
     tau_main = oc.tau(b, p + 1)
+    exempt = oc.vacuous(p)
     n_eval = 0
 
     def cost(y: np.ndarray) -> float:
@@ -149,10 +151,10 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         w = w_part + N @ y
         pen = _BOX_PENALTY * (np.sum(np.minimum(w, 0.0) ** 2)
                               + np.sum(np.maximum(w - 1.0, 0.0) ** 2))
-        f = _f_components(oc, tau_main, w, p)
-        if not np.all(np.isfinite(f)):
+        f = _cost(oc, tau_main, w, p)
+        if not math.isfinite(f):
             return 1e30 + pen           # defective: keep the landscape finite for the simplex
-        return float(np.max(np.abs(f))) + pen
+        return f + pen
 
     rng = np.random.default_rng(spec.seed)
     per_start = max(200, spec.budget // max(spec.seeds, 1))
@@ -178,12 +180,10 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         w = np.clip(w_part + N @ best.x, 0.0, 1.0)
         if np.max(np.abs(M @ w - rhs)) > spec.tol_order:
             continue                    # clipping moved it off the manifold: box-infeasible
-        obj = objective(A, b, w, spec.tol_order)
+        obj = _cost(oc, tau_main, w, p)
         if not math.isfinite(obj):
             continue
-        tt = EmbeddedTableau(id="candidate", A=A, b=b, c=t.c, p=p,
-                             b_tilde=w, p_tilde=p_tilde)
-        if not analysis.is_non_defective(tt).ok:
+        if not oc.non_defective(w, p, exempt).ok:
             continue
         if spec.require_ssp_at is not None and not ssp_feasible(A, w, spec.require_ssp_at):
             continue

@@ -4,7 +4,9 @@ used by the TVD property checks.
 
 PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
-the three conserved fields into one vector).
+the three conserved fields into one vector).  The boundary comes from
+``Grid1D.boundary`` through one ghost-cell helper, and both WENO5
+right-hand sides share one flux-difference kernel.
 """
 
 from __future__ import annotations
@@ -155,38 +157,56 @@ def weno5_weights(v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# advection semi-discretizations (periodic)
+# ghost cells and the one WENO5 flux-difference kernel
+
+_N_GHOST = 3
+
+
+def _ghost(v: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """v padded with three ghost cells per side along the last axis, as
+    set by grid.boundary: periodic wraps around (also when n_cells < 3),
+    outflow copies the edge cell."""
+    if grid.boundary == "periodic":
+        idx = np.arange(-_N_GHOST, v.shape[-1] + _N_GHOST)
+        return np.take(v, idx, axis=-1, mode="wrap")
+    left = np.repeat(v[..., :1], _N_GHOST, axis=-1)
+    right = np.repeat(v[..., -1:], _N_GHOST, axis=-1)
+    return np.concatenate([left, v, right], axis=-1)
+
+
+def _weno5_divergence(fp: np.ndarray, dx: float, fm: np.ndarray | None = None) -> np.ndarray:
+    """-(F_{i+1/2} - F_{i-1/2})/dx from ghost-padded split fluxes.
+
+    The faces i-1/2 (i = 0..n) take the left-biased WENO5 state of f+
+    and, when given, the mirrored right-biased state of f-.
+    """
+    face = _weno5_face(fp[..., :-5], fp[..., 1:-4], fp[..., 2:-3], fp[..., 3:-2], fp[..., 4:-1])
+    if fm is not None:
+        face = face + _weno5_face(fm[..., 5:], fm[..., 4:-1], fm[..., 3:-2], fm[..., 2:-3], fm[..., 1:-4])
+    return -(face[..., 1:] - face[..., :-1]) / dx
+
+
+# ---------------------------------------------------------------------------
+# advection semi-discretizations
 
 
 def advection_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """WENO5 upwind du/dt for u_t + u_x = 0 (wave speed +1, periodic)."""
-    vm2 = np.roll(u, 2)
-    vm1 = np.roll(u, 1)
-    vp1 = np.roll(u, -1)
-    vp2 = np.roll(u, -2)
-    flux = _weno5_face(vm2, vm1, u, vp1, vp2)  # F_{i+1/2}
-    return -(flux - np.roll(flux, 1)) / grid.dx
+    """WENO5 upwind du/dt for u_t + u_x = 0 (wave speed +1)."""
+    return _weno5_divergence(_ghost(u, grid), grid.dx)
 
 
 def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """First-order upwind du/dt; forward Euler is TVD up to dt = dx."""
-    return -(u - np.roll(u, 1)) / grid.dx
+    ug = _ghost(u, grid)
+    return -(ug[_N_GHOST:-_N_GHOST] - ug[_N_GHOST - 1 : -_N_GHOST - 1]) / grid.dx
 
 
 # ---------------------------------------------------------------------------
 # 1-D Euler with global Lax-Friedrichs splitting and componentwise WENO5
 
-_N_GHOST = 3
-
 
 def euler_rhs(q_flat: np.ndarray, grid: Grid1D, gamma: float = GAMMA_AIR) -> np.ndarray:
-    n = grid.n_cells
-    q = q_flat.reshape(3, n)
-    # outflow: three ghost cells per side copy the edge cell
-    qg = np.concatenate(
-        [np.repeat(q[:, :1], _N_GHOST, axis=1), q, np.repeat(q[:, -1:], _N_GHOST, axis=1)],
-        axis=1,
-    )
+    qg = _ghost(q_flat.reshape(3, grid.n_cells), grid)
     rho, mom, E = qg
     # invalid states (rho or p <= 0) propagate NaN and fail the step
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -196,13 +216,7 @@ def euler_rhs(q_flat: np.ndarray, grid: Grid1D, gamma: float = GAMMA_AIR) -> np.
         alpha = float(np.max(np.abs(u) + np.sqrt(gamma * p / rho)))
     fp = 0.5 * (F + alpha * qg)
     fm = 0.5 * (F - alpha * qg)
-    # faces i-1/2 for i = 0..n: left-biased states from f+, mirrored
-    # right-biased states from f-
-    m = n + 1
-    left = _weno5_face(fp[:, 0:m], fp[:, 1 : m + 1], fp[:, 2 : m + 2], fp[:, 3 : m + 3], fp[:, 4 : m + 4])
-    right = _weno5_face(fm[:, 5 : m + 5], fm[:, 4 : m + 4], fm[:, 3 : m + 3], fm[:, 2 : m + 2], fm[:, 1 : m + 1])
-    face = left + right
-    return (-(face[:, 1:] - face[:, :-1]) / grid.dx).reshape(-1)
+    return _weno5_divergence(fp, grid.dx, fm).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +299,26 @@ def advection(
         u0 = sine_average(grid)
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    sys = OdeSystem(
+    return OdeSystem(
         f=lambda t, u: advection_rhs(u, grid),
         t_span=(0.0, t_final),
         u0=u0,
         cfl_hint=lambda u: cfl_step(grid, 1.0, nu),
         name="advection",
+        grid=grid,
     )
-    sys.grid = grid
-    return sys
 
 
 def upwind_advection(n_cells: int = 200) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
-    sys = OdeSystem(
+    return OdeSystem(
         f=lambda t, u: upwind_rhs(u, grid),
         t_span=(0.0, 0.2),
         u0=square_wave_average(grid),
         cfl_hint=lambda u: cfl_step(grid, 1.0, 1.0),
         name="upwind",
+        grid=grid,
     )
-    sys.grid = grid
-    return sys
 
 
 def sod_initial(grid: Grid1D, gamma: float = GAMMA_AIR) -> np.ndarray:
@@ -324,15 +336,14 @@ def euler_sod(
     nu: float = CFL_DEFAULT,
 ) -> OdeSystem:
     grid = Grid1D(n_cells, 0.0, 1.0, "outflow")
-    sys = OdeSystem(
+    return OdeSystem(
         f=lambda t, q: euler_rhs(q, grid, gamma),
         t_span=(0.0, t_final),
         u0=sod_initial(grid, gamma),
         cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q, gamma), nu),
         name="euler",
+        grid=grid,
     )
-    sys.grid = grid
-    return sys
 
 
 def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:

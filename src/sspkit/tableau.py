@@ -5,13 +5,17 @@ methods of orders 2, 3 and 4 together with embedded weight vectors one
 order lower, plus two classical non-SSP pairs for comparison.  All
 coefficients are assembled from exact rationals and converted to float
 once, so structural identities (row sums, weight sums) hold to roundoff.
+Catalog tableaux come from one constructor and derived ones are
+``dataclasses.replace`` copies; c = A e is always derived from A.
+``resolve`` builds each id once per process.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,21 +56,21 @@ class EmbeddedTableau:
     id: str
     A: np.ndarray
     b: np.ndarray
-    c: np.ndarray
+    c: np.ndarray = field(init=False)
     p: int
     b_tilde: np.ndarray | None = None
     p_tilde: int | None = None
     ssp_claimed: float | None = None
 
     def __post_init__(self):
-        for name in ("A", "b", "c"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.b_tilde is not None:
-            bt = np.asarray(self.b_tilde, dtype=float)
-            bt.setflags(write=False)
-            object.__setattr__(self, "b_tilde", bt)
+        for name in ("A", "b", "b_tilde"):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name), dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+        c = self.A.sum(axis=1)
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
     @property
     def s(self) -> int:
@@ -90,14 +94,16 @@ class MethodId:
 
 _ID_RE = re.compile(r"^ssp(\d+),(\d+)(?:-(b\d+|w))?$")
 
+# the literature pairs by name and by stage count
+_LITERATURE = {"bs32": 4, "dp54": 7}
+_LITERATURE_BY_STAGES = {s: name for name, s in _LITERATURE.items()}
+
 
 def parse_method_id(text: str) -> MethodId:
     """Parse ``ssp<s>,<p>[-b<k>|-w]``, ``bs32`` or ``dp54`` (case-insensitive)."""
     t = text.strip().lower()
-    if t == "bs32":
-        return MethodId("literature", 4, "none")
-    if t == "dp54":
-        return MethodId("literature", 7, "none")
+    if t in _LITERATURE:
+        return MethodId("literature", _LITERATURE[t])
     m = _ID_RE.match(t)
     if not m:
         raise ValueError(f"unrecognized method id: {text!r}")
@@ -111,28 +117,26 @@ def parse_method_id(text: str) -> MethodId:
 def format_method_id(mid: MethodId) -> str:
     """Canonical lower-case text form; inverse of parse_method_id."""
     if mid.family == "literature":
-        return {4: "bs32", 7: "dp54"}[mid.s]
+        return _LITERATURE_BY_STAGES[mid.s]
     p = int(mid.family[3:])
     base = f"ssp{mid.s},{p}"
     return base if mid.variant == "none" else f"{base}-{mid.variant}"
 
 
-def _fvec(vals) -> np.ndarray:
-    return np.array([float(Fraction(v)) for v in vals])
+def _tableau(mid, A, b, p, embedded=None, ssp=None) -> EmbeddedTableau:
+    """The one constructor of catalog tableaux, from exact rationals.
 
-
-def _tableau(mid, A, b, p, bt=None, pt=None, ssp=None) -> EmbeddedTableau:
-    A = np.array([[float(x) for x in row] for row in A])
-    return EmbeddedTableau(
-        id=format_method_id(mid),
-        A=A,
-        b=_fvec(b),
-        c=A.sum(axis=1),
-        p=p,
-        b_tilde=None if bt is None else _fvec(bt),
-        p_tilde=pt,
-        ssp_claimed=ssp,
-    )
+    ``embedded`` maps the variants of the method to their embedded
+    weights, all of order p - 1; variant ``none`` carries none unless the
+    map has an entry of that name.
+    """
+    embedded = embedded or {}
+    if mid.variant != "none" and mid.variant not in embedded:
+        base = format_method_id(MethodId(mid.family, mid.s))
+        raise ValueError(f"unknown embedded variant {mid.variant!r} for {base}")
+    bt = embedded.get(mid.variant)
+    return EmbeddedTableau(id=format_method_id(mid), A=A, b=b, p=p, b_tilde=bt,
+                           p_tilde=None if bt is None else p - 1, ssp_claimed=ssp)
 
 
 def ssperk_s2(s: int, variant: str = "none") -> EmbeddedTableau:
@@ -151,16 +155,11 @@ def ssperk_s2(s: int, variant: str = "none") -> EmbeddedTableau:
     low = Fraction(1, s - 1)
     A = [[low if j < i else Fraction(0) for j in range(s)] for i in range(s)]
     b = [Fraction(1, s)] * s
-    bt = pt = None
-    if variant == "b1":
-        bt = [low] * (s - 1) + [Fraction(0)]
-        pt = 1
-    elif variant == "b2":
-        bt = [Fraction(s + 1, s * s)] + [Fraction(1, s)] * (s - 2) + [Fraction(s - 1, s * s)]
-        pt = 1
-    elif variant != "none":
-        raise ValueError(f"unknown embedded variant {variant!r} for ssp{s},2")
-    return _tableau(MethodId("ssp2", s, variant), A, b, 2, bt, pt, ssp=float(s - 1))
+    embedded = {
+        "b1": [low] * (s - 1) + [Fraction(0)],
+        "b2": [Fraction(s + 1, s * s)] + [Fraction(1, s)] * (s - 2) + [Fraction(s - 1, s * s)],
+    }
+    return _tableau(MethodId("ssp2", s, variant), A, b, 2, embedded, ssp=float(s - 1))
 
 
 def ssperk_n2_3(n: int, variant: str = "none") -> EmbeddedTableau:
@@ -190,23 +189,11 @@ def ssperk_n2_3(n: int, variant: str = "none") -> EmbeddedTableau:
             in_block = i >= s - m and q <= j < q + 2 * n - 1
             A[i][j] = blk if in_block else low
     b = [low] * q + [blk] * (2 * n - 1) + [low] * m
-    bt = pt = None
     if n == 2:
-        if variant == "b1":
-            bt = [Fraction(1, 3)] * 3 + [Fraction(0)]
-            pt = 2
-        elif variant == "b2":
-            bt = [Fraction(1, 4)] * 4
-            pt = 2
-        elif variant != "none":
-            raise ValueError(f"unknown embedded variant {variant!r} for ssp4,3")
+        embedded = {"b1": [Fraction(1, 3)] * 3 + [Fraction(0)], "b2": [Fraction(1, 4)] * 4}
     else:
-        if variant != "none":
-            raise ValueError(f"ssp{s},3 has only the uniform embedded pair")
-        bt = [Fraction(1, s)] * s
-        pt = 2
-    mid = MethodId("ssp3", s, variant)
-    return _tableau(mid, A, b, 3, bt, pt, ssp=float(s - n))
+        embedded = {"none": [Fraction(1, s)] * s}
+    return _tableau(MethodId("ssp3", s, variant), A, b, 3, embedded, ssp=float(s - n))
 
 
 def ssperk_3_3() -> EmbeddedTableau:
@@ -217,7 +204,7 @@ def ssperk_3_3() -> EmbeddedTableau:
     """
     A = [[0, 0, 0], [1, 0, 0], [Fraction(1, 4), Fraction(1, 4), 0]]
     b = [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)]
-    return _tableau(MethodId("ssp3", 3, "none"), A, b, 3, ssp=1.0)
+    return _tableau(MethodId("ssp3", 3), A, b, 3, ssp=1.0)
 
 
 def ssperk_10_4(variant: str = "none") -> EmbeddedTableau:
@@ -244,12 +231,7 @@ def ssperk_10_4(variant: str = "none") -> EmbeddedTableau:
         "b7": [0, F(2, 5), 0, F(1, 10), 0, 0, 0, F(1, 5), F(3, 10), 0],
         "b8": [F(1, 7), 0, F(5, 14), 0, 0, 0, 0, F(3, 14), F(2, 7), 0],
     }
-    bt = pt = None
-    if variant != "none":
-        if variant not in pairs:
-            raise ValueError(f"unknown embedded variant {variant!r} for ssp10,4")
-        bt, pt = pairs[variant], 3
-    return _tableau(MethodId("ssp4", 10, variant), A, b, 4, bt, pt, ssp=6.0)
+    return _tableau(MethodId("ssp4", 10, variant), A, b, 4, pairs, ssp=6.0)
 
 
 def literature_pair(name: str) -> EmbeddedTableau:
@@ -260,6 +242,9 @@ def literature_pair(name: str) -> EmbeddedTableau:
     """
     F = Fraction
     name = name.strip().lower()
+    if name not in _LITERATURE:
+        raise ValueError(f"unknown literature pair: {name!r}")
+    mid = MethodId("literature", _LITERATURE[name])
     if name == "bs32":
         A = [
             [0, 0, 0, 0],
@@ -269,56 +254,45 @@ def literature_pair(name: str) -> EmbeddedTableau:
         ]
         b = [F(2, 9), F(1, 3), F(4, 9), 0]
         bt = [F(7, 24), F(1, 4), F(1, 3), F(1, 8)]
-        return _tableau(MethodId("literature", 4), A, b, 3, bt, 2, ssp=None)
-    if name == "dp54":
-        A = [
-            [0] * 7,
-            [F(1, 5), 0, 0, 0, 0, 0, 0],
-            [F(3, 40), F(9, 40), 0, 0, 0, 0, 0],
-            [F(44, 45), F(-56, 15), F(32, 9), 0, 0, 0, 0],
-            [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729), 0, 0, 0],
-            [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656), 0, 0],
-            [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), 0],
-        ]
-        b = [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), 0]
-        bt = [F(5179, 57600), 0, F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)]
-        return _tableau(MethodId("literature", 7), A, b, 5, bt, 4, ssp=None)
-    raise ValueError(f"unknown literature pair: {name!r}")
-
-
-_W_CACHE: dict[tuple[str, int], EmbeddedTableau] = {}
+        return _tableau(mid, A, b, 3, {"none": bt})
+    A = [
+        [0] * 7,
+        [F(1, 5), 0, 0, 0, 0, 0, 0],
+        [F(3, 40), F(9, 40), 0, 0, 0, 0, 0],
+        [F(44, 45), F(-56, 15), F(32, 9), 0, 0, 0, 0],
+        [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729), 0, 0, 0],
+        [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656), 0, 0],
+        [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), 0],
+    ]
+    b = [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), 0]
+    bt = [F(5179, 57600), 0, F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)]
+    return _tableau(mid, A, b, 5, {"none": bt})
 
 
 def resolve(method, seed: int = 0) -> EmbeddedTableau:
     """Return the catalog tableau for a method id (text or MethodId).
 
     Variant ``w`` attaches embedded weights computed by the numerical
-    optimizer; the result is deterministic for a given seed and memoized
-    per process.
+    optimizer; the result is deterministic for a given seed.  Every id
+    (and seed, for ``w``) is built once per process and the same frozen
+    object is returned on every later call.
     """
     mid = parse_method_id(method) if isinstance(method, str) else method
-    if mid.family == "literature":
-        return literature_pair({4: "bs32", 7: "dp54"}[mid.s])
-    if mid.variant == "w":
-        key = (format_method_id(mid), seed)
-        if key not in _W_CACHE:
-            base = resolve(MethodId(mid.family, mid.s, "none"))
-            from .optimizer import OptimizationSpec, optimize_embedded
+    return _build(mid, seed if mid.variant == "w" else 0)
 
-            res = optimize_embedded(OptimizationSpec(tableau=base, seed=seed))
-            if res.w is None:
-                raise ValueError(f"optimizer found no embedded weights for {method}")
-            _W_CACHE[key] = EmbeddedTableau(
-                id=format_method_id(mid),
-                A=base.A,
-                b=base.b,
-                c=base.c,
-                p=base.p,
-                b_tilde=res.w,
-                p_tilde=base.p - 1,
-                ssp_claimed=base.ssp_claimed,
-            )
-        return _W_CACHE[key]
+
+@lru_cache(maxsize=None)
+def _build(mid: MethodId, seed: int) -> EmbeddedTableau:
+    if mid.family == "literature":
+        return literature_pair(format_method_id(mid))
+    if mid.variant == "w":
+        base = resolve(MethodId(mid.family, mid.s))
+        from .optimizer import OptimizationSpec, optimize_embedded
+
+        res = optimize_embedded(OptimizationSpec(tableau=base, seed=seed))
+        if res.w is None:
+            raise ValueError(f"optimizer found no embedded weights for {format_method_id(mid)}")
+        return replace(base, id=format_method_id(mid), b_tilde=res.w, p_tilde=base.p - 1)
     if mid.family == "ssp2":
         return ssperk_s2(mid.s, mid.variant)
     if mid.family == "ssp3":
@@ -360,29 +334,28 @@ def with_advancing_weights(t: EmbeddedTableau, use_embedded: bool = False) -> Em
     for fixed-step order studies; the copy carries no embedded vector.
     """
     if not use_embedded:
-        return EmbeddedTableau(id=t.id, A=t.A, b=t.b, c=t.c, p=t.p, ssp_claimed=t.ssp_claimed)
+        return replace(t, b_tilde=None, p_tilde=None)
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    return EmbeddedTableau(id=t.id + "~emb", A=t.A, b=t.b_tilde, c=t.c, p=t.p_tilde or t.p - 1)
+    return replace(t, id=t.id + "~emb", b=t.b_tilde, p=t.p_tilde or t.p - 1,
+                   b_tilde=None, p_tilde=None, ssp_claimed=None)
 
 
 def validate(t: EmbeddedTableau) -> list[str]:
     """Structural diagnostics; an empty list means the tableau is well formed.
 
-    Checks (tolerance 1e-13): A strictly lower triangular, c = A e,
-    weight vectors summing to 1, p_tilde = p - 1 when embedded weights are
-    present, and nonnegativity of A, b, b_tilde for entries claiming an
-    SSP coefficient.
+    Checks (tolerance 1e-13): A strictly lower triangular, weight vectors
+    summing to 1, p_tilde = p - 1 when embedded weights are present, and
+    nonnegativity of A, b, b_tilde for entries claiming an SSP
+    coefficient.  (c = A e holds by construction.)
     """
     issues = []
     s = t.s
-    if t.A.shape != (s, s) or len(t.c) != s:
-        issues.append("shape violation: A, b, c sizes disagree")
+    if t.A.shape != (s, s):
+        issues.append("shape violation: A and b sizes disagree")
         return issues
     if np.any(np.abs(np.triu(t.A)) > 0):
         issues.append("explicit-structure violation: upper triangle of A not zero")
-    if np.max(np.abs(t.c - t.A.sum(axis=1))) > _ATOL:
-        issues.append("row-sum violation: c != A e")
     if abs(t.b.sum() - 1.0) > _ATOL:
         issues.append("consistency violation: advancing weights do not sum to 1")
     if t.b_tilde is not None:

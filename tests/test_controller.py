@@ -61,6 +61,23 @@ def test_pid_factor_uses_two_steps_of_history():
     assert st_.propose_factor(1e-4, 2) == pytest.approx(want, rel=1e-12)
 
 
+def test_default_i_and_pi_factors_are_their_pure_formulas_bit_for_bit():
+    i, pi = make_controller("i"), make_controller("pi")
+    for st_ in (i, pi):
+        st_.on_accept(1e-2)
+        st_.on_accept(1e-3)
+    assert i.propose_factor(1e-4, 2) == (1e-4) ** (-1.0 / 2)
+    assert pi.propose_factor(1e-4, 2) == (1e-4) ** (-0.8 / 2) * (1e-3) ** (0.31 / 2)
+
+
+def test_history_gains_given_to_an_i_controller_take_effect():
+    i, pi = make_controller("i", k2=0.31), make_controller("pi", k1=1.0)
+    for st_ in (i, pi):
+        st_.on_accept(1e-2)
+    assert i.propose_factor(1e-4, 2) == pi.propose_factor(1e-4, 2)
+    assert i.propose_factor(1e-4, 2) != make_controller("i").propose_factor(1e-4, 2)
+
+
 def test_predictive_factor_falls_back_to_integral_on_the_first_step():
     st_ = make_controller("gustafsson")
     assert st_.propose_factor(1e-4, 2) == pytest.approx(1e2, rel=1e-12)

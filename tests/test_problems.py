@@ -125,6 +125,23 @@ def test_advection_rhs_matches_the_exact_flux_difference_on_a_sine():
     assert np.max(np.abs(advection_rhs(u, GRID) - exact)) < 1e-5
 
 
+def _roll_advection_rhs(u, grid):
+    # the earlier np.roll formulation, kept as the reference for the
+    # ghost-cell kernel
+    from sspkit.problems import _weno5_face
+
+    flux = _weno5_face(np.roll(u, 2), np.roll(u, 1), u, np.roll(u, -1), np.roll(u, -2))
+    return -(flux - np.roll(flux, 1)) / grid.dx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 200])
+def test_periodic_rhs_match_the_roll_formulas_bit_for_bit(n):
+    g = Grid1D(n, -1.0, 1.0)
+    u = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(advection_rhs(u, g), _roll_advection_rhs(u, g))
+    assert np.array_equal(upwind_rhs(u, g), -(u - np.roll(u, 1)) / g.dx)
+
+
 def test_upwind_euler_step_is_total_variation_stable_at_the_cfl_limit():
     u0 = square_wave_average(GRID)
     tv0 = total_variation(u0)
@@ -170,6 +187,18 @@ def test_euler_rhs_conserves_mass_and_balances_momentum_at_rest():
     r = euler_rhs(sod_initial(g), g).reshape(3, 100)
     assert abs(np.sum(r[0]) * g.dx) < 1e-12
     assert np.sum(r[1]) * g.dx == pytest.approx(1.0 - 0.1, rel=1e-12)
+
+
+def test_euler_rhs_telescopes_on_a_periodic_grid():
+    # no boundary flux: every conserved field sums to zero
+    g = Grid1D(64, 0.0, 1.0, "periodic")
+    x = g.centers
+    rho = 1.0 + 0.5 * (x < 0.5)
+    mom = 0.3 * np.sin(2.0 * np.pi * x)
+    E = 2.0 + np.cos(2.0 * np.pi * x)
+    r = euler_rhs(np.concatenate([rho, mom, E]), g).reshape(3, 64)
+    assert np.max(np.abs(r)) > 1.0
+    assert np.max(np.abs(np.sum(r, axis=1) * g.dx)) < 1e-13
 
 
 def test_sod_tube_stays_bounded_and_valid():
@@ -240,6 +269,13 @@ def test_advection_factory_profiles_and_cfl_hint():
 def test_upwind_factory_allows_the_full_cfl_step():
     p = upwind_advection(n_cells=100)
     assert p.cfl_hint(p.u0) == pytest.approx(p.grid.dx, rel=1e-14)
+
+
+def test_factories_declare_their_grid():
+    assert make_problem("vdp").grid is None
+    assert make_problem("advection", n_cells=50).grid == Grid1D(50, -1.0, 1.0, "periodic")
+    assert make_problem("euler", n_cells=50).grid == Grid1D(50, 0.0, 1.0, "outflow")
+    assert upwind_advection(n_cells=20).grid.boundary == "periodic"
 
 
 def test_make_problem_dispatch():

@@ -126,6 +126,20 @@ def test_abscissae_are_row_sums():
         np.testing.assert_allclose(t.c, t.A.sum(axis=1), atol=1e-14)
 
 
+def test_abscissae_are_derived_from_a():
+    A = np.array([[0.0, 0.0], [0.5, 0.0]])
+    t = EmbeddedTableau(id="x", A=A, b=[0.0, 1.0], p=2)
+    assert t.c.tolist() == [0.0, 0.5]
+    with pytest.raises(TypeError):
+        EmbeddedTableau(id="x", A=A, b=[0.0, 1.0], c=[0.0, 0.5], p=2)
+
+
+def test_resolve_returns_one_object_per_id():
+    for mid in catalog_ids() + ["ssp3,3"]:
+        assert resolve(mid) is resolve(mid)
+        assert resolve(mid) is resolve(mid.upper())
+
+
 def test_weights_sum_to_one():
     for mid in catalog_ids():
         t = resolve(mid)
@@ -157,6 +171,7 @@ def test_with_advancing_weights_swaps_embedded():
     emb = with_advancing_weights(t, use_embedded=True)
     assert emb.b_tilde is None and emb.p == 1
     np.testing.assert_allclose(emb.b, t.b_tilde, atol=1e-15)
+    assert np.array_equal(main.c, t.c) and np.array_equal(emb.c, t.c)
 
 
 def test_with_advancing_weights_requires_embedded():
