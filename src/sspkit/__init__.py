@@ -8,14 +8,9 @@ from .tableau import (  # noqa: F401
     MethodId,
     catalog_ids,
     format_method_id,
-    literature_pair,
     parse_method_id,
     resolve,
     ssp_catalog_ids,
-    ssperk_10_4,
-    ssperk_3_3,
-    ssperk_n2_3,
-    ssperk_s2,
     validate,
     with_advancing_weights,
 )

@@ -33,7 +33,6 @@ __all__ = [
     "OrderConditions",
     "order_condition_residuals",
     "classify_order",
-    "vacuous_conditions",
     "is_non_defective",
     "NonDefectiveReport",
     "ssp_coefficient",
@@ -251,22 +250,16 @@ def classify_order(A, w, tol: float = 1e-10) -> int:
     return OrderConditions(A).classify(w, tol)
 
 
-def vacuous_conditions(A, order: int, tol: float = 1e-10) -> set[str]:
-    """Names of the order-``order`` conditions vacuous for A (see ``OrderConditions.vacuous``)."""
-    return OrderConditions(A).vacuous(order, tol)
-
-
-def is_non_defective(t, exempt=None, tol: float = 1e-10) -> NonDefectiveReport:
+def is_non_defective(t, tol: float = 1e-10) -> NonDefectiveReport:
     """Check that the embedded weights violate every order-p condition.
 
-    ``p`` is the order of the advancing method.  Conditions named in
-    ``exempt`` are skipped; by default the structurally vacuous ones
-    (those implied by the lower-order conditions for this A, which no
-    weight vector can violate) are exempted automatically.
+    ``p`` is the order of the advancing method.  The structurally vacuous
+    conditions (those implied by the lower-order conditions for this A,
+    which no weight vector can violate) are exempt.
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    return OrderConditions(t.A).non_defective(t.b_tilde, t.p, exempt, tol)
+    return OrderConditions(t.A).non_defective(t.b_tilde, t.p, tol=tol)
 
 
 def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
@@ -315,17 +308,15 @@ def _ssp_feasible(K, r: float, tol: float = _FEAS_TOL) -> bool:
     return bool(np.max(r * (M @ np.ones(n))) <= 1.0 + tol)
 
 
-def ssp_coefficient_arrays(A, w, tol: float = 1e-6, r_max: float | None = None) -> float:
-    """SSP coefficient of the method (A, w): the supremum of r in
-    [0, r_max] (default 2s) passing the componentwise SSP conditions,
-    found by bisection.  Any negative entry in A or w forces it to 0.
+def ssp_coefficient_arrays(A, w, tol: float = 1e-6) -> float:
+    """SSP coefficient of the method (A, w): the supremum of r in [0, 2s]
+    passing the componentwise SSP conditions, found by bisection.  Any
+    negative entry in A or w forces it to 0.
     """
     K = _bordered(A, w)
     if K is None:
         return 0.0
-    if r_max is None:
-        r_max = 2.0 * (len(K) - 1)
-    return _bisect_sup(lambda r: _ssp_feasible(K, r), 0.0, r_max, tol)
+    return _bisect_sup(lambda r: _ssp_feasible(K, r), 0.0, 2.0 * (len(K) - 1), tol)
 
 
 def ssp_coefficient(t, which: str = "advancing", tol: float = 1e-6) -> float:

@@ -2,7 +2,8 @@
 one CSV row per run, against a high-accuracy reference solve per problem
 (recomputed on every call).
 
-Work is counted as function evaluations, s per attempted step.  Individual
+Work is counted as right-hand-side evaluations: s per attempted step plus
+the two of the starting-step selection.  Individual
 run failures become rows with a failure status; the sweep never aborts.
 """
 
@@ -13,7 +14,7 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
 DEFAULT_TOLERANCES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 REFERENCE_METHOD = "dp54"
 REFERENCE_TOL = 1e-12
-CSV_COLUMNS = "method,problem,tol,accepted,rejected,nfev,global_error,wall_ms,status"
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,9 @@ class WorkPrecisionRow:
     global_error: float
     wall_ms: float
     status: str = "ok"
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(WorkPrecisionRow))
 
 
 def reference_endpoint(problem_id: str, seed: int = 0, n_cells: int = 200) -> np.ndarray:

@@ -147,7 +147,6 @@ def _cmd_optimize(args) -> int:
     base = resolve(args.method, seed=args.seed)
     spec = OptimizationSpec(
         tableau=base,
-        target_order=args.target_order,
         require_ssp_at=args.require_ssp,
         seeds=args.seeds,
         budget=args.budget,
@@ -224,7 +223,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("optimize", help="search embedded weights for a base method")
     sp.add_argument("method", help="base method id, e.g. ssp3,2")
-    sp.add_argument("--target-order", type=int, default=None)
     sp.add_argument("--require-ssp", type=float, default=None)
     sp.add_argument("--seeds", type=int, default=100)
     sp.add_argument("--budget", type=int, default=200_000)

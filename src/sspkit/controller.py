@@ -1,10 +1,11 @@
 """Asymptotic step-size controllers: I, PI, PID, and explicit Gustafsson.
 
 Each controller turns recent local error estimates into a step-size factor
-beta; the shared clamp then yields dt_opt = dt * min(facmax, max(facmin,
-fac * beta)), or dt * facmin for a non-finite beta.  On the proposal
-immediately following a rejected step both fac and facmax are pinned to
-0.9 so the retry step strictly shrinks.
+beta; the shared clamp then yields dt_opt = dt * min(FACMAX, max(FACMIN,
+FAC * beta)), or dt * FACMIN for a non-finite beta.  On the proposal
+immediately following a rejected step the upper limit is pinned to 0.9
+so the retry step strictly shrinks.  FAC, FACMIN and FACMAX are module
+constants; only the gains can be set per controller.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ GAINS = {
     "gustafsson": (0.367, 0.268, 0.0),
 }
 
+FAC = 0.9      # safety factor on every proposal
+FACMIN = 0.1   # largest shrink per step
+FACMAX = 5.0   # largest growth per step
+
 
 @dataclass
 class ControllerState:
@@ -43,9 +48,6 @@ class ControllerState:
     err_nm1: float = 1.0
     first_step: bool = True
     just_rejected: bool = False
-    fac: float = 0.9
-    facmin: float = 0.1
-    facmax: float = 5.0
 
     def propose_factor(self, err_new: float, p: int) -> float:
         """Step-size factor beta from the estimate of the step just taken.
@@ -71,11 +73,10 @@ class ControllerState:
 
     def clamp(self, dt: float, beta: float) -> float:
         if not math.isfinite(beta):
-            return dt * self.facmin  # NaN factor from a NaN error estimate: shrink fully
+            return dt * FACMIN  # NaN factor from a NaN error estimate: shrink fully
         # one-proposal cap after a rejection prevents the reject loop
-        fac = 0.9 if self.just_rejected else self.fac
-        facmax = 0.9 if self.just_rejected else self.facmax
-        return dt * min(facmax, max(self.facmin, fac * beta))
+        facmax = 0.9 if self.just_rejected else FACMAX
+        return dt * min(facmax, max(FACMIN, FAC * beta))
 
     def on_accept(self, err_new: float) -> None:
         """Shift the accepted-error history and clear the flags."""
@@ -94,9 +95,6 @@ def make_controller(
     k1: float | None = None,
     k2: float | None = None,
     k3: float | None = None,
-    fac: float = 0.9,
-    facmin: float = 0.1,
-    facmax: float = 5.0,
 ) -> ControllerState:
     """Fresh controller with default gains, individually overridable."""
     key = kind.lower()
@@ -108,7 +106,4 @@ def make_controller(
         k1=g1 if k1 is None else k1,
         k2=g2 if k2 is None else k2,
         k3=g3 if k3 is None else k3,
-        fac=fac,
-        facmin=facmin,
-        facmax=facmax,
     )

@@ -174,6 +174,8 @@ def integrate_adaptive(
     """Accept/reject loop: a step stands iff error_norm <= 1.
 
     The final step is truncated to land on T exactly (not a rejection).
+    ``n_fev`` counts every call of ``problem.f``: s per attempted step,
+    plus the two of ``initial_step`` when no ``dt0`` is given.
     With ``t_eval``, ``dense_u`` holds the solution at those times,
     linearly interpolated between accepted steps.
     Raises StiffnessError on step underflow and BudgetError past
@@ -188,8 +190,10 @@ def integrate_adaptive(
     if dt0 is None:
         cfl = problem.cfl_hint(u) if problem.cfl_hint is not None else None
         dt = initial_step(f, t, u, tab.p, atol, rtol, cfl)
+        n_fev = 2  # initial_step evaluates f at u0 and at its Euler probe
     else:
         dt = float(dt0)
+        n_fev = 0
 
     keep_path = t_eval is not None
     path_t = [t] if keep_path else None
@@ -249,7 +253,7 @@ def integrate_adaptive(
         u=u,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        n_fev=tab.s * (n_acc + n_rej),
+        n_fev=n_fev + tab.s * (n_acc + n_rej),
         step_log=step_log,
         dense_t=dense_t,
         dense_u=dense_u,

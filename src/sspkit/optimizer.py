@@ -32,18 +32,18 @@ __all__ = [
 ]
 
 _BOX_PENALTY = 1e6
+_ORDER_TOL = 1e-10   # largest order-condition residual a candidate may keep
 
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Search configuration; target_order must be one below the advancing order."""
+    """Search configuration; the weights sought are one order below the
+    advancing method of ``tableau``."""
 
     tableau: EmbeddedTableau
-    target_order: int | None = None      # defaults to p - 1
     require_ssp_at: float | None = None  # fixed coefficient for the feasibility screen
     seeds: int = 100
     budget: int = 200_000
-    tol_order: float = 1e-10
     seed: int = 0
 
 
@@ -83,22 +83,29 @@ def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
     return float(np.max(np.abs(f)))
 
 
-def objective(A, b, w, tol_order: float = 1e-10) -> float:
+def _advancing_order(oc: analysis.OrderConditions, b) -> int:
+    """Order p of the advancing weights b, which must lie in 2..4: the
+    embedded order p - 1 needs a condition, and the cost trees to p + 1."""
+    p = oc.classify(b)
+    if not 2 <= p <= 4:
+        raise ValueError(f"the weight search needs an advancing method of order 2..4, got order {p}")
+    return p
+
+
+def objective(A, b, w) -> float:
     """Cost ||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1].
 
     Returns the +inf sentinel when w misses the order constraints of order
-    p-1 (p being the advancing order of (A, b)) beyond tol_order, or when
-    the pair is defective so the C ratios diverge.
+    p-1 (p being the advancing order of (A, b)) beyond 1e-10, or when the
+    pair is defective so the C ratios diverge.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     w = np.asarray(w, dtype=float)
     oc = analysis.OrderConditions(A)
-    p = oc.classify(b)
-    if p < 2 or p > 4:
-        raise ValueError("objective needs an advancing method of order 2..4")
+    p = _advancing_order(oc, b)
     M, rhs = oc.up_to(p - 1)
-    if np.max(np.abs(M @ w - rhs)) > tol_order:
+    if np.max(np.abs(M @ w - rhs)) > _ORDER_TOL:
         return math.inf
     return _cost(oc, oc.tau(b, p + 1), w, p)
 
@@ -109,7 +116,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     Every start draws a random simplex point, projects it onto the affine
     order-condition manifold, and descends on the cost plus a quadratic
     box penalty in the manifold's null-space coordinates.  Candidates are
-    kept only if they verify cleanly: order residuals within tol_order
+    kept only if they verify cleanly: order residuals within 1e-10
     after clipping to [0, 1], non-defective at order p (with the
     structural exemptions), and passing the SSP screen when
     ``require_ssp_at`` is set.  With no surviving candidate the result is
@@ -120,16 +127,9 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     A, b = t.A, t.b
     s = t.s
     oc = analysis.OrderConditions(A)
-    p = oc.classify(b)
-    p_tilde = spec.target_order if spec.target_order is not None else p - 1
-    if p_tilde < 1:
-        raise ValueError("invalid spec: target_order must be at least 1")
-    if p_tilde != p - 1:
-        raise ValueError("invalid spec: target_order must equal the advancing order minus 1")
-    if p > 4:
-        raise ValueError("invalid spec: advancing order above 4 is not supported")
+    p = _advancing_order(oc, b)
 
-    M, rhs = oc.up_to(p_tilde)
+    M, rhs = oc.up_to(p - 1)
     w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     if np.max(np.abs(M @ w_part - rhs)) > 1e-8:
         # the order conditions themselves are unsatisfiable for this A
@@ -178,7 +178,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         if best is None:
             break
         w = np.clip(w_part + N @ best.x, 0.0, 1.0)
-        if np.max(np.abs(M @ w - rhs)) > spec.tol_order:
+        if np.max(np.abs(M @ w - rhs)) > _ORDER_TOL:
             continue                    # clipping moved it off the manifold: box-infeasible
         obj = _cost(oc, tau_main, w, p)
         if not math.isfinite(obj):

@@ -5,13 +5,17 @@ methods of orders 2, 3 and 4 together with embedded weight vectors one
 order lower, plus two classical non-SSP pairs for comparison.  All
 coefficients are assembled from exact rationals and converted to float
 once, so structural identities (row sums, weight sums) hold to roundoff.
-Catalog tableaux come from one constructor and derived ones are
-``dataclasses.replace`` copies; c = A e is always derived from A.
-``resolve`` builds each id once per process.
+``resolve`` is the one public way to a catalog tableau: it checks the
+stage count of the family once, runs the family's private builder, and
+builds each id once per process.  Derived tableaux are
+``dataclasses.replace`` copies.  Nothing that follows from the pair is
+stored: c = A e comes from A, and p_tilde is p - 1 whenever embedded
+weights are present.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -27,14 +31,8 @@ __all__ = [
     "resolve",
     "catalog_ids",
     "ssp_catalog_ids",
-    "ssperk_s2",
-    "ssperk_n2_3",
-    "ssperk_3_3",
-    "ssperk_10_4",
-    "literature_pair",
     "validate",
     "with_advancing_weights",
-    "to_json_dict",
 ]
 
 _ATOL = 1e-13  # structural validation tolerance
@@ -46,9 +44,10 @@ class EmbeddedTableau:
 
     The advancing weights ``b`` give a method of order ``p``; the optional
     embedded weights ``b_tilde`` share the stage coefficients A and have
-    order ``p_tilde`` (one lower for every catalog pair).  Steps are
-    advanced with ``b`` and the difference between the two stage
-    combinations drives the error estimate (local extrapolation).
+    order ``p_tilde = p - 1``, derived on construction (None without
+    ``b_tilde``).  The arrays are frozen copies of the ones passed in.
+    Steps are advanced with ``b`` and the difference between the two
+    stage combinations drives the error estimate (local extrapolation).
     ``ssp_claimed`` records the known SSP coefficient of the advancing
     method, or None where no SSP property is claimed.
     """
@@ -59,18 +58,19 @@ class EmbeddedTableau:
     c: np.ndarray = field(init=False)
     p: int
     b_tilde: np.ndarray | None = None
-    p_tilde: int | None = None
+    p_tilde: int | None = field(init=False)
     ssp_claimed: float | None = None
 
     def __post_init__(self):
         for name in ("A", "b", "b_tilde"):
             if getattr(self, name) is not None:
-                arr = np.asarray(getattr(self, name), dtype=float)
+                arr = np.array(getattr(self, name), dtype=float)  # a copy: the caller's stays writable
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
         c = self.A.sum(axis=1)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "p_tilde", None if self.b_tilde is None else self.p - 1)
 
     @property
     def s(self) -> int:
@@ -133,13 +133,13 @@ def _tableau(mid, A, b, p, embedded=None, ssp=None) -> EmbeddedTableau:
     embedded = embedded or {}
     if mid.variant != "none" and mid.variant not in embedded:
         base = format_method_id(MethodId(mid.family, mid.s))
-        raise ValueError(f"unknown embedded variant {mid.variant!r} for {base}")
-    bt = embedded.get(mid.variant)
-    return EmbeddedTableau(id=format_method_id(mid), A=A, b=b, p=p, b_tilde=bt,
-                           p_tilde=None if bt is None else p - 1, ssp_claimed=ssp)
+        raise ValueError(f"unknown embedded variant {mid.variant!r} for {base}; "
+                         "-w runs the weight search")
+    return EmbeddedTableau(id=format_method_id(mid), A=A, b=b, p=p,
+                           b_tilde=embedded.get(mid.variant), ssp_claimed=ssp)
 
 
-def ssperk_s2(s: int, variant: str = "none") -> EmbeddedTableau:
+def _ssp_s2(mid: MethodId) -> EmbeddedTableau:
     """Optimal second-order SSP method with s stages, SSP coefficient s-1.
 
     Every strictly-lower entry of A is 1/(s-1) and b = (1/s) e, so the
@@ -150,8 +150,7 @@ def ssperk_s2(s: int, variant: str = "none") -> EmbeddedTableau:
     * ``b2``: ((s+1)/s^2, 1/s, ..., 1/s, (s-1)/s^2) -- first order, the
       recommended pair on stability and error-measure grounds.
     """
-    if s < 2:
-        raise ValueError("second-order family needs at least 2 stages")
+    s = mid.s
     low = Fraction(1, s - 1)
     A = [[low if j < i else Fraction(0) for j in range(s)] for i in range(s)]
     b = [Fraction(1, s)] * s
@@ -159,10 +158,10 @@ def ssperk_s2(s: int, variant: str = "none") -> EmbeddedTableau:
         "b1": [low] * (s - 1) + [Fraction(0)],
         "b2": [Fraction(s + 1, s * s)] + [Fraction(1, s)] * (s - 2) + [Fraction(s - 1, s * s)],
     }
-    return _tableau(MethodId("ssp2", s, variant), A, b, 2, embedded, ssp=float(s - 1))
+    return _tableau(mid, A, b, 2, embedded, ssp=float(s - 1))
 
 
-def ssperk_n2_3(n: int, variant: str = "none") -> EmbeddedTableau:
+def _ssp_n2_3(mid: MethodId) -> EmbeddedTableau:
     """Optimal third-order SSP method with s = n^2 stages (n >= 2).
 
     SSP coefficient n^2 - n.  Every strictly-lower entry of A is
@@ -176,9 +175,8 @@ def ssperk_n2_3(n: int, variant: str = "none") -> EmbeddedTableau:
     (1/3, 1/3, 1/3, 0) and ``b2`` = (1/4, 1/4, 1/4, 1/4); for n >= 3 the
     uniform vector (1/n^2) e, selected with variant ``none``.
     """
-    if n < 2:
-        raise ValueError("third-order family needs n >= 2 (s = n^2 stages)")
-    s = n * n
+    s = mid.s
+    n = math.isqrt(s)
     low = Fraction(1, n * (n - 1))
     blk = Fraction(1, n * (2 * n - 1))
     q = (n - 1) * (n - 2) // 2       # columns before the block
@@ -193,10 +191,10 @@ def ssperk_n2_3(n: int, variant: str = "none") -> EmbeddedTableau:
         embedded = {"b1": [Fraction(1, 3)] * 3 + [Fraction(0)], "b2": [Fraction(1, 4)] * 4}
     else:
         embedded = {"none": [Fraction(1, s)] * s}
-    return _tableau(MethodId("ssp3", s, variant), A, b, 3, embedded, ssp=float(s - n))
+    return _tableau(mid, A, b, 3, embedded, ssp=float(s - n))
 
 
-def ssperk_3_3() -> EmbeddedTableau:
+def _ssp_3_3(mid: MethodId) -> EmbeddedTableau:
     """Classical three-stage third-order SSP method, SSP coefficient 1.
 
     Carries no frozen embedded weights; adaptive use goes through the
@@ -204,10 +202,10 @@ def ssperk_3_3() -> EmbeddedTableau:
     """
     A = [[0, 0, 0], [1, 0, 0], [Fraction(1, 4), Fraction(1, 4), 0]]
     b = [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)]
-    return _tableau(MethodId("ssp3", 3), A, b, 3, ssp=1.0)
+    return _tableau(mid, A, b, 3, ssp=1.0)
 
 
-def ssperk_10_4(variant: str = "none") -> EmbeddedTableau:
+def _ssp_10_4(mid: MethodId) -> EmbeddedTableau:
     """Ten-stage fourth-order SSP method with SSP coefficient 6.
 
     Rows 1-5 of A have 1/6 on every strictly-lower entry; rows 6-10 have
@@ -231,21 +229,17 @@ def ssperk_10_4(variant: str = "none") -> EmbeddedTableau:
         "b7": [0, F(2, 5), 0, F(1, 10), 0, 0, 0, F(1, 5), F(3, 10), 0],
         "b8": [F(1, 7), 0, F(5, 14), 0, 0, 0, 0, F(3, 14), F(2, 7), 0],
     }
-    return _tableau(MethodId("ssp4", 10, variant), A, b, 4, pairs, ssp=6.0)
+    return _tableau(mid, A, b, 4, pairs, ssp=6.0)
 
 
-def literature_pair(name: str) -> EmbeddedTableau:
+def _literature(mid: MethodId) -> EmbeddedTableau:
     """Classical non-SSP embedded pairs used for comparison runs.
 
     ``bs32``: the 4-stage 3(2) pair of Bogacki and Shampine.
     ``dp54``: the 7-stage 5(4) pair of Dormand and Prince.
     """
     F = Fraction
-    name = name.strip().lower()
-    if name not in _LITERATURE:
-        raise ValueError(f"unknown literature pair: {name!r}")
-    mid = MethodId("literature", _LITERATURE[name])
-    if name == "bs32":
+    if format_method_id(mid) == "bs32":
         A = [
             [0, 0, 0, 0],
             [F(1, 2), 0, 0, 0],
@@ -269,6 +263,35 @@ def literature_pair(name: str) -> EmbeddedTableau:
     return _tableau(mid, A, b, 5, {"none": bt})
 
 
+def _builder(mid: MethodId):
+    """The builder of the family of ``mid``, once its stage count is checked.
+
+    This is the one place the (family, s) combinations are checked; the
+    variants are checked by ``_tableau``.
+    """
+    family, s = mid.family, mid.s
+    if family == "literature" and s in _LITERATURE_BY_STAGES:
+        return _literature
+    if family == "ssp2":
+        if s < 2:
+            raise ValueError("second-order family needs at least 2 stages")
+        return _ssp_s2
+    if family == "ssp3":
+        if s == 3:
+            return _ssp_3_3
+        n = math.isqrt(s)
+        if n * n != s:
+            raise ValueError(f"third-order family needs a square stage count, got {s}")
+        if n < 2:
+            raise ValueError("third-order family needs n >= 2 (s = n^2 stages)")
+        return _ssp_n2_3
+    if family == "ssp4":
+        if s != 10:
+            raise ValueError("fourth-order family is cataloged with 10 stages only")
+        return _ssp_10_4
+    raise ValueError(f"unknown method family {family!r} with {s} stages")
+
+
 def resolve(method, seed: int = 0) -> EmbeddedTableau:
     """Return the catalog tableau for a method id (text or MethodId).
 
@@ -283,8 +306,6 @@ def resolve(method, seed: int = 0) -> EmbeddedTableau:
 
 @lru_cache(maxsize=None)
 def _build(mid: MethodId, seed: int) -> EmbeddedTableau:
-    if mid.family == "literature":
-        return literature_pair(format_method_id(mid))
     if mid.variant == "w":
         base = resolve(MethodId(mid.family, mid.s))
         from .optimizer import OptimizationSpec, optimize_embedded
@@ -292,23 +313,8 @@ def _build(mid: MethodId, seed: int) -> EmbeddedTableau:
         res = optimize_embedded(OptimizationSpec(tableau=base, seed=seed))
         if res.w is None:
             raise ValueError(f"optimizer found no embedded weights for {format_method_id(mid)}")
-        return replace(base, id=format_method_id(mid), b_tilde=res.w, p_tilde=base.p - 1)
-    if mid.family == "ssp2":
-        return ssperk_s2(mid.s, mid.variant)
-    if mid.family == "ssp3":
-        if mid.s == 3:
-            if mid.variant != "none":
-                raise ValueError("ssp3,3 embedded weights come from the optimizer (-w)")
-            return ssperk_3_3()
-        n = int(round(mid.s ** 0.5))
-        if n * n != mid.s:
-            raise ValueError(f"third-order family needs a square stage count, got {mid.s}")
-        return ssperk_n2_3(n, mid.variant)
-    if mid.family == "ssp4":
-        if mid.s != 10:
-            raise ValueError("fourth-order family is cataloged with 10 stages only")
-        return ssperk_10_4(mid.variant)
-    raise ValueError(f"unknown method family {mid.family!r}")
+        return replace(base, id=format_method_id(mid), b_tilde=res.w)
+    return _builder(mid)(mid)
 
 
 def catalog_ids() -> list[str]:
@@ -334,20 +340,18 @@ def with_advancing_weights(t: EmbeddedTableau, use_embedded: bool = False) -> Em
     for fixed-step order studies; the copy carries no embedded vector.
     """
     if not use_embedded:
-        return replace(t, b_tilde=None, p_tilde=None)
+        return replace(t, b_tilde=None)
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    return replace(t, id=t.id + "~emb", b=t.b_tilde, p=t.p_tilde or t.p - 1,
-                   b_tilde=None, p_tilde=None, ssp_claimed=None)
+    return replace(t, id=t.id + "~emb", b=t.b_tilde, p=t.p - 1, b_tilde=None, ssp_claimed=None)
 
 
 def validate(t: EmbeddedTableau) -> list[str]:
     """Structural diagnostics; an empty list means the tableau is well formed.
 
     Checks (tolerance 1e-13): A strictly lower triangular, weight vectors
-    summing to 1, p_tilde = p - 1 when embedded weights are present, and
-    nonnegativity of A, b, b_tilde for entries claiming an SSP
-    coefficient.  (c = A e holds by construction.)
+    summing to 1, and nonnegativity of A, b, b_tilde for entries claiming
+    an SSP coefficient.  (c = A e and p_tilde = p - 1 hold by construction.)
     """
     issues = []
     s = t.s
@@ -363,25 +367,9 @@ def validate(t: EmbeddedTableau) -> list[str]:
             issues.append("shape violation: embedded weights have wrong length")
         elif abs(t.b_tilde.sum() - 1.0) > _ATOL:
             issues.append("consistency violation: embedded weights do not sum to 1")
-        if t.p_tilde is not None and t.p_tilde != t.p - 1:
-            issues.append("embedded-order violation: p_tilde != p - 1")
     if t.ssp_claimed is not None and t.ssp_claimed > 0:
         arrays = [t.A, t.b] + ([t.b_tilde] if t.b_tilde is not None else [])
         if any(np.min(a) < -_ATOL for a in arrays):
             issues.append("negativity violation: SSP entry claims require nonnegative coefficients")
     return issues
 
-
-def to_json_dict(t: EmbeddedTableau) -> dict:
-    """JSON-ready dict of the tableau (row-major A, plain lists)."""
-    return {
-        "id": t.id,
-        "s": t.s,
-        "p": t.p,
-        "p_tilde": t.p_tilde,
-        "ssp_claimed": t.ssp_claimed,
-        "A": [[float(x) for x in row] for row in t.A],
-        "b": [float(x) for x in t.b],
-        "b_tilde": None if t.b_tilde is None else [float(x) for x in t.b_tilde],
-        "c": [float(x) for x in t.c],
-    }

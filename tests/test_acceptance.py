@@ -300,8 +300,8 @@ def test_criterion_10_weno5_spatial_convergence(criterion):
 def test_criterion_11_overestimating_weights_pathology(criterion):
     """Standing failure; the cause is not settled by this repository.
 
-    Measured: ssp10,4-b2/b3 with PID at 1e-4 use 520/570 fev, a ratio of
-    0.912 where >= 3 is needed, and b2's error is 7.8e-5 where <= 1e-5 is
+    Measured: ssp10,4-b2/b3 with PID at 1e-4 use 522/572 fev, a ratio of
+    0.913 where >= 3 is needed, and b2's error is 7.8e-5 where <= 1e-5 is
     needed.  At tolerances 1e-1 to 1e-6 the ratio stays between 0.90 and
     1.06.
 

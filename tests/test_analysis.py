@@ -29,7 +29,6 @@ from sspkit.analysis import (
     stability_polynomial,
     stability_radii,
     stability_region_grid,
-    vacuous_conditions,
 )
 from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
 
@@ -115,9 +114,9 @@ def test_vacuous_conditions_for_ten_stage_fourth_order():
     t = resolve("ssp10,4-b3")
     # one grouped fourth-order condition is implied by A alone: no weight
     # vector can violate it, so defectiveness checks must exempt it
-    assert vacuous_conditions(t.A, 4) == {"q4c"}
+    assert OrderConditions(t.A).vacuous(4) == {"q4c"}
     t22 = resolve("ssp2,2-b1")
-    assert vacuous_conditions(t22.A, 2) == set()
+    assert OrderConditions(t22.A).vacuous(2) == set()
 
 
 def test_non_defectiveness_catalog_flags():

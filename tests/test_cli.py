@@ -93,7 +93,7 @@ def test_integrate_summary_json_and_work_accounting(capsys):
     doc = json.loads(lines[1])
     assert doc["method"] == "ssp2,2-b2" and doc["problem"] == "vdp"
     assert doc["steps"] == doc["accepted"] + doc["rejected"]
-    assert doc["nfev"] == 2 * doc["steps"]
+    assert doc["nfev"] == 2 * doc["steps"] + 2  # + the starting-step probe
     assert doc["t_final"] == 2.0
     assert "l2_error" not in doc
 
@@ -192,6 +192,14 @@ def test_optimize_reports_no_solution_under_an_unreachable_screen(capsys):
     assert doc["status"] == "no-solution"
     assert doc["w"] is None
     assert doc["ssp_screen"] == {"r": 6.0, "feasible": False}
+
+
+def test_optimize_has_no_target_order_flag(capsys):
+    # the embedded order is always the advancing order minus one
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "ssp3,2", "--target-order", "1"])
+    assert exc.value.code == 1
+    assert "--target-order" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- shell

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sspkit.controller import ERR_FLOOR, GAINS, make_controller
+from sspkit.controller import ERR_FLOOR, FAC, FACMAX, FACMIN, GAINS, make_controller
 
 KINDS = sorted(GAINS)
 
@@ -17,16 +17,17 @@ betas = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 def test_default_gains_follow_the_table():
     st_ = make_controller("pid")
     assert (st_.k1, st_.k2, st_.k3) == GAINS["pid"]
-    assert st_.fac == 0.9 and st_.facmin == 0.1 and st_.facmax == 5.0
+    assert (FAC, FACMIN, FACMAX) == (0.9, 0.1, 5.0)
     assert st_.err_n == 1.0 and st_.err_nm1 == 1.0
     assert st_.first_step and not st_.just_rejected
 
 
 def test_kind_is_case_insensitive_and_overrides_apply():
-    st_ = make_controller("PI", k1=0.7, facmax=4.0)
+    st_ = make_controller("PI", k1=0.7)
     assert st_.kind == "pi"
     assert st_.k1 == 0.7 and st_.k2 == GAINS["pi"][1]
-    assert st_.facmax == 4.0
+    with pytest.raises(TypeError):
+        make_controller("pi", facmax=4.0)
 
 
 def test_unknown_kind_is_rejected():
@@ -124,7 +125,7 @@ def test_nan_estimate_shrinks_by_facmin_and_keeps_the_history(kind):
     st_.on_accept(2e-3)
     beta = st_.propose_factor(float("nan"), 2)
     st_.on_reject()  # a NaN error never satisfies err <= 1
-    assert st_.clamp(0.5, beta) == 0.5 * st_.facmin
+    assert st_.clamp(0.5, beta) == 0.5 * FACMIN
     assert st_.err_n == 2e-3 and st_.err_nm1 == 1e-3
 
 
@@ -165,7 +166,7 @@ def test_clamped_step_stays_within_the_configured_bounds(kind, err, beta, reject
         st_.on_reject()
     dt = 1.0
     out = st_.clamp(dt, beta)
-    assert st_.facmin * dt * (1 - 1e-12) <= out <= st_.facmax * dt * (1 + 1e-12)
+    assert FACMIN * dt * (1 - 1e-12) <= out <= FACMAX * dt * (1 + 1e-12)
     if rejected:
         assert out <= 0.9 * dt * (1 + 1e-12)
 

@@ -14,7 +14,7 @@ from sspkit.integrator import (
     integrate_fixed,
     rk_step,
 )
-from sspkit.tableau import resolve, with_advancing_weights
+from sspkit.tableau import catalog_ids, resolve, with_advancing_weights
 
 TAB22 = resolve("ssp2,2-b2")
 
@@ -114,11 +114,29 @@ def test_adaptive_decay_reaches_the_final_time_exactly():
 
 def test_adaptive_bookkeeping_is_consistent():
     res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 1e-6)
-    assert res.n_fev == TAB22.s * (res.n_accepted + res.n_rejected)
+    # s per attempt plus the two initial_step calls
+    assert res.n_fev == TAB22.s * (res.n_accepted + res.n_rejected) + 2
     assert len(res.step_log) == res.n_attempts
     assert sum(ok for (_, _, _, ok) in res.step_log) == res.n_accepted
     assert res.step_log[-1][3] is True  # the landing step stands
     assert all(e <= 1.0 for (_, _, e, ok) in res.step_log if ok)
+
+
+@pytest.mark.parametrize("dt0", [None, 0.05])
+def test_adaptive_work_count_is_every_rhs_call(dt0):
+    # a counting right-hand side against the reported n_fev, catalog-wide
+    for mid in catalog_ids():
+        calls = [0]
+
+        def f(t, u):
+            calls[0] += 1
+            return -u
+
+        prob = OdeSystem(f=f, t_span=(0.0, 1.0), u0=np.array([1.0, 0.5]))
+        res = integrate_adaptive(prob, resolve(mid), make_controller("pid"), 1e-5, 1e-5,
+                                 dt0=dt0)
+        assert res.n_fev == calls[0], mid
+        assert res.n_fev == resolve(mid).s * res.n_attempts + (2 if dt0 is None else 0), mid
 
 
 def test_adaptive_run_is_reproducible():

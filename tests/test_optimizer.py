@@ -12,7 +12,7 @@ from sspkit.optimizer import (
     optimize_embedded,
     ssp_feasible,
 )
-from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids
+from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
 
 A22 = np.array([[0.0, 0.0], [1.0, 0.0]])
 B22 = np.array([0.5, 0.5])
@@ -150,8 +150,18 @@ def test_screen_field_absent_without_a_requested_coefficient():
     assert r.ssp_screen is None
 
 
-def test_invalid_target_order_is_rejected():
-    with pytest.raises(ValueError):
-        optimize_embedded(OptimizationSpec(tableau=resolve("ssp3,2-b1"), target_order=2))
-    with pytest.raises(ValueError):
-        optimize_embedded(OptimizationSpec(tableau=resolve("ssp3,2-b1"), target_order=0))
+def test_first_order_base_is_rejected_naming_its_order():
+    # the embedded order is always one below the advancing order, so a
+    # first-order base leaves nothing to search for
+    base = with_advancing_weights(resolve("ssp2,2-b2"), use_embedded=True)
+    with pytest.raises(ValueError, match="order 2..4, got order 1"):
+        optimize_embedded(OptimizationSpec(tableau=base))
+    with pytest.raises(ValueError, match="got order 5"):
+        optimize_embedded(OptimizationSpec(tableau=resolve("dp54")))
+
+
+def test_the_embedded_order_is_not_a_setting():
+    with pytest.raises(TypeError):
+        OptimizationSpec(tableau=resolve("ssp3,2-b1"), target_order=1)
+    with pytest.raises(TypeError):
+        OptimizationSpec(tableau=resolve("ssp3,2-b1"), tol_order=1e-8)

@@ -1,5 +1,7 @@
 """Tableau construction, id grammar, and catalog integrity."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from sspkit.tableau import (
     parse_method_id,
     resolve,
     ssp_catalog_ids,
-    to_json_dict,
     validate,
     with_advancing_weights,
 )
@@ -37,6 +38,20 @@ def test_parse_rejects_malformed_ids(bad):
 def test_resolve_rejects_unknown_variant():
     with pytest.raises(ValueError):
         resolve("ssp2,2-b7")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("ssp1,2-b1", "at least 2 stages"),
+    ("ssp1,3", "n >= 2"),
+    ("ssp8,3", "square stage count"),
+    ("ssp9,4-b3", "10 stages only"),
+    ("ssp3,3-b1", "unknown embedded variant"),
+    ("ssp9,3-b1", "unknown embedded variant"),
+    ("ssp10,4-b9", "unknown embedded variant"),
+])
+def test_resolve_checks_the_stage_count_and_the_variant(bad, message):
+    with pytest.raises(ValueError, match=message):
+        resolve(bad)
 
 
 # ------------------------------------------------------- exact coefficients
@@ -134,6 +149,39 @@ def test_abscissae_are_derived_from_a():
         EmbeddedTableau(id="x", A=A, b=[0.0, 1.0], c=[0.0, 0.5], p=2)
 
 
+def test_embedded_order_is_derived_from_the_weights():
+    A = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert EmbeddedTableau(id="x", A=A, b=[0.5, 0.5], p=2).p_tilde is None
+    assert EmbeddedTableau(id="x", A=A, b=[0.5, 0.5], p=2, b_tilde=[1.0, 0.0]).p_tilde == 1
+    with pytest.raises(TypeError):
+        EmbeddedTableau(id="x", A=A, b=[0.5, 0.5], p=2, b_tilde=[1.0, 0.0], p_tilde=1)
+    for mid in catalog_ids() + ["ssp3,3"]:
+        t = resolve(mid)
+        assert t.p_tilde == (None if t.b_tilde is None else t.p - 1), mid
+
+
+def test_construction_leaves_the_callers_arrays_writable():
+    A = np.array([[0.0, 0.0], [1.0, 0.0]])
+    b = np.array([0.5, 0.5])
+    bt = np.array([1.0, 0.0])
+    t = EmbeddedTableau(id="x", A=A, b=b, p=2, b_tilde=bt)
+    A[1, 0] = 2.0
+    b[0] = 0.25
+    bt[0] = 0.75
+    assert t.A[1, 0] == 1.0 and t.b[0] == 0.5 and t.b_tilde[0] == 1.0
+    assert not (t.A.flags.writeable or t.b.flags.writeable or t.b_tilde.flags.writeable)
+
+
+def test_w_variant_leaves_the_search_result_writable(monkeypatch):
+    from sspkit import optimizer
+
+    w = np.full(3, 1.0 / 3.0)
+    monkeypatch.setattr(optimizer, "optimize_embedded", lambda spec: types.SimpleNamespace(w=w))
+    t = resolve("ssp3,3-w", seed=-20_180_623)  # a seed no other test asks for
+    w[0] = 0.5
+    assert t.b_tilde[0] == 1.0 / 3.0 and t.p_tilde == 2
+
+
 def test_resolve_returns_one_object_per_id():
     for mid in catalog_ids() + ["ssp3,3"]:
         assert resolve(mid) is resolve(mid)
@@ -169,16 +217,15 @@ def test_with_advancing_weights_swaps_embedded():
     main = with_advancing_weights(t)
     assert main.b_tilde is None and main.p == 2
     emb = with_advancing_weights(t, use_embedded=True)
-    assert emb.b_tilde is None and emb.p == 1
+    assert emb.b_tilde is None and emb.p == t.p - 1 == 1
+    assert main.p_tilde is None and emb.p_tilde is None
     np.testing.assert_allclose(emb.b, t.b_tilde, atol=1e-15)
     assert np.array_equal(main.c, t.c) and np.array_equal(emb.c, t.c)
 
 
 def test_with_advancing_weights_requires_embedded():
-    from sspkit.tableau import ssperk_3_3
-
     with pytest.raises(ValueError):
-        with_advancing_weights(ssperk_3_3(), use_embedded=True)
+        with_advancing_weights(resolve("ssp3,3"), use_embedded=True)
 
 
 def test_optimized_variant_is_cached_and_deterministic():
@@ -188,14 +235,6 @@ def test_optimized_variant_is_cached_and_deterministic():
     assert a.p_tilde == 2
     assert np.all(a.b_tilde >= -1e-12)
     assert abs(a.b_tilde.sum() - 1.0) < 1e-8
-
-
-def test_json_dict_round_trip_fields():
-    d = to_json_dict(resolve("ssp2,2-b1"))
-    assert d["id"] == "ssp2,2-b1"
-    assert d["p"] == 2 and d["p_tilde"] == 1
-    assert d["b"] == [0.5, 0.5]
-    assert d["b_tilde"] == [1.0, 0.0]
 
 
 def test_tableau_is_immutable():
