@@ -23,7 +23,7 @@ from .analysis import (  # noqa: F401
     error_measures,
     is_non_defective,
     order_condition_residuals,
-    ssp_coefficient,
+    ssp_coefficient_arrays,
     stability_polynomial,
     stability_radii,
     stability_region_grid,
@@ -47,7 +47,6 @@ from .integrator import (  # noqa: F401
     rk_step,
 )
 from .problems import (  # noqa: F401
-    EulerState,
     Grid1D,
     advection,
     brusselator,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "TREES",
@@ -35,10 +36,8 @@ __all__ = [
     "classify_order",
     "is_non_defective",
     "NonDefectiveReport",
-    "ssp_coefficient",
     "ssp_coefficient_arrays",
     "stability_polynomial",
-    "psi_eval",
     "real_axis_inclusion",
     "imag_axis_inclusion",
     "circle_contractivity_radius",
@@ -319,17 +318,6 @@ def ssp_coefficient_arrays(A, w, tol: float = 1e-6) -> float:
     return _bisect_sup(lambda r: _ssp_feasible(K, r), 0.0, 2.0 * (len(K) - 1), tol)
 
 
-def ssp_coefficient(t, which: str = "advancing", tol: float = 1e-6) -> float:
-    """SSP coefficient of a tableau's advancing or embedded weights."""
-    if which == "advancing":
-        return ssp_coefficient_arrays(t.A, t.b, tol)
-    if which == "embedded":
-        if t.b_tilde is None:
-            raise ValueError(f"{t.id} has no embedded weights")
-        return ssp_coefficient_arrays(t.A, t.b_tilde, tol)
-    raise ValueError("which must be 'advancing' or 'embedded'")
-
-
 def stability_polynomial(A, w) -> np.ndarray:
     """Coefficients (ascending) of psi(z) = 1 + sum_k (w^T A^{k-1} e) z^k.
 
@@ -353,32 +341,23 @@ def stability_polynomial(A, w) -> np.ndarray:
     return arr[: deg + 1]
 
 
-def psi_eval(coeffs, z):
-    """Evaluate the polynomial (ascending coefficients) at complex z (Horner)."""
-    coeffs = np.asarray(coeffs)
-    out = np.zeros_like(np.asarray(z, dtype=complex))
-    for a in coeffs[::-1]:
-        out = out * z + a
-    return out
-
-
 def _radius_cap(coeffs) -> float:
     return 10.0 * max(1, len(coeffs) - 1)
 
 
 def _eval_noise(coeffs, z):
-    """Pointwise bound on the float rounding error of psi_eval.
+    """Pointwise bound on the float rounding error of evaluating psi at z.
 
     Horner noise scales with sum |a_k| |z|^k, which dwarfs any fixed
     slack once the degree and radius climb (e.g. degree 16 at |z| = 12).
     """
     mags = np.abs(np.asarray(coeffs, dtype=float))
-    return 8.0 * np.finfo(float).eps * np.real(psi_eval(mags, np.abs(z)))
+    return 8.0 * np.finfo(float).eps * polyval(np.abs(z), mags)
 
 
 def _bounded_by_one(coeffs, z) -> bool:
     """|psi| <= 1 + 1e-12 (+ rounding noise) at every sample point z."""
-    return bool(np.all(np.abs(psi_eval(coeffs, z)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, z)))
+    return bool(np.all(np.abs(polyval(z, coeffs)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, z)))
 
 
 def real_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
@@ -536,7 +515,7 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)
     X, Y = np.meshgrid(re, im)
-    Z = np.abs(psi_eval(coeffs, X + 1j * Y))
+    Z = np.abs(polyval(X + 1j * Y, coeffs))
     return re, im, Z
 
 

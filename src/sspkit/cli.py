@@ -2,7 +2,8 @@
 
 Every output starts with a header line recording version, command, seed,
 and flags, so emitted CSV/JSON artifacts are self-describing.  Exit codes:
-0 success, 1 usage or unknown id, 2 stiffness failure, 3 budget failure.
+0 success, 1 usage error or bad input (unknown id, bad tolerance, bad
+search setting), 2 stiffness failure, 3 budget failure.
 """
 
 from __future__ import annotations
@@ -159,9 +160,7 @@ def _cmd_optimize(args) -> int:
         "w": None if result.w is None else result.w.tolist(),
         "objective": result.objective,
         "residuals": result.residuals,
-        "ssp_screen": result.ssp_screen,
         "non_defective": result.non_defective,
-        "seed": result.seed,
         "n_eval": result.n_eval,
     }
     _emit(args, [json.dumps(doc, default=_json_default)])
@@ -176,10 +175,10 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="write output to this file")
-        sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("analyze", help="error measures, stability radii, SSP report")
     sp.add_argument("method", help=f"method id, e.g. one of {', '.join(catalog_ids()[:4])}, ...")
+    sp.add_argument("--json", action="store_true", help="one JSON object instead of aligned text")
     common(sp)
     sp.set_defaults(func=_cmd_analyze)
 
@@ -207,6 +206,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-cells", type=int, default=200)
     sp.add_argument("--skip-error", action="store_true",
                     help="skip the reference run that yields l2_error")
+    sp.add_argument("--json", action="store_true", help="one JSON object instead of key: value lines")
     common(sp)
     sp.set_defaults(func=_cmd_integrate)
 

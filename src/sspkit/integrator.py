@@ -8,6 +8,7 @@ extrapolation); the embedded weights enter only through the error estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -58,10 +59,6 @@ class OdeSystem:
     cfl_hint: Callable[[np.ndarray], float] | None = None
     name: str = ""
     grid: Grid1D | None = None
-
-    @property
-    def dimension(self) -> int:
-        return int(np.size(self.u0))
 
 
 @dataclass
@@ -178,11 +175,14 @@ def integrate_adaptive(
     plus the two of ``initial_step`` when no ``dt0`` is given.
     With ``t_eval``, ``dense_u`` holds the solution at those times,
     linearly interpolated between accepted steps.
-    Raises StiffnessError on step underflow and BudgetError past
-    max_attempts attempted steps.
+    Raises ValueError unless atol > 0 and rtol >= 0 are both finite,
+    StiffnessError on step underflow (a NaN step included) and
+    BudgetError past max_attempts attempted steps.
     """
     if tab.b_tilde is None:
         raise ValueError(f"method {tab.id!r} has no embedded weights")
+    if not (0.0 < atol < math.inf and 0.0 <= rtol < math.inf):
+        raise ValueError(f"need finite atol > 0 and rtol >= 0, got atol={atol}, rtol={rtol}")
     f = problem.f
     t0, T = problem.t_span
     u = np.asarray(problem.u0, dtype=float).copy()
@@ -206,8 +206,9 @@ def integrate_adaptive(
     t_scale = max(abs(t0), abs(T), 1.0)
 
     while t < T:
-        # |T| enters the underflow scale so the check is meaningful at t = 0
-        if dt < 100.0 * eps * max(abs(t), t_scale):
+        # |T| enters the underflow scale so the check is meaningful at t = 0;
+        # written as "not >=" so that a NaN step fails it too
+        if not dt >= 100.0 * eps * max(abs(t), t_scale):
             raise StiffnessError(
                 f"step size {dt:.3e} underflowed at t = {t:.6g} "
                 f"({n_acc} accepted, {n_rej} rejected)"
@@ -227,7 +228,6 @@ def integrate_adaptive(
         beta = controller.propose_factor(err, tab.p_tilde)
         if accepted:
             controller.on_accept(err)
-            dt = controller.clamp(dt_try, beta)
             t = T if truncated else t + dt_try
             u = u_next
             n_acc += 1
@@ -236,8 +236,8 @@ def integrate_adaptive(
                 path_u.append(u.copy())
         else:
             controller.on_reject()
-            dt = controller.clamp(dt_try, beta)
             n_rej += 1
+        dt = controller.clamp(dt_try, beta)
 
     dense_t = dense_u = None
     if keep_path:

@@ -46,6 +46,13 @@ class OptimizationSpec:
     budget: int = 200_000
     seed: int = 0
 
+    def __post_init__(self):
+        r = self.require_ssp_at
+        if r is not None and not (math.isfinite(r) and r >= 0):
+            raise ValueError(f"require_ssp_at must be finite and nonnegative, got {r}")
+        if self.seeds < 1 or self.budget < 1:
+            raise ValueError(f"seeds and budget must be at least 1, got {self.seeds} and {self.budget}")
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -53,9 +60,7 @@ class OptimizationResult:
     w: np.ndarray | None
     objective: float
     residuals: dict[str, float]
-    ssp_screen: dict | None         # {"r": r, "feasible": bool} when screening was requested
     non_defective: bool | None
-    seed: int
     n_eval: int
 
 
@@ -133,8 +138,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     if np.max(np.abs(M @ w_part - rhs)) > 1e-8:
         # the order conditions themselves are unsatisfiable for this A
-        return OptimizationResult("no-solution", None, math.inf, {}, None, None,
-                                  spec.seed, 0)
+        return OptimizationResult("no-solution", None, math.inf, {}, None, 0)
     # null space of the constraint rows
     _, sv, Vt = np.linalg.svd(M)
     tol_sv = max(M.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
@@ -157,7 +161,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         return f + pen
 
     rng = np.random.default_rng(spec.seed)
-    per_start = max(200, spec.budget // max(spec.seeds, 1))
+    per_start = max(200, spec.budget // spec.seeds)
     candidates = []
     for _ in range(spec.seeds):
         if n_eval >= spec.budget:
@@ -190,25 +194,15 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         candidates.append((obj, tuple(w), w))
 
     if not candidates:
-        screen = None
-        if spec.require_ssp_at is not None:
-            screen = {"r": spec.require_ssp_at, "feasible": False}
-        return OptimizationResult("no-solution", None, math.inf, {}, screen, None,
-                                  spec.seed, n_eval)
+        return OptimizationResult("no-solution", None, math.inf, {}, None, n_eval)
 
     candidates.sort(key=lambda cand: (cand[0], cand[1]))
     obj, _, w = candidates[0]
-    residuals = analysis.order_condition_residuals(A, w, min(p, 5))
-    screen = None
-    if spec.require_ssp_at is not None:
-        screen = {"r": spec.require_ssp_at, "feasible": True}
     return OptimizationResult(
         status="ok",
         w=w,
         objective=obj,
-        residuals=residuals,
-        ssp_screen=screen,
+        residuals=analysis.order_condition_residuals(A, w, min(p, 5)),
         non_defective=True,             # every candidate passed the check
-        seed=spec.seed,
         n_eval=n_eval,
     )

@@ -6,14 +6,15 @@ PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
 the three conserved fields into one vector).  The boundary comes from
 ``Grid1D.boundary`` through one ghost-cell helper, and both WENO5
-right-hand sides share one flux-difference kernel.
+right-hand sides share one flux-difference kernel.  The physical
+constants never vary: gamma, the WENO5 CFL number and the van der Pol
+epsilon are the module constants below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,11 +22,9 @@ from .integrator import OdeSystem
 
 __all__ = [
     "Grid1D",
-    "EulerState",
     "vdp_rhs",
     "brusselator_rhs",
     "weno5_reconstruct",
-    "weno5_weights",
     "advection_rhs",
     "upwind_rhs",
     "euler_rhs",
@@ -40,8 +39,9 @@ __all__ = [
     "PROBLEM_IDS",
 ]
 
-GAMMA_AIR = 7.0 / 5.0
-CFL_DEFAULT = 0.5
+GAMMA_AIR = 7.0 / 5.0  # ratio of specific heats
+CFL_DEFAULT = 0.5      # CFL number of the WENO5 problems' starting step
+VDP_EPS = 0.1          # van der Pol stiffness parameter
 
 
 @dataclass(frozen=True)
@@ -72,41 +72,14 @@ class Grid1D:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
 
-@dataclass(frozen=True)
-class EulerState:
-    """Conserved fields (rho, rho*u, E) on a grid, with the gas constant."""
-
-    rho: np.ndarray
-    mom: np.ndarray
-    E: np.ndarray
-    gamma: float = GAMMA_AIR
-
-    def pressure(self) -> np.ndarray:
-        return (self.gamma - 1.0) * (self.E - 0.5 * self.mom**2 / self.rho)
-
-    def sound_speed(self) -> np.ndarray:
-        return np.sqrt(self.gamma * self.pressure() / self.rho)
-
-    def is_valid(self) -> bool:
-        return bool(np.all(self.rho > 0) and np.all(self.pressure() > 0))
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.mom, self.E])
-
-    @staticmethod
-    def from_flat(q: np.ndarray, gamma: float = GAMMA_AIR) -> "EulerState":
-        n = q.size // 3
-        return EulerState(q[:n], q[n : 2 * n], q[2 * n :], gamma)
-
-
 # ---------------------------------------------------------------------------
 # ODE right-hand sides
 
 
-def vdp_rhs(t: float, u: np.ndarray, eps: float = 0.1) -> np.ndarray:
+def vdp_rhs(t: float, u: np.ndarray) -> np.ndarray:
     # stiff scaling: the initial point [2, -0.6654321] sits on the slow
     # manifold u2 ~ u1/(1 - u1^2), so the whole bracket carries 1/eps
-    return np.array([u[1], ((1.0 - u[0] ** 2) * u[1] - u[0]) / eps])
+    return np.array([u[1], ((1.0 - u[0] ** 2) * u[1] - u[0]) / VDP_EPS])
 
 
 def brusselator_rhs(t: float, u: np.ndarray) -> np.ndarray:
@@ -121,9 +94,9 @@ _WENO_EPS = 1e-6
 _D0, _D1, _D2 = 0.1, 0.6, 0.3
 
 
-def _weno5_parts(vm2, vm1, v0, vp1, vp2):
-    """Candidate values and nonlinear weights at the right face of the
-    center cell from the three left-biased stencils.  Vectorized."""
+def _weno5_face(vm2, vm1, v0, vp1, vp2):
+    """Value at the right face of the center cell: the three left-biased
+    candidate values blended by their nonlinear weights.  Vectorized."""
     q0 = (2.0 * vm2 - 7.0 * vm1 + 11.0 * v0) / 6.0
     q1 = (-vm1 + 5.0 * v0 + 2.0 * vp1) / 6.0
     q2 = (2.0 * v0 + 5.0 * vp1 - vp2) / 6.0
@@ -134,12 +107,7 @@ def _weno5_parts(vm2, vm1, v0, vp1, vp2):
     a1 = _D1 / (_WENO_EPS + b1) ** 2
     a2 = _D2 / (_WENO_EPS + b2) ** 2
     asum = a0 + a1 + a2
-    return (q0, q1, q2), (a0 / asum, a1 / asum, a2 / asum)
-
-
-def _weno5_face(vm2, vm1, v0, vp1, vp2):
-    (q0, q1, q2), (w0, w1, w2) = _weno5_parts(vm2, vm1, v0, vp1, vp2)
-    return w0 * q0 + w1 * q1 + w2 * q2
+    return (a0 / asum) * q0 + (a1 / asum) * q1 + (a2 / asum) * q2
 
 
 def weno5_reconstruct(v) -> float:
@@ -147,13 +115,6 @@ def weno5_reconstruct(v) -> float:
     (v_{i-2}, ..., v_{i+2}), biased for a right-moving wave."""
     vm2, vm1, v0, vp1, vp2 = (float(x) for x in v)
     return float(_weno5_face(vm2, vm1, v0, vp1, vp2))
-
-
-def weno5_weights(v) -> np.ndarray:
-    """The three convex stencil weights used by weno5_reconstruct."""
-    vm2, vm1, v0, vp1, vp2 = (float(x) for x in v)
-    _, w = _weno5_parts(vm2, vm1, v0, vp1, vp2)
-    return np.array(w)
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +166,20 @@ def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
 # 1-D Euler with global Lax-Friedrichs splitting and componentwise WENO5
 
 
-def euler_rhs(q_flat: np.ndarray, grid: Grid1D, gamma: float = GAMMA_AIR) -> np.ndarray:
+def _velocity_pressure(rho, mom, E):
+    """Velocity u = mom/rho and pressure p = (gamma - 1)(E - mom*u/2)."""
+    u = mom / rho
+    return u, (GAMMA_AIR - 1.0) * (E - 0.5 * mom * u)
+
+
+def euler_rhs(q_flat: np.ndarray, grid: Grid1D) -> np.ndarray:
     qg = _ghost(q_flat.reshape(3, grid.n_cells), grid)
     rho, mom, E = qg
     # invalid states (rho or p <= 0) propagate NaN and fail the step
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        u = mom / rho
-        p = (gamma - 1.0) * (E - 0.5 * mom * u)
+        u, p = _velocity_pressure(rho, mom, E)
         F = np.stack([mom, mom * u + p, (E + p) * u])
-        alpha = float(np.max(np.abs(u) + np.sqrt(gamma * p / rho)))
+        alpha = float(np.max(np.abs(u) + np.sqrt(GAMMA_AIR * p / rho)))
     fp = 0.5 * (F + alpha * qg)
     fm = 0.5 * (F - alpha * qg)
     return _weno5_divergence(fp, grid.dx, fm).reshape(-1)
@@ -230,9 +196,11 @@ def total_variation(u: np.ndarray, periodic: bool = True) -> float:
     return tv
 
 
-def euler_max_speed(q_flat: np.ndarray, gamma: float = GAMMA_AIR) -> float:
-    st = EulerState.from_flat(np.asarray(q_flat, dtype=float), gamma)
-    return float(np.max(np.abs(st.mom / st.rho) + st.sound_speed()))
+def euler_max_speed(q_flat: np.ndarray) -> float:
+    """Largest |u| + c over the cells of a flat (rho, mom, E) state."""
+    rho, mom, E = np.asarray(q_flat, dtype=float).reshape(3, -1)
+    u, p = _velocity_pressure(rho, mom, E)
+    return float(np.max(np.abs(u) + np.sqrt(GAMMA_AIR * p / rho)))
 
 
 def cfl_step(grid: Grid1D, c_max: float, nu: float) -> float:
@@ -268,9 +236,9 @@ def sine_average(grid: Grid1D, shift: float = 0.0) -> np.ndarray:
 PROBLEM_IDS = ("vdp", "brusselator", "advection", "euler")
 
 
-def vdp(eps: float = 0.1) -> OdeSystem:
+def vdp() -> OdeSystem:
     return OdeSystem(
-        f=lambda t, u: vdp_rhs(t, u, eps),
+        f=vdp_rhs,
         t_span=(0.0, 2.0),
         u0=np.array([2.0, -0.6654321]),
         name="vdp",
@@ -279,19 +247,14 @@ def vdp(eps: float = 0.1) -> OdeSystem:
 
 def brusselator() -> OdeSystem:
     return OdeSystem(
-        f=lambda t, u: brusselator_rhs(t, u),
+        f=brusselator_rhs,
         t_span=(0.0, 20.0),
         u0=np.array([1.01, 3.0]),
         name="brusselator",
     )
 
 
-def advection(
-    n_cells: int = 200,
-    profile: str = "square",
-    t_final: float = 0.2,
-    nu: float = CFL_DEFAULT,
-) -> OdeSystem:
+def advection(n_cells: int = 200, profile: str = "square", t_final: float = 0.2) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
     if profile == "square":
         u0 = square_wave_average(grid)
@@ -303,7 +266,7 @@ def advection(
         f=lambda t, u: advection_rhs(u, grid),
         t_span=(0.0, t_final),
         u0=u0,
-        cfl_hint=lambda u: cfl_step(grid, 1.0, nu),
+        cfl_hint=lambda u: cfl_step(grid, 1.0, CFL_DEFAULT),
         name="advection",
         grid=grid,
     )
@@ -321,26 +284,21 @@ def upwind_advection(n_cells: int = 200) -> OdeSystem:
     )
 
 
-def sod_initial(grid: Grid1D, gamma: float = GAMMA_AIR) -> np.ndarray:
+def sod_initial(grid: Grid1D) -> np.ndarray:
     x = grid.centers
     rho = np.where(x < 0.5, 1.0, 0.125)
     mom = np.zeros_like(x)
-    E = np.where(x < 0.5, 1.0, 0.1) / (gamma - 1.0)
+    E = np.where(x < 0.5, 1.0, 0.1) / (GAMMA_AIR - 1.0)
     return np.concatenate([rho, mom, E])
 
 
-def euler_sod(
-    n_cells: int = 200,
-    t_final: float = 0.2,
-    gamma: float = GAMMA_AIR,
-    nu: float = CFL_DEFAULT,
-) -> OdeSystem:
+def euler_sod(n_cells: int = 200, t_final: float = 0.2) -> OdeSystem:
     grid = Grid1D(n_cells, 0.0, 1.0, "outflow")
     return OdeSystem(
-        f=lambda t, q: euler_rhs(q, grid, gamma),
+        f=lambda t, q: euler_rhs(q, grid),
         t_span=(0.0, t_final),
-        u0=sod_initial(grid, gamma),
-        cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q, gamma), nu),
+        u0=sod_initial(grid),
+        cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q), CFL_DEFAULT),
         name="euler",
         grid=grid,
     )

@@ -191,7 +191,23 @@ def test_optimize_reports_no_solution_under_an_unreachable_screen(capsys):
     doc = json.loads(lines[1])
     assert doc["status"] == "no-solution"
     assert doc["w"] is None
-    assert doc["ssp_screen"] == {"r": 6.0, "feasible": False}
+    assert "ssp_screen" not in doc and "seed" not in doc
+    assert "require_ssp=6.0" in lines[0] and "seed=0" in lines[0]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--require-ssp", "nan"), ("--require-ssp", "-1"), ("--seeds", "0"), ("--budget", "0"),
+])
+def test_optimize_rejects_a_bad_spec_before_searching(capsys, monkeypatch, flags):
+    import sspkit.optimizer
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(sspkit.optimizer, "minimize", no_search)
+    code, lines, err = run_cli(capsys, "optimize", "ssp3,2-b1", *flags)
+    assert code == 1 and lines == []
+    assert "sspkit: error:" in err
 
 
 def test_optimize_has_no_target_order_flag(capsys):
@@ -203,6 +219,29 @@ def test_optimize_has_no_target_order_flag(capsys):
 
 
 # ------------------------------------------------------------------- shell
+
+
+@pytest.mark.parametrize("argv", [
+    ("region", "ssp2,2-b2", "--nx", "2", "--ny", "2", "--json"),
+    ("bench", "--methods", "ssp2,2-b2", "--problems", "vdp", "--tols", "1e-2", "--json"),
+    ("optimize", "ssp3,2-b1", "--seeds", "1", "--budget", "200", "--json"),
+])
+def test_json_is_refused_where_nothing_reads_it(capsys, argv):
+    # only analyze and integrate have a JSON form
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "--json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_integrate_rejects_a_bad_tolerance(capsys, tol):
+    # -1 used to exit 0 with a wrong endpoint and 0 to run for millions of
+    # attempts; both now stop before the first step
+    code, lines, err = run_cli(capsys, "integrate", "--method", "ssp2,2-b2", "--problem", "vdp",
+                               "--tol", tol, "--skip-error")
+    assert code == 1 and lines == []
+    assert "atol > 0 and rtol >= 0" in err
 
 
 def test_usage_error_exits_one():

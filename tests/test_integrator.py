@@ -14,6 +14,7 @@ from sspkit.integrator import (
     integrate_fixed,
     rk_step,
 )
+from sspkit.problems import make_problem
 from sspkit.tableau import catalog_ids, resolve, with_advancing_weights
 
 TAB22 = resolve("ssp2,2-b2")
@@ -201,6 +202,49 @@ def test_adaptive_step_underflow_raises():
         integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3)
 
 
+def test_a_nan_step_fails_the_underflow_check_at_once():
+    calls = []
+    prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
+    with pytest.raises(StiffnessError, match="nan"):
+        integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3, dt0=float("nan"))
+    assert calls == []
+
+
+def test_a_nan_starting_step_fails_the_underflow_check():
+    # sc = 1e-300 + |u| 1e-300 makes the starting-step heuristic overflow to nan
+    prob = decay_problem()
+    with np.errstate(over="ignore"):
+        assert np.isnan(initial_step(prob.f, 0.0, prob.u0, 2, 1e-300, 1e-300))
+        with pytest.raises(StiffnessError):
+            integrate_adaptive(prob, TAB22, make_controller("i"), 1e-300, 1e-300, max_attempts=100)
+
+
+@pytest.mark.parametrize("atol, rtol", [
+    (-1.0, -1.0), (0.0, 0.0), (0.0, 1e-4), (1e-4, -1e-4), (np.nan, 1e-4), (1e-4, np.nan),
+    (np.inf, 1e-4), (1e-4, np.inf),
+])
+def test_bad_tolerances_are_rejected_before_any_step(atol, rtol):
+    calls = []
+    prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
+    with pytest.raises(ValueError, match="atol > 0 and rtol >= 0"):
+        integrate_adaptive(prob, TAB22, make_controller("i"), atol, rtol)
+    assert calls == []
+
+
+def test_zero_atol_is_rejected_where_the_solution_has_exact_zeros():
+    # the square wave is exactly 0 outside [-0.5, 0.5], so atol = 0 would
+    # make the error scale 0 there and every norm 0/0
+    prob = make_problem("advection", n_cells=20)
+    assert np.any(prob.u0 == 0.0)
+    with pytest.raises(ValueError):
+        integrate_adaptive(prob, TAB22, make_controller("pid"), 0.0, 1e-4)
+
+
+def test_rtol_zero_with_a_positive_atol_runs():
+    res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 0.0)
+    assert res.t == 1.0 and res.u[0] == pytest.approx(np.exp(-1.0), abs=1e-4)
+
+
 # ------------------------------------------------------------- fixed driver
 
 
@@ -231,9 +275,3 @@ def test_fixed_stepping_converges_at_second_order_on_decay():
     e1 = abs(integrate_fixed(decay_problem(), TAB22, 0.1)[0] - np.exp(-1.0))
     e2 = abs(integrate_fixed(decay_problem(), TAB22, 0.05)[0] - np.exp(-1.0))
     assert 3.2 < e1 / e2 < 5.0
-
-
-def test_problem_dimension_property():
-    assert decay_problem().dimension == 1
-    prob = OdeSystem(f=lambda t, u: u, t_span=(0.0, 1.0), u0=np.zeros(7))
-    assert prob.dimension == 7

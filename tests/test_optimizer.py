@@ -1,12 +1,14 @@
 """Tests for the embedded-weight search and its SSP feasibility screen."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sspkit.analysis import error_measures, ssp_coefficient
+from sspkit.analysis import error_measures, ssp_coefficient_arrays
 from sspkit.optimizer import (
+    OptimizationResult,
     OptimizationSpec,
     objective,
     optimize_embedded,
@@ -49,7 +51,7 @@ def test_screen_brackets_the_bisected_coefficient_catalog_wide():
     # the screen and the SSP coefficient share one feasibility test
     for mid in ssp_catalog_ids():
         t = resolve(mid)
-        r = ssp_coefficient(t)
+        r = ssp_coefficient_arrays(t.A, t.b)
         assert ssp_feasible(t.A, t.b, r), mid
         assert not ssp_feasible(t.A, t.b, r + 1e-3), mid
 
@@ -140,14 +142,27 @@ def test_ssp_screen_at_six_on_nine_stage_third_order_reports_no_solution():
     assert r.status == "no-solution"
     assert r.w is None
     assert math.isinf(r.objective)
-    assert r.ssp_screen == {"r": 6.0, "feasible": False}
+    assert r.residuals == {} and r.non_defective is None
+    assert r.n_eval > 0
 
 
-def test_screen_field_absent_without_a_requested_coefficient():
-    r = optimize_embedded(
-        OptimizationSpec(tableau=resolve("ssp3,2-b1"), seeds=5, budget=5_000, seed=0)
-    )
-    assert r.ssp_screen is None
+def test_result_reports_only_what_the_search_found():
+    # the seed and the screen request are the spec's, not the result's
+    names = {f.name for f in dataclasses.fields(OptimizationResult)}
+    assert names == {"status", "w", "objective", "residuals", "non_defective", "n_eval"}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"require_ssp_at": math.nan}, {"require_ssp_at": math.inf}, {"require_ssp_at": -1.0},
+    {"seeds": 0}, {"budget": 0}, {"seeds": -3},
+])
+def test_spec_rejects_bad_settings_before_any_search(kwargs):
+    with pytest.raises(ValueError):
+        OptimizationSpec(tableau=resolve("ssp3,2-b1"), **kwargs)
+
+
+def test_spec_accepts_a_zero_screen_coefficient():
+    assert OptimizationSpec(tableau=resolve("ssp3,2-b1"), require_ssp_at=0.0).require_ssp_at == 0.0
 
 
 def test_first_order_base_is_rejected_naming_its_order():

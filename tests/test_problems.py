@@ -6,8 +6,8 @@ import pytest
 from sspkit.controller import make_controller
 from sspkit.integrator import integrate_adaptive
 from sspkit.problems import (
+    GAMMA_AIR,
     PROBLEM_IDS,
-    EulerState,
     Grid1D,
     advection,
     advection_rhs,
@@ -27,11 +27,17 @@ from sspkit.problems import (
     vdp,
     vdp_rhs,
     weno5_reconstruct,
-    weno5_weights,
 )
 from sspkit.tableau import resolve
 
 GRID = Grid1D(100, -1.0, 1.0)
+
+
+def _primitives(q):
+    # (rho, velocity, pressure) of a flat (rho, mom, E) state, written
+    # independently of the program's own formula
+    rho, mom, E = q.reshape(3, -1)
+    return rho, mom / rho, (GAMMA_AIR - 1.0) * (E - 0.5 * mom**2 / rho)
 
 
 # -------------------------------------------------------------------- grids
@@ -59,11 +65,9 @@ def test_degenerate_grids_are_rejected():
 
 def test_vdp_rhs_divides_the_whole_bracket_by_eps():
     u = np.array([2.0, -0.6654321])
-    out = vdp_rhs(0.0, u, eps=0.1)
+    out = vdp_rhs(0.0, u)
     assert out[0] == u[1]
     assert out[1] == pytest.approx(((1.0 - 4.0) * u[1] - 2.0) / 0.1, rel=1e-15)
-    # smaller eps scales the second component linearly
-    assert vdp_rhs(0.0, u, eps=0.01)[1] == pytest.approx(10.0 * out[1], rel=1e-12)
 
 
 def test_brusselator_rhs_values_and_fixed_point():
@@ -84,9 +88,24 @@ def test_ode_factories_carry_the_documented_setups():
 # ------------------------------------------------------------ reconstruction
 
 
+def _candidates(v):
+    # the three left-biased third-order interface values
+    vm2, vm1, v0, vp1, vp2 = v
+    return ((2 * vm2 - 7 * vm1 + 11 * v0) / 6, (-vm1 + 5 * v0 + 2 * vp1) / 6,
+            (2 * v0 + 5 * vp1 - vp2) / 6)
+
+
 def test_reconstruction_is_exact_on_constants_with_ideal_weights():
     assert weno5_reconstruct([2.5] * 5) == pytest.approx(2.5, rel=1e-14)
-    assert weno5_weights([2.5] * 5) == pytest.approx([0.1, 0.6, 0.3], abs=1e-14)
+    # all three smoothness indicators equal 13/3 here, so the weights are
+    # the ideal (0.1, 0.6, 0.3) and the value is the fifth-order linear
+    # blend (2 v-2 - 13 v-1 + 47 v0 + 27 v1 - 3 v2)/60, away from each of
+    # the candidates -11/12, 1/6 and 17/24
+    v = [0.75, 1.0, 0.0, 1.0, 0.75]
+    q = _candidates(v)
+    assert q == pytest.approx((-11 / 12, 1 / 6, 17 / 24), rel=1e-15)
+    assert weno5_reconstruct(v) == pytest.approx(13.25 / 60, rel=1e-12)
+    assert weno5_reconstruct(v) == pytest.approx(0.1 * q[0] + 0.6 * q[1] + 0.3 * q[2], rel=1e-12)
 
 
 def test_reconstruction_is_exact_on_linear_data():
@@ -94,16 +113,19 @@ def test_reconstruction_is_exact_on_linear_data():
 
 
 def test_weights_are_convex_on_arbitrary_data():
-    w = weno5_weights([1.0, 3.0, -2.0, 0.5, 7.0])
-    assert np.all(w >= 0.0)
-    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    # a convex blend lies between the smallest and largest candidate
+    rng = np.random.default_rng(5)
+    for v in [[1.0, 3.0, -2.0, 0.5, 7.0], *rng.standard_normal((200, 5))]:
+        q = _candidates(v)
+        assert min(q) - 1e-12 <= weno5_reconstruct(v) <= max(q) + 1e-12
 
 
 def test_weights_avoid_a_downstream_discontinuity():
-    # the left stencil is the only smooth one; it must dominate
-    w = weno5_weights([1.0, 1.0, 1.0, 0.0, 0.0])
-    assert w[0] > 0.95
-    assert weno5_reconstruct([1.0, 1.0, 1.0, 0.0, 0.0]) == pytest.approx(1.0, abs=0.05)
+    # the left stencil is the only smooth one and its candidate is 1, while
+    # the other two read 2/3 and 1/3: the value shows it carries the weight
+    v = [1.0, 1.0, 1.0, 0.0, 0.0]
+    assert _candidates(v) == pytest.approx((1.0, 2 / 3, 1 / 3), rel=1e-15)
+    assert weno5_reconstruct(v) == pytest.approx(1.0, abs=1e-9)
 
 
 # ----------------------------------------------------- advection discretizers
@@ -159,20 +181,14 @@ def test_upwind_euler_step_breaks_tvd_beyond_the_cfl_limit():
 # ------------------------------------------------------------------ 1-D Euler
 
 
-def test_euler_state_round_trip_and_thermodynamics():
+def test_sod_initial_state_is_at_rest_with_the_documented_pressures():
     g = Grid1D(100, 0.0, 1.0, "outflow")
-    st = EulerState.from_flat(sod_initial(g))
-    assert st.is_valid()
-    assert st.pressure()[0] == pytest.approx(1.0, rel=1e-14)
-    assert st.pressure()[-1] == pytest.approx(0.1, rel=1e-14)
-    assert st.sound_speed()[0] == pytest.approx(np.sqrt(1.4), rel=1e-14)
-    assert np.array_equal(EulerState.from_flat(st.flatten()).rho, st.rho)
-
-
-def test_invalid_state_is_flagged():
-    st = EulerState(rho=np.array([1.0]), mom=np.array([3.0]), E=np.array([1.0]))
-    assert st.pressure()[0] < 0
-    assert not st.is_valid()
+    rho, u, p = _primitives(sod_initial(g))
+    assert np.all(rho > 0) and np.all(p > 0)
+    assert np.all(u == 0.0)
+    assert rho[0] == 1.0 and rho[-1] == 0.125
+    assert p[0] == pytest.approx(1.0, rel=1e-14)
+    assert p[-1] == pytest.approx(0.1, rel=1e-14)
 
 
 def test_euler_rhs_vanishes_on_a_uniform_stream():
@@ -205,16 +221,25 @@ def test_sod_tube_stays_bounded_and_valid():
     prob = euler_sod(n_cells=100, t_final=0.1)
     res = integrate_adaptive(prob, resolve("ssp10,4-b3"), make_controller("pid"),
                              1e-6, 1e-6)
-    st = EulerState.from_flat(res.u)
-    assert st.is_valid()
+    rho, _, p = _primitives(res.u)
+    assert np.all(rho > 0) and np.all(p > 0)
     # componentwise reconstruction leaves ~1e-5 ripples, nothing Gibbs-sized
-    assert np.all(st.rho >= 0.125 - 1e-3) and np.all(st.rho <= 1.0 + 1e-3)
-    assert np.all(st.pressure() >= 0.1 - 1e-3) and np.all(st.pressure() <= 1.0 + 1e-3)
+    assert np.all(rho >= 0.125 - 1e-3) and np.all(rho <= 1.0 + 1e-3)
+    assert np.all(p >= 0.1 - 1e-3) and np.all(p <= 1.0 + 1e-3)
 
 
 def test_euler_max_speed_at_the_sod_state():
     g = Grid1D(100, 0.0, 1.0, "outflow")
     assert euler_max_speed(sod_initial(g)) == pytest.approx(np.sqrt(1.4), rel=1e-14)
+
+
+def test_euler_max_speed_on_a_moving_state():
+    rng = np.random.default_rng(3)
+    n = 40
+    q = np.concatenate([1.0 + rng.random(n), rng.standard_normal(n), 3.0 + rng.random(n)])
+    rho, u, p = _primitives(q)
+    want = np.max(np.abs(u) + np.sqrt(GAMMA_AIR * p / rho))
+    assert euler_max_speed(q) == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -276,6 +301,19 @@ def test_factories_declare_their_grid():
     assert make_problem("advection", n_cells=50).grid == Grid1D(50, -1.0, 1.0, "periodic")
     assert make_problem("euler", n_cells=50).grid == Grid1D(50, 0.0, 1.0, "outflow")
     assert upwind_advection(n_cells=20).grid.boundary == "periodic"
+
+
+def test_physical_constants_are_not_parameters():
+    # gamma, the CFL number and the van der Pol epsilon never vary
+    g = Grid1D(8, 0.0, 1.0, "outflow")
+    for call in (lambda: vdp(eps=0.05), lambda: vdp_rhs(0.0, np.ones(2), eps=0.05),
+                 lambda: advection(nu=0.4), lambda: euler_sod(gamma=1.67),
+                 lambda: euler_sod(nu=0.4), lambda: sod_initial(g, gamma=1.67),
+                 lambda: euler_rhs(sod_initial(g), g, gamma=1.67),
+                 lambda: euler_max_speed(sod_initial(g), gamma=1.67)):
+        with pytest.raises(TypeError):
+            call()
+    assert vdp().f is vdp_rhs and brusselator().f is brusselator_rhs
 
 
 def test_make_problem_dispatch():
