@@ -22,7 +22,7 @@ monotone feasibility test, all found by the one bisection ``_bisect_sup``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -50,9 +50,12 @@ __all__ = [
     "analyze_method",
 ]
 
+ORDER_TOL = 1e-10     # largest order-condition residual that counts as satisfied
 _FEAS_TOL = 1e-10     # componentwise slack in the SSP feasibility conditions
+_BISECT_TOL = 1e-6    # bracket width of the SSP-coefficient and radius bisections
+_AM_BISECT_TOL = 1e-8 # bracket width of the absolute-monotonicity bisection
 _MOD_SLACK = 1e-12    # |psi| <= 1 + slack in the radius searches
-_AM_TOL = -1e-12      # coefficient nonnegativity floor for absolute monotonicity
+_AM_FLOOR = 1e-12     # shifted coefficients down to -floor count as nonnegative
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,6 @@ CONDITIONS: tuple[Condition, ...] = (
 @dataclass(frozen=True)
 class NonDefectiveReport:
     ok: bool
-    order: int
     residuals: dict[str, float]
     exempt: frozenset[str]
 
@@ -157,16 +159,16 @@ class OrderConditions:
         orders = range(1, q + 1)
         return np.concatenate([self.phi[k] for k in orders]), np.concatenate([self.g[k] for k in orders])
 
-    def classify(self, w, tol: float = 1e-10) -> int:
-        """Largest q <= 5 with every tree residual of order <= q within tol."""
+    def classify(self, w) -> int:
+        """Largest q <= 5 with every tree residual of order <= q within ORDER_TOL."""
         p = 0
         for q in range(1, 6):
-            if not np.all(np.abs(self.tau(w, q)) <= tol):
+            if not np.all(np.abs(self.tau(w, q)) <= ORDER_TOL):
                 break
             p = q
         return p
 
-    def vacuous(self, order: int, tol: float = 1e-10) -> set[str]:
+    def vacuous(self, order: int) -> set[str]:
         """Names of the order-``order`` conditions implied by the lower orders.
 
         A condition w @ v = rhs is vacuous when v lies in the span of the
@@ -179,27 +181,27 @@ class OrderConditions:
         names = set()
         for name, v, rhs in zip(*self.conditions[order]):
             x, *_ = np.linalg.lstsq(M, v, rcond=None)
-            span_ok = np.max(np.abs(M @ x - v)) <= tol * max(1.0, np.max(np.abs(v)))
-            rhs_ok = abs(x @ rho - rhs) <= tol
+            span_ok = np.max(np.abs(M @ x - v)) <= ORDER_TOL * max(1.0, np.max(np.abs(v)))
+            rhs_ok = abs(x @ rho - rhs) <= ORDER_TOL
             if span_ok and rhs_ok:
                 names.add(name)
         return names
 
-    def non_defective(self, w, order: int, exempt=None, tol: float = 1e-10) -> NonDefectiveReport:
-        """Whether w violates every order-``order`` condition not in
-        ``exempt`` (default: the vacuous ones)."""
-        exempt = frozenset(self.vacuous(order, tol) if exempt is None else exempt)
+    def non_defective(self, w, order: int, exempt=None) -> NonDefectiveReport:
+        """Whether w violates (beyond ORDER_TOL) every order-``order``
+        condition not in ``exempt`` (default: the vacuous ones)."""
+        exempt = frozenset(self.vacuous(order) if exempt is None else exempt)
         names, V, rhs = self.conditions[order]
         residuals = dict(zip(names, (V @ w - rhs).tolist()))
-        ok = not any(name not in exempt and abs(r) <= tol for name, r in residuals.items())
-        return NonDefectiveReport(ok=ok, order=order, residuals=residuals, exempt=exempt)
+        ok = not any(name not in exempt and abs(r) <= ORDER_TOL for name, r in residuals.items())
+        return NonDefectiveReport(ok=ok, residuals=residuals, exempt=exempt)
 
     def error_norms(self, tau_main, w, p: int) -> tuple[float, ...]:
         """Norms of the leading truncation errors of a pair.
 
         ``tau_main`` holds the order-(p+1) tree residuals of the advancing
-        weights and ``w`` are the embedded weights.  Returns (A2_main,
-        Ainf_main, A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
+        weights and ``w`` are the embedded weights.  Returns (A2, Ainf,
+        A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
         ``error_measures``; a ratio with a zero denominator is inf.
         """
         tau_emb = self.tau(w, p)
@@ -241,15 +243,13 @@ def order_condition_residuals(A, w, q_max: int = 4) -> dict[str, float]:
     return out
 
 
-def classify_order(A, w, tol: float = 1e-10) -> int:
-    """Largest q <= 5 with every residual of order <= q within tol (0 if none)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def classify_order(A, w) -> int:
+    """Largest q <= 5 with every residual of order <= q within ORDER_TOL (0 if none)."""
     A, w = _as_arrays(A, w)
-    return OrderConditions(A).classify(w, tol)
+    return OrderConditions(A).classify(w)
 
 
-def is_non_defective(t, tol: float = 1e-10) -> NonDefectiveReport:
+def is_non_defective(t) -> NonDefectiveReport:
     """Check that the embedded weights violate every order-p condition.
 
     ``p`` is the order of the advancing method.  The structurally vacuous
@@ -258,7 +258,7 @@ def is_non_defective(t, tol: float = 1e-10) -> NonDefectiveReport:
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    return OrderConditions(t.A).non_defective(t.b_tilde, t.p, tol=tol)
+    return OrderConditions(t.A).non_defective(t.b_tilde, t.p)
 
 
 def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
@@ -278,11 +278,11 @@ def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
     return lo
 
 
-def _bordered(A, w, tol: float = _FEAS_TOL):
+def _bordered(A, w):
     """K = [[A, 0], [w^T, 0]], or None when an entry of A or w is below
-    -tol: a positive SSP coefficient requires nonnegative coefficients."""
+    -_FEAS_TOL: a positive SSP coefficient requires nonnegative coefficients."""
     A, w = _as_arrays(A, w)
-    if np.min(A) < -tol or np.min(w) < -tol:
+    if np.min(A) < -_FEAS_TOL or np.min(w) < -_FEAS_TOL:
         return None
     s = len(w)
     K = np.zeros((s + 1, s + 1))
@@ -291,31 +291,31 @@ def _bordered(A, w, tol: float = _FEAS_TOL):
     return K
 
 
-def _ssp_feasible(K, r: float, tol: float = _FEAS_TOL) -> bool:
+def _ssp_feasible(K, r: float) -> bool:
     """Componentwise SSP conditions of the bordered matrix K at coefficient r.
 
-    With M = K (I + rK)^{-1}: M >= 0 entrywise (slack -tol) and
-    r M e <= e (slack +tol).  A singular probe counts as infeasible.
+    With M = K (I + rK)^{-1}: M >= 0 entrywise and r M e <= e, each with
+    slack _FEAS_TOL.  A singular probe counts as infeasible.
     """
     n = len(K)
     try:
         M = np.linalg.solve((np.eye(n) + r * K).T, K.T).T
     except np.linalg.LinAlgError:
         return False
-    if not np.all(np.isfinite(M)) or np.min(M) < -tol:
+    if not np.all(np.isfinite(M)) or np.min(M) < -_FEAS_TOL:
         return False
-    return bool(np.max(r * (M @ np.ones(n))) <= 1.0 + tol)
+    return bool(np.max(r * (M @ np.ones(n))) <= 1.0 + _FEAS_TOL)
 
 
-def ssp_coefficient_arrays(A, w, tol: float = 1e-6) -> float:
+def ssp_coefficient_arrays(A, w) -> float:
     """SSP coefficient of the method (A, w): the supremum of r in [0, 2s]
-    passing the componentwise SSP conditions, found by bisection.  Any
-    negative entry in A or w forces it to 0.
+    passing the componentwise SSP conditions, found by bisection to within
+    _BISECT_TOL.  Any negative entry in A or w forces it to 0.
     """
     K = _bordered(A, w)
     if K is None:
         return 0.0
-    return _bisect_sup(lambda r: _ssp_feasible(K, r), 0.0, 2.0 * (len(K) - 1), tol)
+    return _bisect_sup(lambda r: _ssp_feasible(K, r), 0.0, 2.0 * (len(K) - 1), _BISECT_TOL)
 
 
 def stability_polynomial(A, w) -> np.ndarray:
@@ -360,18 +360,18 @@ def _bounded_by_one(coeffs, z) -> bool:
     return bool(np.all(np.abs(polyval(z, coeffs)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, z)))
 
 
-def real_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
+def real_axis_inclusion(coeffs) -> float:
     """Largest gamma with |psi| <= 1 (+noise slack) on [-gamma, 0]."""
 
     def feasible(g: float) -> bool:
         return _bounded_by_one(coeffs, np.linspace(-g, 0.0, 2048))
 
-    if not feasible(tol):
+    if not feasible(_BISECT_TOL):
         return 0.0
-    return _bisect_sup(feasible, tol, _radius_cap(coeffs), tol)
+    return _bisect_sup(feasible, _BISECT_TOL, _radius_cap(coeffs), _BISECT_TOL)
 
 
-def imag_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
+def imag_axis_inclusion(coeffs) -> float:
     """Largest gamma with |psi| <= 1 + 1e-12 on [0, i*gamma] (0 if none).
 
     Near the origin |psi(iy)|^2 - 1 = O(y^k), so sampled feasibility alone
@@ -379,7 +379,8 @@ def imag_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
     modulus slack.  The sign of the lowest-order term of
     Q(u) = |psi(i sqrt(u))|^2 - 1 decides that: a positive leading
     coefficient means the modulus exceeds 1 immediately and the radius
-    is exactly 0.
+    is exactly 0.  A constant psi has |psi| == 1 on the whole axis and
+    gets the search cap.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = len(coeffs)
@@ -391,28 +392,23 @@ def imag_axis_inclusion(coeffs, tol: float = 1e-6) -> float:
     q[0] -= 1.0
     scale = max(1.0, np.max(np.abs(q)))
     nz = np.nonzero(np.abs(q) > 1e-13 * scale)[0]
-    if len(nz) == 0:
-        return _radius_cap(coeffs)  # |psi| == 1 on the whole axis
-    if q[nz[0]] > 0:
+    if len(nz) and q[nz[0]] > 0:
         return 0.0
     return _bisect_sup(lambda g: _bounded_by_one(coeffs, 1j * np.linspace(0.0, g, 2048)),
-                       0.0, _radius_cap(coeffs), tol)
+                       0.0, _radius_cap(coeffs), _BISECT_TOL)
 
 
-def circle_contractivity_radius(coeffs, tol: float = 1e-6) -> float:
+def circle_contractivity_radius(coeffs) -> float:
     """Largest r with |psi| <= 1 + 1e-12 on the circle |z + r| = r.
 
     The maximum-modulus principle reduces the disk test to its boundary,
     sampled at 4096 points.  A degree-0 polynomial has constant modulus 1
     and returns the search cap.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    cap = _radius_cap(coeffs)
-    if len(coeffs) == 1:
-        return cap
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ring = np.exp(1j * theta) - 1.0  # unit circle through 0 centered at -1
-    return _bisect_sup(lambda r: _bounded_by_one(coeffs, r * ring), 0.0, cap, tol)
+    return _bisect_sup(lambda r: _bounded_by_one(coeffs, r * ring),
+                       0.0, _radius_cap(coeffs), _BISECT_TOL)
 
 
 def _taylor_shift(coeffs, x0) -> list:
@@ -430,27 +426,26 @@ def _taylor_shift(coeffs, x0) -> list:
     return d
 
 
-def absolute_monotonicity_radius(coeffs, tol: float = 1e-8) -> float:
+def absolute_monotonicity_radius(coeffs) -> float:
     """Largest r with all Taylor coefficients of psi at -r nonnegative.
 
     The shift itself is exact, so the only uncertainty is the float
-    rounding already baked into ``coeffs``; each shifted coefficient is
-    floored at minus that rounding amplified through the same recurrence,
-    which keeps the search from undershooting a true threshold radius.
+    rounding already baked into ``coeffs``; each shifted coefficient may
+    fall below zero by the larger of _AM_FLOOR and that rounding amplified
+    through the same recurrence, which keeps the search from undershooting
+    a true threshold radius.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) == 1:
-        return _radius_cap(coeffs)
     eps4 = 4.0 * np.finfo(float).eps
 
     def feasible(r: float) -> bool:
         d = _taylor_shift(coeffs, -r)
         amp = _taylor_shift(np.abs(coeffs), r)
-        return all(dj >= -max(eps4 * float(mj), -_AM_TOL) for dj, mj in zip(d, amp))
+        return all(dj >= -max(eps4 * float(mj), _AM_FLOOR) for dj, mj in zip(d, amp))
 
     if not feasible(0.0):
         return 0.0
-    return _bisect_sup(feasible, 0.0, _radius_cap(coeffs), tol)
+    return _bisect_sup(feasible, 0.0, _radius_cap(coeffs), _AM_BISECT_TOL)
 
 
 @dataclass(frozen=True)
@@ -472,8 +467,8 @@ def stability_radii(coeffs) -> StabilityRadii:
 
 @dataclass(frozen=True)
 class ErrorMeasures:
-    A2_main: float
-    Ainf_main: float
+    A2: float
+    Ainf: float
     A2_emb: float
     Ainf_emb: float
     B2: float
@@ -488,7 +483,7 @@ def error_measures(t) -> ErrorMeasures:
 
     A-measures are norms of the leading truncation-error vectors: order
     p+1 tree residuals for the advancing weights, order p for the
-    embedded.  B compares the two leading errors, B2 = A2_main / A2_emb.
+    embedded.  B compares the two leading errors, B2 = A2 / A2_emb.
     C measures the gap between the pairs' leading errors relative to the
     embedded one, and D is the largest coefficient magnitude in the
     extended tableau.
@@ -523,42 +518,24 @@ def analyze_method(t) -> dict:
     """Full coefficient report of a pair, as emitted by the analyze command.
 
     Orders are classified from the coefficients, not read off the catalog
-    claims.  Error measures are only defined for advancing order <= 4 and
-    require embedded weights; missing entries are None.
+    claims.  The radii and error measures appear under their field names
+    in ``StabilityRadii`` and ``ErrorMeasures``.  Error measures are only
+    defined for advancing order <= 4 and require embedded weights; missing
+    entries are None.
     """
-    psi = stability_polynomial(t.A, t.b)
-    radii = stability_radii(psi)
     p = classify_order(t.A, t.b)
+    embedded = t.b_tilde is not None
     report = {
         "id": t.id,
         "p": p,
-        "p_tilde": None,
+        "p_tilde": classify_order(t.A, t.b_tilde) if embedded else None,
         "ssp_main": ssp_coefficient_arrays(t.A, t.b),
-        "ssp_embedded": None,
-        "delta_R": radii.delta_R,
-        "delta_I": radii.delta_I,
-        "delta_C": radii.delta_C,
-        "R_psi": radii.R_psi,
-        "A2": None,
-        "Ainf": None,
-        "A2_emb": None,
-        "Ainf_emb": None,
-        "B2": None,
-        "Binf": None,
-        "C2": None,
-        "Cinf": None,
-        "D": None,
-        "non_defective": None,
+        "ssp_embedded": ssp_coefficient_arrays(t.A, t.b_tilde) if embedded else None,
+        **asdict(stability_radii(stability_polynomial(t.A, t.b))),
     }
-    if t.b_tilde is not None:
-        report["p_tilde"] = classify_order(t.A, t.b_tilde)
-        report["ssp_embedded"] = ssp_coefficient_arrays(t.A, t.b_tilde)
-        report["non_defective"] = is_non_defective(t).ok
-        if p <= 4:
-            em = error_measures(t)
-            report.update(
-                A2=em.A2_main, Ainf=em.Ainf_main,
-                A2_emb=em.A2_emb, Ainf_emb=em.Ainf_emb,
-                B2=em.B2, Binf=em.Binf, C2=em.C2, Cinf=em.Cinf, D=em.D,
-            )
+    if embedded and p <= 4:
+        report.update(asdict(error_measures(t)))
+    else:
+        report.update(dict.fromkeys(f.name for f in fields(ErrorMeasures)))
+    report["non_defective"] = is_non_defective(t).ok if embedded else None
     return report

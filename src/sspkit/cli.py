@@ -57,18 +57,10 @@ def _emit(args, lines) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
 def _cmd_analyze(args) -> int:
     rep = analyze_method(resolve(args.method, seed=args.seed))
     if args.json:
-        _emit(args, [json.dumps(rep, default=_json_default)])
+        _emit(args, [json.dumps(rep)])
     else:
         width = max(len(k) for k in rep)
         _emit(args, [f"{k:<{width}}  {v}" for k, v in rep.items()])
@@ -121,10 +113,10 @@ def _cmd_integrate(args) -> int:
         "t_final": res.t,
     }
     if not args.skip_error:
-        u_ref = reference_endpoint(args.problem, seed=args.seed, n_cells=args.n_cells)
+        u_ref = reference_endpoint(args.problem, n_cells=args.n_cells)
         summary["l2_error"] = float(np.linalg.norm(res.u - u_ref))
     if args.json:
-        _emit(args, [json.dumps(summary, default=_json_default)])
+        _emit(args, [json.dumps(summary)])
     else:
         _emit(args, [f"{k}: {v}" for k, v in summary.items()])
     return 0
@@ -163,7 +155,7 @@ def _cmd_optimize(args) -> int:
         "non_defective": result.non_defective,
         "n_eval": result.n_eval,
     }
-    _emit(args, [json.dumps(doc, default=_json_default)])
+    _emit(args, [json.dumps(doc)])
     return 0
 
 

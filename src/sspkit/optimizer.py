@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _BOX_PENALTY = 1e6
-_ORDER_TOL = 1e-10   # largest order-condition residual a candidate may keep
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class OptimizationResult:
     n_eval: int
 
 
-def ssp_feasible(A, w, r: float, tol: float = 1e-10) -> bool:
+def ssp_feasible(A, w, r: float) -> bool:
     """Componentwise SSP conditions of (A, w) at fixed coefficient r.
 
     The test behind ``analysis.ssp_coefficient_arrays``, at one r: a
@@ -73,8 +72,8 @@ def ssp_feasible(A, w, r: float, tol: float = 1e-10) -> bool:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    K = analysis._bordered(A, w, tol)
-    return K is not None and analysis._ssp_feasible(K, r, tol)
+    K = analysis._bordered(A, w)
+    return K is not None and analysis._ssp_feasible(K, r)
 
 
 def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
@@ -101,8 +100,9 @@ def objective(A, b, w) -> float:
     """Cost ||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1].
 
     Returns the +inf sentinel when w misses the order constraints of order
-    p-1 (p being the advancing order of (A, b)) beyond 1e-10, or when the
-    pair is defective so the C ratios diverge.
+    p-1 (p being the advancing order of (A, b)) beyond
+    ``analysis.ORDER_TOL``, or when the pair is defective so the C ratios
+    diverge.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -110,7 +110,7 @@ def objective(A, b, w) -> float:
     oc = analysis.OrderConditions(A)
     p = _advancing_order(oc, b)
     M, rhs = oc.up_to(p - 1)
-    if np.max(np.abs(M @ w - rhs)) > _ORDER_TOL:
+    if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
         return math.inf
     return _cost(oc, oc.tau(b, p + 1), w, p)
 
@@ -121,7 +121,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     Every start draws a random simplex point, projects it onto the affine
     order-condition manifold, and descends on the cost plus a quadratic
     box penalty in the manifold's null-space coordinates.  Candidates are
-    kept only if they verify cleanly: order residuals within 1e-10
+    kept only if they verify cleanly: order residuals within ORDER_TOL
     after clipping to [0, 1], non-defective at order p (with the
     structural exemptions), and passing the SSP screen when
     ``require_ssp_at`` is set.  With no surviving candidate the result is
@@ -182,7 +182,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         if best is None:
             break
         w = np.clip(w_part + N @ best.x, 0.0, 1.0)
-        if np.max(np.abs(M @ w - rhs)) > _ORDER_TOL:
+        if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
             continue                    # clipping moved it off the manifold: box-infeasible
         obj = _cost(oc, tau_main, w, p)
         if not math.isfinite(obj):
@@ -202,7 +202,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         status="ok",
         w=w,
         objective=obj,
-        residuals=analysis.order_condition_residuals(A, w, min(p, 5)),
+        residuals=analysis.order_condition_residuals(A, w, p),
         non_defective=True,             # every candidate passed the check
         n_eval=n_eval,
     )

@@ -189,11 +189,9 @@ def euler_rhs(q_flat: np.ndarray, grid: Grid1D) -> np.ndarray:
 # diagnostics
 
 
-def total_variation(u: np.ndarray, periodic: bool = True) -> float:
-    tv = float(np.sum(np.abs(np.diff(u))))
-    if periodic:
-        tv += float(abs(u[0] - u[-1]))
-    return tv
+def total_variation(u: np.ndarray) -> float:
+    """Total variation of a periodic profile, the wrap-around jump included."""
+    return float(np.sum(np.abs(np.diff(u)))) + float(abs(u[0] - u[-1]))
 
 
 def euler_max_speed(q_flat: np.ndarray) -> float:
@@ -216,17 +214,17 @@ def cfl_step(grid: Grid1D, c_max: float, nu: float) -> float:
 # initial profiles as exact cell averages
 
 
-def square_wave_average(grid: Grid1D, lo: float = -0.5, hi: float = 0.5) -> np.ndarray:
-    """Cell averages of the indicator of [lo, hi]."""
+def square_wave_average(grid: Grid1D) -> np.ndarray:
+    """Cell averages of the indicator of [-0.5, 0.5]."""
     xl = grid.edges[:-1]
     xr = grid.edges[1:]
-    return np.clip((np.minimum(xr, hi) - np.maximum(xl, lo)) / grid.dx, 0.0, 1.0)
+    return np.clip((np.minimum(xr, 0.5) - np.maximum(xl, -0.5)) / grid.dx, 0.0, 1.0)
 
 
-def sine_average(grid: Grid1D, shift: float = 0.0) -> np.ndarray:
-    """Cell averages of sin(pi (x - shift)) on the grid."""
-    xl = grid.edges[:-1] - shift
-    xr = grid.edges[1:] - shift
+def sine_average(grid: Grid1D) -> np.ndarray:
+    """Cell averages of sin(pi x) on the grid."""
+    xl = grid.edges[:-1]
+    xr = grid.edges[1:]
     return (np.cos(np.pi * xl) - np.cos(np.pi * xr)) / (np.pi * grid.dx)
 
 

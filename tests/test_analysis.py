@@ -6,7 +6,11 @@ axis sqrt(3) for the classical three-stage method), bisection on |psi|
 along rays for the rest, cross-checked against the known SSP limits.
 """
 
+import importlib.util
+import json
 import math
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from hypothesis import given, strategies as st
 
 from sspkit.analysis import (
     TREES,
+    ErrorMeasures,
     OrderConditions,
+    StabilityRadii,
     absolute_monotonicity_radius,
     analyze_method,
     circle_contractivity_radius,
@@ -251,8 +257,8 @@ def test_monotonicity_radius_bounds_ssp_coefficient():
 
 def test_error_measures_frozen_for_recommended_fourth_order_pair():
     m = error_measures(resolve("ssp10,4-b3"))
-    assert m.A2_main == pytest.approx(0.005197, abs=1e-5)
-    assert m.Ainf_main == pytest.approx(0.002778, abs=1e-5)
+    assert m.A2 == pytest.approx(0.005197, abs=1e-5)
+    assert m.Ainf == pytest.approx(0.002778, abs=1e-5)
     assert m.A2_emb == pytest.approx(0.013355, abs=1e-5)
     assert m.Ainf_emb == pytest.approx(0.012346, abs=1e-5)
     assert m.B2 == pytest.approx(0.389133, abs=1e-5)
@@ -264,8 +270,8 @@ def test_error_measures_frozen_for_recommended_fourth_order_pair():
 def test_error_measure_ratios_are_consistent():
     for mid in ("ssp2,2-b2", "ssp4,3-b2", "ssp10,4-b1", "bs32"):
         m = error_measures(resolve(mid))
-        assert m.B2 == pytest.approx(m.A2_main / m.A2_emb, rel=1e-12)
-        assert m.A2_main > 0 and m.A2_emb > 0
+        assert m.B2 == pytest.approx(m.A2 / m.A2_emb, rel=1e-12)
+        assert m.A2 > 0 and m.A2_emb > 0
         assert m.D <= 1.0 + 1e-12
 
 
@@ -301,3 +307,41 @@ def test_analyze_method_reports_key_fields():
 def test_analyze_method_on_swapped_weights_sees_lower_order():
     t = with_advancing_weights(resolve("ssp4,3-b2"), use_embedded=True)
     assert classify_order(t.A, t.b) == 2
+
+
+@pytest.fixture(scope="module")
+def catalog_reports():
+    return {i: analyze_method(resolve(i)) for i in catalog_ids()}
+
+
+def test_report_keys_are_the_result_field_names(catalog_reports):
+    radii_keys = [f.name for f in fields(StabilityRadii)]
+    em_keys = [f.name for f in fields(ErrorMeasures)]
+    for i, rep in catalog_reports.items():
+        assert list(rep) == ["id", "p", "p_tilde", "ssp_main", "ssp_embedded",
+                             *radii_keys, *em_keys, "non_defective"], i
+        t = resolve(i)
+        radii = stability_radii(stability_polynomial(t.A, t.b))
+        assert {k: rep[k] for k in radii_keys} == asdict(radii), i
+        if rep["p"] <= 4:
+            assert {k: rep[k] for k in em_keys} == asdict(error_measures(t)), i
+        else:
+            assert all(rep[k] is None for k in em_keys), i
+
+
+def test_reports_match_the_benchmark_expectations(catalog_reports):
+    # the design-search workload checks these reports with its own _close
+    # and ANALYSIS_RTOL; a drift shows here instead of only in the benchmark
+    # self-test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    expected = json.loads(worker.EXPECTED.read_text())
+    stored = {k.split("|", 1)[1] for k in expected if k.startswith("analyze|")}
+    assert set(catalog_reports) == stored
+    for i, rep in catalog_reports.items():
+        want = expected[f"analyze|{i}"]["report"]
+        assert set(rep) == set(want), i
+        bad = [k for k, v in want.items() if not worker._close(rep[k], v, worker.ANALYSIS_RTOL)]
+        assert not bad, f"{i}: {bad}"

@@ -40,6 +40,24 @@ def test_plan_rejects_fewer_than_one_job():
             BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), n_jobs=n)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tolerances": (1e-3, -1.0)},
+    {"tolerances": (0.0,)},
+    {"tolerances": (math.nan,)},
+    {"tolerances": (math.inf, 1e-3)},
+    {"methods": ("nosuch",), "problems": ("advection", "vdp")},
+    {"methods": ("ssp5,3",)},
+])
+def test_a_bad_plan_fails_before_any_reference_solve(monkeypatch, kwargs):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("reference solve of a bad plan")
+
+    monkeypatch.setattr(bench, "reference_endpoint", refuse)
+    plan = {"methods": ("ssp2,2-b2",), "problems": ("advection",), **kwargs}
+    with pytest.raises(ValueError):
+        run_bench(BenchPlan(**plan))
+
+
 @pytest.mark.parametrize("n_jobs, cpus, workers", [(8, 2, 2), (2, 4, 2), (3, None, None)])
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, n_jobs, cpus, workers):
     # a stand-in pool that records its size and maps in process
@@ -60,7 +78,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, n_jobs, cpus, work
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(bench, "reference_endpoint", lambda pid, seed=0: np.zeros(2))
+    monkeypatch.setattr(bench, "reference_endpoint", lambda pid: np.zeros(2))
     plan = BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), tolerances=(1e-2,), n_jobs=n_jobs)
     rows = run_bench(plan)
     assert started == ([] if workers is None else [workers])

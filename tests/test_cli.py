@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sspkit
+from sspkit import bench
 from sspkit.analysis import analyze_method
 from sspkit.cli import main
 from sspkit.tableau import resolve
@@ -155,6 +156,22 @@ def test_bench_rejects_zero_jobs(capsys):
     assert code == 1
     assert lines == []
     assert "n_jobs must be at least 1" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--methods", "ssp2,2-b2", "--problems", "advection", "--tols", "1e-3", "-1"),
+    ("--methods", "nosuch", "--problems", "advection", "vdp"),
+    ("--methods", "ssp5,3", "--problems", "advection"),
+])
+def test_bench_rejects_a_bad_plan_before_any_reference_solve(capsys, monkeypatch, flags):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("reference solve of a bad plan")
+
+    monkeypatch.setattr(bench, "reference_endpoint", refuse)
+    code, lines, err = run_cli(capsys, "bench", *flags)
+    assert code == 1
+    assert lines == []
+    assert "sspkit: error:" in err
 
 
 def test_bench_relative_work_column(capsys):

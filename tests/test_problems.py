@@ -248,7 +248,6 @@ def test_euler_max_speed_on_a_moving_state():
 def test_total_variation_examples():
     assert total_variation(np.array([0.0, 1.0, 0.0])) == pytest.approx(2.0)
     assert total_variation(np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
-    assert total_variation(np.array([0.0, 0.0, 1.0]), periodic=False) == pytest.approx(1.0)
     assert total_variation(square_wave_average(GRID)) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -274,8 +273,6 @@ def test_sine_average_is_the_exact_cell_mean():
     assert sine_average(Grid1D(1, 0.0, 0.5))[0] == pytest.approx(2.0 / np.pi, rel=1e-14)
     assert np.sum(sine_average(GRID)) * GRID.dx == pytest.approx(0.0, abs=1e-14)
     assert np.max(np.abs(sine_average(GRID) - np.sin(np.pi * GRID.centers))) < 1e-3
-    shifted = sine_average(GRID, shift=0.5)
-    assert np.max(np.abs(shifted - np.sin(np.pi * (GRID.centers - 0.5)))) < 1e-3
 
 
 # -------------------------------------------------------------- factory layer
