@@ -3,14 +3,17 @@
 Every output starts with a header line recording version, command, seed,
 and flags, so emitted CSV/JSON artifacts are self-describing.  Exit codes:
 0 success, 1 usage error or bad input (unknown id, bad tolerance, bad
-search setting), 2 stiffness failure, 3 budget failure.
+search setting, unwritable output path), 2 stiffness failure, 3 budget
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,13 +51,26 @@ def _header(args) -> str:
     return f"# sspkit {__version__} cmd={args.cmd} {flags}"
 
 
-def _emit(args, lines) -> None:
+def _emit(args, lines, path=None) -> None:
+    """The header and the lines, to ``path`` (default ``--out``) or stdout."""
     text = "\n".join([_header(args), *lines]) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    path = path or args.out
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise ValueError(f"cannot write to {path!r}")
 
 
 def _cmd_analyze(args) -> int:
@@ -93,16 +109,13 @@ def _cmd_integrate(args) -> int:
     prob = make_problem(args.problem, n_cells=args.n_cells)
     atol = args.atol if args.atol is not None else args.tol
     rtol = args.rtol if args.rtol is not None else args.tol
-    ctl = make_controller(args.controller, k1=args.k1, k2=args.k2, k3=args.k3)
-    res = integrate_adaptive(prob, tab, ctl, atol, rtol)
+    res = integrate_adaptive(prob, tab, make_controller(args.controller), atol, rtol)
     if args.trace:
-        rows = ["t,dt,err,accepted"]
-        rows += [
+        rows = [
             f"{t:.12g},{dt:.12g},{err:.12g},{int(acc)}"
             for t, dt, err, acc in res.step_log
         ]
-        with open(args.trace, "w") as fh:
-            fh.write("\n".join([_header(args), *rows]) + "\n")
+        _emit(args, ["t,dt,err,accepted", *rows], args.trace)
     summary = {
         "method": tab.id,
         "problem": args.problem,
@@ -145,16 +158,9 @@ def _cmd_optimize(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    result = optimize_embedded(spec)
-    doc = {
-        "method": base.id,
-        "status": result.status,
-        "w": None if result.w is None else result.w.tolist(),
-        "objective": result.objective,
-        "residuals": result.residuals,
-        "non_defective": result.non_defective,
-        "n_eval": result.n_eval,
-    }
+    doc = {"method": base.id, **asdict(optimize_embedded(spec))}
+    if doc["w"] is not None:
+        doc["w"] = doc["w"].tolist()
     _emit(args, [json.dumps(doc)])
     return 0
 
@@ -191,9 +197,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
     sp.add_argument("--controller", choices=tuple(GAINS), default="pid")
-    sp.add_argument("--k1", type=float, default=None)
-    sp.add_argument("--k2", type=float, default=None)
-    sp.add_argument("--k3", type=float, default=None)
     sp.add_argument("--trace", default=None, help="write per-attempt CSV here")
     sp.add_argument("--n-cells", type=int, default=200)
     sp.add_argument("--skip-error", action="store_true",
@@ -227,6 +230,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "trace", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except ValueError as exc:
         print(f"sspkit: error: {exc}", file=sys.stderr)

@@ -5,13 +5,14 @@ beta; the shared clamp then yields dt_opt = dt * min(FACMAX, max(FACMIN,
 FAC * beta)), or dt * FACMIN for a non-finite beta.  On the proposal
 immediately following a rejected step the upper limit is pinned to 0.9
 so the retry step strictly shrinks.  FAC, FACMIN and FACMAX are module
-constants; only the gains can be set per controller.
+constants and the gains are fixed per kind in GAINS, so the kind is the
+whole configuration of a controller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["GAINS", "ControllerState", "make_controller"]
 
@@ -19,7 +20,7 @@ __all__ = ["GAINS", "ControllerState", "make_controller"]
 # negative-exponent powers against err = 0
 ERR_FLOOR = 1e-10
 
-# default gains (k1, k2, k3) per controller kind
+# gains (k1, k2, k3) per controller kind
 GAINS = {
     "i": (1.0, 0.0, 0.0),
     "pi": (0.8, 0.31, 0.0),
@@ -36,18 +37,24 @@ FACMAX = 5.0   # largest growth per step
 class ControllerState:
     """Mutable controller bookkeeping owned by a single integration run.
 
+    The gains k1, k2, k3 are GAINS[kind]; an unknown kind is a ValueError.
     err_n / err_nm1 hold the last two accepted error estimates and start
     at 1 so the PI/PID history terms are neutral during warm-up.
     """
 
     kind: str
-    k1: float
-    k2: float = 0.0
-    k3: float = 0.0
-    err_n: float = 1.0
-    err_nm1: float = 1.0
-    first_step: bool = True
-    just_rejected: bool = False
+    k1: float = field(init=False)
+    k2: float = field(init=False)
+    k3: float = field(init=False)
+    err_n: float = field(init=False, default=1.0)
+    err_nm1: float = field(init=False, default=1.0)
+    first_step: bool = field(init=False, default=True)
+    just_rejected: bool = field(init=False, default=False)
+
+    def __post_init__(self):
+        if self.kind not in GAINS:
+            raise ValueError(f"unknown controller kind {self.kind!r}")
+        self.k1, self.k2, self.k3 = GAINS[self.kind]
 
     def propose_factor(self, err_new: float, p: int) -> float:
         """Step-size factor beta from the estimate of the step just taken.
@@ -58,18 +65,16 @@ class ControllerState:
         embedded order of the pair.
         """
         e = max(err_new, ERR_FLOOR)
-        if self.kind in ("i", "pi", "pid"):
-            # one PID formula; I and PI are PID with zero default k2/k3
-            return (
-                e ** (-self.k1 / p)
-                * self.err_n ** (self.k2 / p)
-                * self.err_nm1 ** (-self.k3 / p)
-            )
         if self.kind == "gustafsson":
             if self.first_step:
                 return e ** (-1.0 / p)
             return e ** (-self.k1 / p) * (e / self.err_n) ** (self.k2 / p)
-        raise ValueError(f"unknown controller kind {self.kind!r}")
+        # one PID formula; I and PI are PID with zero k2/k3
+        return (
+            e ** (-self.k1 / p)
+            * self.err_n ** (self.k2 / p)
+            * self.err_nm1 ** (-self.k3 / p)
+        )
 
     def clamp(self, dt: float, beta: float) -> float:
         if not math.isfinite(beta):
@@ -90,20 +95,6 @@ class ControllerState:
         self.just_rejected = True
 
 
-def make_controller(
-    kind: str,
-    k1: float | None = None,
-    k2: float | None = None,
-    k3: float | None = None,
-) -> ControllerState:
-    """Fresh controller with default gains, individually overridable."""
-    key = kind.lower()
-    if key not in GAINS:
-        raise ValueError(f"unknown controller kind {kind!r}")
-    g1, g2, g3 = GAINS[key]
-    return ControllerState(
-        kind=key,
-        k1=g1 if k1 is None else k1,
-        k2=g2 if k2 is None else k2,
-        k3=g3 if k3 is None else k3,
-    )
+def make_controller(kind: str) -> ControllerState:
+    """Fresh controller of the given kind (case-insensitive)."""
+    return ControllerState(kind.lower())

@@ -69,7 +69,6 @@ class IntegrationResult:
     n_rejected: int
     n_fev: int
     step_log: list = field(default_factory=list)  # (t, dt, err, accepted)
-    dense_t: np.ndarray | None = None
     dense_u: np.ndarray | None = None
 
     @property
@@ -170,6 +169,9 @@ def integrate_adaptive(
 ) -> IntegrationResult:
     """Accept/reject loop: a step stands iff error_norm <= 1.
 
+    The run reads only ``controller.kind``: it steps with a fresh
+    ``ControllerState`` of that kind and leaves the caller's object as it
+    was, so every run starts from the same warm-up history.
     The final step is truncated to land on T exactly (not a rejection).
     ``n_fev`` counts every call of ``problem.f``: s per attempted step,
     plus the two of ``initial_step`` when no ``dt0`` is given.
@@ -199,6 +201,7 @@ def integrate_adaptive(
     path_t = [t] if keep_path else None
     path_u = [u.copy()] if keep_path else None
 
+    ctl = ControllerState(controller.kind)
     step_log: list[tuple[float, float, float, bool]] = []
     n_acc = 0
     n_rej = 0
@@ -225,9 +228,9 @@ def integrate_adaptive(
         step_log.append((t, dt_try, err, accepted))
         # the estimate tracks the embedded solution's local error, so the
         # controller exponents normalize by the embedded order
-        beta = controller.propose_factor(err, tab.p_tilde)
+        beta = ctl.propose_factor(err, tab.p_tilde)
         if accepted:
-            controller.on_accept(err)
+            ctl.on_accept(err)
             t = T if truncated else t + dt_try
             u = u_next
             n_acc += 1
@@ -235,18 +238,14 @@ def integrate_adaptive(
                 path_t.append(t)
                 path_u.append(u.copy())
         else:
-            controller.on_reject()
+            ctl.on_reject()
             n_rej += 1
-        dt = controller.clamp(dt_try, beta)
+        dt = ctl.clamp(dt_try, beta)
 
-    dense_t = dense_u = None
+    dense_u = None
     if keep_path:
-        dense_t = np.asarray(t_eval, dtype=float)
-        pt = np.asarray(path_t)
-        pu = np.asarray(path_u)
-        dense_u = np.empty((dense_t.size, pu.shape[1]))
-        for j in range(pu.shape[1]):
-            dense_u[:, j] = np.interp(dense_t, pt, pu[:, j])
+        pt, pu = np.asarray(path_t), np.asarray(path_u)
+        dense_u = np.column_stack([np.interp(t_eval, pt, col) for col in pu.T])
 
     return IntegrationResult(
         t=t,
@@ -255,7 +254,6 @@ def integrate_adaptive(
         n_rejected=n_rej,
         n_fev=n_fev + tab.s * (n_acc + n_rej),
         step_log=step_log,
-        dense_t=dense_t,
         dense_u=dense_u,
     )
 

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,20 @@ def test_single_run_counts_work_per_stage():
     assert row.nfev == 2 * (row.accepted + row.rejected) + 2  # + the starting-step probe
     assert 0 < row.global_error < 0.05
     assert row.wall_ms > 0
+
+
+def test_sweep_counts_match_the_benchmark_record():
+    # the 48 ode-sweep rows at tol 1e-3 (6 pairs x vdp, brusselator x 4
+    # controllers), exact against the counts the benchmark checks
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json").read_text())
+    rows = {k: v for k, v in expected.items() if k.startswith("ode|") and k.endswith("|0.001")}
+    assert len(rows) == 48
+    for key, want in rows.items():
+        _, controller, method, problem, tol = key.split("|")
+        row = run_single(method, problem, float(tol), controller, u_ref=0.0)  # counts only
+        got = (row.accepted, row.rejected, row.nfev)
+        assert got == (want["accepted"], want["rejected"], want["fev"]), key
 
 
 def test_sweep_rows_are_sorted_and_errors_shrink_with_tolerance():

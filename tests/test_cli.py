@@ -130,6 +130,14 @@ def test_integrate_error_uses_the_requested_grid(capsys):
     assert math.isfinite(doc["l2_error"]) and doc["l2_error"] > 0.0
 
 
+def test_integrate_has_no_gain_flags(capsys):
+    # a controller's gains are fixed by its kind
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--method", "ssp2,2-b2", "--problem", "vdp", "--k1", "0.5"])
+    assert exc.value.code == 1
+    assert "--k1" in capsys.readouterr().err
+
+
 def test_integrate_rejects_unknown_problem(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--method", "ssp2,2-b2", "--problem", "heat"])
@@ -259,6 +267,28 @@ def test_integrate_rejects_a_bad_tolerance(capsys, tol):
                                "--tol", tol, "--skip-error")
     assert code == 1 and lines == []
     assert "atol > 0 and rtol >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--methods", "ssp2,2-b2", "--problems", "vdp", "--tols", "1e-3", "--out", "{missing}"),
+    ("analyze", "ssp2,2-b2", "--out", "{missing}"),
+    ("analyze", "ssp2,2-b2", "--out", "{dir}"),
+    ("integrate", "--method", "ssp2,2-b2", "--problem", "vdp", "--trace", "{missing}"),
+    ("integrate", "--method", "ssp2,2-b2", "--problem", "vdp", "--skip-error", "--out", "{missing}"),
+], ids=["bench-out", "analyze-out", "analyze-out-dir", "integrate-trace", "integrate-out"])
+def test_an_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    import sspkit.cli
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    for mod, name in ((bench, "reference_endpoint"), (sspkit.cli, "reference_endpoint"),
+                      (sspkit.cli, "integrate_adaptive"), (sspkit.cli, "analyze_method")):
+        monkeypatch.setattr(mod, name, refuse)
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x.csv"), "dir": str(tmp_path)}
+    code, lines, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and lines == []
+    assert err.count("\n") == 1 and err.startswith("sspkit: error: cannot write to")
 
 
 def test_usage_error_exits_one():

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sspkit.controller import ERR_FLOOR, FAC, FACMAX, FACMIN, GAINS, make_controller
+from sspkit.controller import ERR_FLOOR, FAC, FACMAX, FACMIN, GAINS, ControllerState, make_controller
+from sspkit.integrator import integrate_adaptive
+from sspkit.problems import make_problem
+from sspkit.tableau import resolve
 
 KINDS = sorted(GAINS)
 
@@ -23,9 +26,8 @@ def test_default_gains_follow_the_table():
 
 
 def test_kind_is_case_insensitive_and_overrides_apply():
-    st_ = make_controller("PI", k1=0.7)
+    st_ = make_controller("PI")
     assert st_.kind == "pi"
-    assert st_.k1 == 0.7 and st_.k2 == GAINS["pi"][1]
     with pytest.raises(TypeError):
         make_controller("pi", facmax=4.0)
 
@@ -71,12 +73,15 @@ def test_default_i_and_pi_factors_are_their_pure_formulas_bit_for_bit():
     assert pi.propose_factor(1e-4, 2) == (1e-4) ** (-0.8 / 2) * (1e-3) ** (0.31 / 2)
 
 
-def test_history_gains_given_to_an_i_controller_take_effect():
-    i, pi = make_controller("i", k2=0.31), make_controller("pi", k1=1.0)
-    for st_ in (i, pi):
+def test_each_pid_kind_proposes_from_its_gains():
+    # I, PI and PID share one formula and differ only in GAINS
+    for kind in ("i", "pi", "pid"):
+        k1, k2, k3 = GAINS[kind]
+        st_ = make_controller(kind)
         st_.on_accept(1e-2)
-    assert i.propose_factor(1e-4, 2) == pi.propose_factor(1e-4, 2)
-    assert i.propose_factor(1e-4, 2) != make_controller("i").propose_factor(1e-4, 2)
+        st_.on_accept(1e-3)
+        want = (1e-4) ** (-k1 / 2) * (1e-3) ** (k2 / 2) * (1e-2) ** (-k3 / 2)
+        assert st_.propose_factor(1e-4, 2) == want, kind
 
 
 def test_predictive_factor_falls_back_to_integral_on_the_first_step():
@@ -93,11 +98,20 @@ def test_zero_error_is_floored():
     assert st_.propose_factor(0.0, 2) == st_.propose_factor(1e-30, 2)
 
 
-def test_unknown_state_kind_is_rejected_at_proposal_time():
+def test_unknown_state_kind_is_rejected_at_proposal_time(monkeypatch):
+    # the kind is checked when a state is built, and a run builds its own
+    # state from controller.kind, so no proposal ever sees an unknown kind
+    with pytest.raises(ValueError):
+        ControllerState("nope")
     st_ = make_controller("i")
     st_.kind = "nope"
-    with pytest.raises(ValueError):
-        st_.propose_factor(1.0, 2)
+
+    def never(self, err_new, p):
+        raise AssertionError("proposal made for an unknown kind")
+
+    monkeypatch.setattr(ControllerState, "propose_factor", never)
+    with pytest.raises(ValueError, match="unknown controller kind"):
+        integrate_adaptive(make_problem("vdp"), resolve("ssp2,2-b2"), st_, 1e-3, 1e-3)
 
 
 # ------------------------------------------------------------------- clamp

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sspkit
-from sspkit import analysis, bench, optimizer, problems, tableau
+from sspkit import analysis, bench, controller, optimizer, problems, tableau
 
 REMOVED = ("ssperk_s2", "ssperk_n2_3", "ssperk_3_3", "ssperk_10_4", "literature_pair", "to_json_dict")
 # test-only accessors and wrappers: one Euler primitive path, no weight
@@ -46,7 +46,8 @@ def test_the_removed_accessors_are_not_exported():
 
 # keywords no caller set: each decision has one module constant instead
 # (analysis.ORDER_TOL, the SSP slack, the bisection widths), the reference
-# solve has no seed, and the profiles and the total variation are fixed
+# solve has no seed, the profiles and the total variation are fixed, and a
+# controller's gains are GAINS[kind]
 _T = tableau.resolve("ssp4,3-b1")
 _OC = analysis.OrderConditions(_T.A)
 _PSI = analysis.stability_polynomial(_T.A, _T.b)
@@ -68,6 +69,10 @@ REMOVED_KEYWORDS = {
     "square_wave_average(hi=)": lambda: problems.square_wave_average(_GRID, hi=0.5),
     "sine_average(shift=)": lambda: problems.sine_average(_GRID, shift=0.0),
     "total_variation(periodic=)": lambda: problems.total_variation(np.zeros(3), periodic=True),
+    "make_controller(k1=)": lambda: controller.make_controller("pi", k1=0.7),
+    "make_controller(k2=)": lambda: controller.make_controller("i", k2=0.31),
+    "make_controller(k3=)": lambda: controller.make_controller("pid", k3=0.0),
+    "ControllerState(kind, k1)": lambda: controller.ControllerState("pi", 0.8),
 }
 
 
