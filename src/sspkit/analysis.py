@@ -504,9 +504,12 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
 
     Returns (re_vals, im_vals, Z) with Z[j, i] = |psi(re_i + i*im_j)|;
     the |psi| = 1 contour of Z outlines the absolute stability region.
+    Raises ValueError unless each range is finite with MIN < MAX.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in (re_range, im_range)):
+        raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)
     X, Y = np.meshgrid(re, im)

@@ -136,6 +136,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.relative_to is not None and args.relative_to not in args.methods:
+        raise ValueError(f"--relative-to {args.relative_to!r} is not one of --methods")
     plan = BenchPlan(
         methods=tuple(args.methods),
         problems=tuple(args.problems),

@@ -45,7 +45,8 @@ class BudgetError(RuntimeError):
 
 @dataclass
 class OdeSystem:
-    """Right-hand side u' = f(t, u) with its time span and initial state.
+    """Right-hand side u' = f(t, u) with its time span and initial state,
+    a 1-D array (the PDE problems flatten their fields).
 
     cfl_hint, when present, maps a state vector to a stability-motivated
     step bound; it only caps the starting step, the error controller owns
@@ -86,20 +87,23 @@ def rk_step(
     """One explicit RK step: (u_next from b, u_hat from b_tilde).
 
     The two solutions share the s stage evaluations; u_hat is None when
-    the tableau carries no embedded weights.
+    the tableau carries no embedded weights.  Each stage sum and each
+    solution is a row-vector product (``A[i, :i] @ k[:i]``, ``b @ k``).
+    NumPy sends it to the same BLAS matrix-vector kernel as
+    ``np.tensordot``, so the result is the same to the bit, at about a
+    third of the Python overhead.  The two solutions stay two products:
+    one ``(2, s) @ k`` product is a matrix-matrix kernel, whose summation
+    order changes the last bit of most results.
     """
     A, c = tab.A, tab.c
-    s = tab.s
-    k = np.empty((s,) + np.shape(u_n))
+    k = np.empty((tab.s,) + np.shape(u_n))
     k[0] = f(t_n + c[0] * dt, u_n)
-    for i in range(1, s):
-        u_i = u_n + dt * np.tensordot(A[i, :i], k[:i], axes=1)
-        k[i] = f(t_n + c[i] * dt, u_i)
-    u_next = u_n + dt * np.tensordot(tab.b, k, axes=1)
+    for i in range(1, tab.s):
+        k[i] = f(t_n + c[i] * dt, u_n + dt * (A[i, :i] @ k[:i]))
+    u_next = u_n + dt * (tab.b @ k)
     if tab.b_tilde is None:
         return u_next, None
-    u_hat = u_n + dt * np.tensordot(tab.b_tilde, k, axes=1)
-    return u_next, u_hat
+    return u_next, u_n + dt * (tab.b_tilde @ k)
 
 
 def error_norm(
@@ -111,7 +115,7 @@ def error_norm(
 ) -> float:
     """Max norm of (u_next - u_hat)/sc, sc = atol + max(|u_n|,|u_next|)*rtol."""
     sc = atol + np.maximum(np.abs(u_n), np.abs(u_next)) * rtol
-    return float(np.max(np.abs(u_next - u_hat) / sc))
+    return float((np.abs(u_next - u_hat) / sc).max())
 
 
 def _rms(v: np.ndarray, sc: np.ndarray) -> float:

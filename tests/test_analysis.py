@@ -292,6 +292,18 @@ def test_stability_region_grid_rejects_degenerate_axes():
         stability_region_grid(np.array([1.0, 1.0]), nx=1)
 
 
+@pytest.mark.parametrize("ranges", [
+    {"re_range": (math.nan, 1.0)},
+    {"re_range": (1.0, -1.0)},
+    {"re_range": (0.0, 0.0)},
+    {"im_range": (-1.0, math.inf)},
+    {"im_range": (2.0, math.nan)},
+])
+def test_stability_region_grid_rejects_a_nan_or_reversed_range(ranges):
+    with pytest.raises(ValueError, match="finite MIN < MAX"):
+        stability_region_grid(np.array([1.0, 1.0]), **ranges)
+
+
 # ---------------------------------------------------------------- summaries
 
 

@@ -73,6 +73,18 @@ def test_region_embedded_weights_differ_from_main(capsys):
     assert main_lines[2:] != emb_lines[2:]
 
 
+@pytest.mark.parametrize("flags", [
+    ("--re", "nan", "1"),
+    ("--re", "1", "-1"),
+    ("--im", "-2", "inf"),
+])
+def test_region_rejects_a_nan_or_reversed_range(capsys, flags):
+    code, lines, err = run_cli(capsys, "region", "ssp2,2-b2", "--nx", "3", "--ny", "3", *flags)
+    assert code == 1
+    assert lines == []
+    assert "finite MIN < MAX" in err
+
+
 def test_region_writes_to_a_file(tmp_path, capsys):
     out = tmp_path / "region.csv"
     code, lines, _ = run_cli(capsys, "region", "ssp2,2-b2", "--nx", "3", "--ny", "3",
@@ -180,6 +192,21 @@ def test_bench_rejects_a_bad_plan_before_any_reference_solve(capsys, monkeypatch
     assert code == 1
     assert lines == []
     assert "sspkit: error:" in err
+
+
+def test_bench_relative_to_a_method_not_swept_fails_before_any_reference_solve(
+    capsys, monkeypatch
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("reference solve for a relative_work column with no base")
+
+    monkeypatch.setattr(bench, "reference_endpoint", refuse)
+    code, lines, err = run_cli(capsys, "bench", "--methods", "ssp2,2-b2",
+                               "--problems", "vdp", "--tols", "1e-3",
+                               "--relative-to", "dp54")
+    assert code == 1
+    assert lines == []
+    assert "--relative-to 'dp54' is not one of --methods" in err
 
 
 def test_bench_relative_work_column(capsys):

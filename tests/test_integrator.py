@@ -55,6 +55,65 @@ def test_step_advances_vector_states_componentwise():
     assert u_next == pytest.approx([0.98, -0.2], abs=1e-15)
 
 
+def _tensordot_rk_step(tab, f, t_n, u_n, dt):
+    # reference: the stage sums and solutions as np.tensordot contractions
+    A, c = tab.A, tab.c
+    s = tab.s
+    k = np.empty((s,) + np.shape(u_n))
+    k[0] = f(t_n + c[0] * dt, u_n)
+    for i in range(1, s):
+        u_i = u_n + dt * np.tensordot(A[i, :i], k[:i], axes=1)
+        k[i] = f(t_n + c[i] * dt, u_i)
+    u_next = u_n + dt * np.tensordot(tab.b, k, axes=1)
+    if tab.b_tilde is None:
+        return u_next, None
+    u_hat = u_n + dt * np.tensordot(tab.b_tilde, k, axes=1)
+    return u_next, u_hat
+
+
+def _np_max_error_norm(u_n, u_next, u_hat, atol, rtol):
+    sc = atol + np.maximum(np.abs(u_n), np.abs(u_next)) * rtol
+    return float(np.max(np.abs(u_next - u_hat) / sc))
+
+
+def _magnitudes(rng, shape):
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+@pytest.mark.parametrize("method", catalog_ids() + ["ssp3,3-w"])
+def test_step_and_norm_match_the_tensordot_reference_bit_for_bit(method, n):
+    # f returns random stage values over sixteen decades and records the
+    # stage states it is given, so every stage sum is compared, not only
+    # the two solutions
+    rng = np.random.default_rng([n, *method.encode()])
+    embedded = resolve(method)
+    for tab in (embedded, with_advancing_weights(embedded)):
+        for _ in range(8):
+            u_n = _magnitudes(rng, n)
+            dt = 10.0 ** rng.uniform(-4.0, 0.0)
+            stages = _magnitudes(rng, (tab.s, n))
+            seen = {"new": [], "ref": []}
+
+            def recorder(key):
+                def f(t, u):
+                    seen[key].append(np.array(u, copy=True))
+                    return stages[len(seen[key]) - 1]
+                return f
+
+            got = rk_step(tab, recorder("new"), 0.5, u_n, dt)
+            want = _tensordot_rk_step(tab, recorder("ref"), 0.5, u_n, dt)
+            assert len(seen["new"]) == len(seen["ref"]) == tab.s
+            assert all(np.array_equal(a, b) for a, b in zip(seen["new"], seen["ref"]))
+            assert np.array_equal(got[0], want[0])
+            if tab.b_tilde is None:
+                assert got[1] is None
+                continue
+            assert np.array_equal(got[1], want[1])
+            atol, rtol = 10.0 ** rng.uniform(-12.0, -2.0, size=2)
+            assert error_norm(u_n, *got, atol, rtol) == _np_max_error_norm(u_n, *want, atol, rtol)
+
+
 # --------------------------------------------------------------- error norm
 
 
