@@ -122,6 +122,14 @@ def _rms(v: np.ndarray, sc: np.ndarray) -> float:
     return float(np.sqrt(np.mean((v / sc) ** 2)))
 
 
+def _initial_state(problem: OdeSystem) -> np.ndarray:
+    """A float copy of problem.u0; ValueError unless it is 1-D."""
+    u = np.asarray(problem.u0, dtype=float).copy()
+    if u.ndim != 1:
+        raise ValueError(f"u0 must be a 1-D array, got shape {u.shape}")
+    return u
+
+
 def initial_step(
     f: Callable,
     t0: float,
@@ -181,8 +189,8 @@ def integrate_adaptive(
     plus the two of ``initial_step`` when no ``dt0`` is given.
     With ``t_eval``, ``dense_u`` holds the solution at those times,
     linearly interpolated between accepted steps.
-    Raises ValueError unless atol > 0 and rtol >= 0 are both finite,
-    StiffnessError on step underflow (a NaN step included) and
+    Raises ValueError unless atol > 0 and rtol >= 0 are both finite and
+    u0 is 1-D, StiffnessError on step underflow (a NaN step included) and
     BudgetError past max_attempts attempted steps.
     """
     if tab.b_tilde is None:
@@ -191,7 +199,7 @@ def integrate_adaptive(
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got atol={atol}, rtol={rtol}")
     f = problem.f
     t0, T = problem.t_span
-    u = np.asarray(problem.u0, dtype=float).copy()
+    u = _initial_state(problem)
     t = float(t0)
     if dt0 is None:
         cfl = problem.cfl_hint(u) if problem.cfl_hint is not None else None
@@ -271,12 +279,13 @@ def integrate_fixed(
 ) -> np.ndarray:
     """Uniform stepping with the advancing weights only; the last step is
     shortened to land on T.  callback(t, u) fires at t0 and after every
-    step (total-variation monitoring and the like)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    step (total-variation monitoring and the like).  Raises ValueError
+    unless dt > 0 is finite and u0 is 1-D."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     f = problem.f
     t0, T = problem.t_span
-    u = np.asarray(problem.u0, dtype=float).copy()
+    u = _initial_state(problem)
     if callback is not None:
         callback(t0, u)
     n_steps = int(np.ceil((T - t0) / dt - 1e-9))

@@ -6,7 +6,8 @@ PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
 the three conserved fields into one vector).  The boundary comes from
 ``Grid1D.boundary`` through one ghost-cell helper, and both WENO5
-right-hand sides share one flux-difference kernel.  The physical
+right-hand sides share one flux-difference kernel, which makes one face
+pass per call.  The physical
 constants never vary: gamma, the WENO5 CFL number and the van der Pol
 epsilon are the module constants below.
 """
@@ -94,15 +95,19 @@ _WENO_EPS = 1e-6
 _D0, _D1, _D2 = 0.1, 0.6, 0.3
 
 
-def _weno5_face(vm2, vm1, v0, vp1, vp2):
-    """Value at the right face of the center cell: the three left-biased
-    candidate values blended by their nonlinear weights.  Vectorized."""
-    q0 = (2.0 * vm2 - 7.0 * vm1 + 11.0 * v0) / 6.0
-    q1 = (-vm1 + 5.0 * v0 + 2.0 * vp1) / 6.0
-    q2 = (2.0 * v0 + 5.0 * vp1 - vp2) / 6.0
-    b0 = 13.0 / 12.0 * (vm2 - 2.0 * vm1 + v0) ** 2 + 0.25 * (vm2 - 4.0 * vm1 + 3.0 * v0) ** 2
-    b1 = 13.0 / 12.0 * (vm1 - 2.0 * v0 + vp1) ** 2 + 0.25 * (vm1 - vp1) ** 2
-    b2 = 13.0 / 12.0 * (v0 - 2.0 * vp1 + vp2) ** 2 + 0.25 * (3.0 * v0 - 4.0 * vp1 + vp2) ** 2
+def _weno5_faces(v: np.ndarray) -> np.ndarray:
+    """Left-biased WENO5 values at the right faces of v[2:-2], one per full
+    five-cell stencil of the 1-D array v.  The stencil multiples and the
+    term 13/12 (v[j-1] - 2v[j] + v[j+1])^2, which beta0, beta1 and beta2
+    read at j-1, j and j+1, are formed once over the whole array."""
+    v2, v3, v4, v5, v7, v11 = 2.0 * v, 3.0 * v, 4.0 * v, 5.0 * v, 7.0 * v, 11.0 * v
+    s = 13.0 / 12.0 * (v[:-2] - v2[1:-1] + v[2:]) ** 2
+    q0 = (v2[:-4] - v7[1:-3] + v11[2:-2]) / 6.0
+    q1 = (v5[2:-2] - v[1:-3] + v2[3:-1]) / 6.0
+    q2 = (v2[2:-2] + v5[3:-1] - v[4:]) / 6.0
+    b0 = s[:-2] + 0.25 * (v[:-4] - v4[1:-3] + v3[2:-2]) ** 2
+    b1 = s[1:-1] + 0.25 * (v[1:-3] - v[3:-1]) ** 2
+    b2 = s[2:] + 0.25 * (v3[2:-2] - v4[3:-1] + v[4:]) ** 2
     a0 = _D0 / (_WENO_EPS + b0) ** 2
     a1 = _D1 / (_WENO_EPS + b1) ** 2
     a2 = _D2 / (_WENO_EPS + b2) ** 2
@@ -112,9 +117,12 @@ def _weno5_face(vm2, vm1, v0, vp1, vp2):
 
 def weno5_reconstruct(v) -> float:
     """Interface value v_{i+1/2} from the five cell averages
-    (v_{i-2}, ..., v_{i+2}), biased for a right-moving wave."""
-    vm2, vm1, v0, vp1, vp2 = (float(x) for x in v)
-    return float(_weno5_face(vm2, vm1, v0, vp1, vp2))
+    (v_{i-2}, ..., v_{i+2}), biased for a right-moving wave: the face
+    kernel on one five-cell stencil."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (5,):
+        raise ValueError(f"need five cell averages, got shape {v.shape}")
+    return float(_weno5_faces(v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +144,21 @@ def _ghost(v: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def _weno5_divergence(fp: np.ndarray, dx: float, fm: np.ndarray | None = None) -> np.ndarray:
-    """-(F_{i+1/2} - F_{i-1/2})/dx from ghost-padded split fluxes.
+    """-(F_{i+1/2} - F_{i-1/2})/dx per flux row, from ghost-padded split fluxes.
 
     The faces i-1/2 (i = 0..n) take the left-biased WENO5 state of f+
-    and, when given, the mirrored right-biased state of f-.
+    and, when given, the mirrored right-biased state of f-: the
+    left-biased state of f- reversed along x.  The f+ rows and reversed
+    f- rows share one contiguous buffer, so the face kernel runs once per
+    call; a strided view drops the faces whose stencil straddles two rows.
     """
-    face = _weno5_face(fp[..., :-5], fp[..., 1:-4], fp[..., 2:-3], fp[..., 3:-2], fp[..., 4:-1])
+    m = fp.shape[-1]
+    rows = fp.reshape(-1, m) if fm is None else np.concatenate([fp, fm[:, ::-1]])
+    flat = _weno5_faces(rows.reshape(-1))
+    face = np.ndarray((len(rows), m - 5), flat.dtype, flat, strides=(m * flat.itemsize, flat.itemsize))
     if fm is not None:
-        face = face + _weno5_face(fm[..., 5:], fm[..., 4:-1], fm[..., 3:-2], fm[..., 2:-3], fm[..., 1:-4])
-    return -(face[..., 1:] - face[..., :-1]) / dx
+        face = face[: len(fp)] + face[len(fp) :, ::-1]
+    return -(face[:, 1:] - face[:, :-1]) / dx
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +167,7 @@ def _weno5_divergence(fp: np.ndarray, dx: float, fm: np.ndarray | None = None) -
 
 def advection_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """WENO5 upwind du/dt for u_t + u_x = 0 (wave speed +1)."""
-    return _weno5_divergence(_ghost(u, grid), grid.dx)
+    return _weno5_divergence(_ghost(u, grid), grid.dx).reshape(-1)
 
 
 def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Tests for the work-precision sweep and its CSV rendering."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,9 @@ from sspkit.bench import (
     run_bench,
     run_single,
 )
+from sspkit.integrator import integrate_fixed
+from sspkit.problems import make_problem
+from sspkit.tableau import resolve
 
 SMALL_PLAN = BenchPlan(
     methods=("ssp2,2-b2", "ssp4,3-b1"),
@@ -116,6 +121,43 @@ def test_sweep_counts_match_the_benchmark_record():
         row = run_single(method, problem, float(tol), controller, u_ref=0.0)  # counts only
         got = (row.accepted, row.rejected, row.nfev)
         assert got == (want["accepted"], want["rejected"], want["fev"]), key
+
+
+def _perfbench_worker():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pde_counts_match_the_benchmark_record():
+    # the pde-weno rows: four adaptive solves at 1e-4 (counts exact) and
+    # four fixed-step solves at the CFL step (counts exact, the error
+    # against the stored reference at the benchmark's tolerances)
+    root = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    expected = json.loads((root / "expected.json").read_text())
+    refs = json.loads((root / "references.json").read_text())
+    worker = _perfbench_worker()
+    rows = {k: v for k, v in expected.items() if k.startswith("pde|") and k.endswith("|0.0001")}
+    assert len(rows) == 4
+    for key, want in rows.items():
+        _, method, problem, tol = key.split("|")
+        row = run_single(method, problem, float(tol), "pid", u_ref=0.0)  # counts only
+        got = (row.accepted, row.rejected, row.nfev)
+        assert got == (want["accepted"], want["rejected"], want["fev"]), key
+    fixed = {k: v for k, v in expected.items() if k.startswith("fixed|")}
+    assert len(fixed) == 4
+    for key, want in fixed.items():
+        _, method, problem = key.split("|")
+        prob = make_problem(problem)
+        calls = []
+        counted = replace(prob, f=lambda t, u, f=prob.f: calls.append(t) or f(t, u))
+        tab = resolve(method)
+        u = integrate_fixed(counted, tab, prob.cfl_hint(prob.u0))
+        assert (len(calls), len(calls) // tab.s) == (want["fev"], want["steps"]), key
+        err = float(np.linalg.norm(u - np.array(refs[problem])))
+        assert abs(err - want["err"]) <= worker.ERR_ATOL + worker.ERR_RTOL * abs(want["err"]), key
 
 
 def test_sweep_rows_are_sorted_and_errors_shrink_with_tolerance():

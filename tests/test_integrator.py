@@ -319,10 +319,23 @@ def test_rtol_zero_with_a_positive_atol_runs():
 
 
 def test_fixed_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        integrate_fixed(decay_problem(), TAB22, 0.0)
-    with pytest.raises(ValueError):
-        integrate_fixed(decay_problem(), TAB22, -0.1)
+    # also inf, which used to take no step and return u0 as the state at
+    # T, and nan, which failed converting the step count to an integer
+    for dt in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            integrate_fixed(make_problem("vdp"), TAB22, dt)
+
+
+def test_a_state_that_is_not_1d_is_rejected_before_any_rhs_call():
+    calls = []
+    prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0),
+                     u0=np.ones((3, 4)))
+    tab = resolve("ssp10,4-b3")
+    with pytest.raises(ValueError, match=r"u0 must be a 1-D array, got shape \(3, 4\)"):
+        integrate_adaptive(prob, tab, make_controller("pid"), 1e-6, 1e-6)
+    with pytest.raises(ValueError, match=r"u0 must be a 1-D array, got shape \(3, 4\)"):
+        integrate_fixed(prob, tab, 0.1)
+    assert calls == []
 
 
 def test_fixed_truncates_the_last_step_to_land_on_t_final():
