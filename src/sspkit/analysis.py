@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -118,7 +117,16 @@ class NonDefectiveReport:
 
 
 def _ratio(num, den) -> float:
-    return float(num / den) if den != 0.0 else math.inf
+    return num / den if den != 0.0 else math.inf
+
+
+def _norms(x) -> tuple[float, float]:
+    """(2-norm, max-norm) of a 1-D float array, bit for bit as
+    ``np.linalg.norm`` (which is sqrt(x.dot(x))) and ``np.max(np.abs(x))``
+    give them, but in Python scalars.  x.dot(x) is NaN exactly when an
+    entry is, and then so is the max-norm: Python's ``max`` could drop it."""
+    sq = float(x.dot(x))
+    return math.sqrt(sq), (max(map(abs, x.tolist())) if sq == sq else sq)
 
 
 class OrderConditions:
@@ -202,24 +210,23 @@ class OrderConditions:
         ``tau_main`` holds the order-(p+1) tree residuals of the advancing
         weights and ``w`` are the embedded weights.  Returns (A2, Ainf,
         A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
-        ``error_measures``; a ratio with a zero denominator is inf.
+        ``error_measures``; a ratio with a zero denominator is inf.  The
+        weight search calls this once per cost evaluation, so the norms
+        are Python floats (``_norms``).
         """
-        tau_emb = self.tau(w, p)
-        diff = self.tau(w, p + 1) - tau_main
-        a2, ainf = np.linalg.norm(tau_main), np.max(np.abs(tau_main))
-        a2e, ainfe = np.linalg.norm(tau_emb), np.max(np.abs(tau_emb))
-        return (
-            float(a2), float(ainf), float(a2e), float(ainfe),
-            _ratio(a2, a2e), _ratio(ainf, ainfe),
-            _ratio(np.linalg.norm(diff), a2e), _ratio(np.max(np.abs(diff)), ainfe),
-        )
+        a2, ainf = _norms(tau_main)
+        a2e, ainfe = _norms(self.tau(w, p))
+        d2, dinf = _norms(self.tau(w, p + 1) - tau_main)
+        return (a2, ainf, a2e, ainfe,
+                _ratio(a2, a2e), _ratio(ainf, ainfe), _ratio(d2, a2e), _ratio(dinf, ainfe))
 
 
 def _as_arrays(A, w):
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or len(w) != A.shape[0]:
-        raise ValueError("dimension mismatch between A and weight vector")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or w.ndim != 1 or len(w) != A.shape[0]:
+        raise ValueError(f"need a square A and a 1-D weight vector of its size, "
+                         f"got shapes {A.shape} and {w.shape}")
     return A, w
 
 
@@ -341,8 +348,13 @@ def stability_polynomial(A, w) -> np.ndarray:
     return arr[: deg + 1]
 
 
-def _radius_cap(coeffs) -> float:
-    return 10.0 * max(1, len(coeffs) - 1)
+def _checked_psi(coeffs) -> tuple[np.ndarray, float]:
+    """psi's coefficients as a float array, and the radius searches' cap
+    10 * max(1, degree); the one input check of the four radius functions."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or len(coeffs) == 0 or not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"psi needs a nonempty 1-D array of finite coefficients, got {coeffs.tolist()}")
+    return coeffs, 10.0 * max(1, len(coeffs) - 1)
 
 
 def _eval_noise(coeffs, z):
@@ -362,13 +374,14 @@ def _bounded_by_one(coeffs, z) -> bool:
 
 def real_axis_inclusion(coeffs) -> float:
     """Largest gamma with |psi| <= 1 (+noise slack) on [-gamma, 0]."""
+    coeffs, cap = _checked_psi(coeffs)
 
     def feasible(g: float) -> bool:
         return _bounded_by_one(coeffs, np.linspace(-g, 0.0, 2048))
 
     if not feasible(_BISECT_TOL):
         return 0.0
-    return _bisect_sup(feasible, _BISECT_TOL, _radius_cap(coeffs), _BISECT_TOL)
+    return _bisect_sup(feasible, _BISECT_TOL, cap, _BISECT_TOL)
 
 
 def imag_axis_inclusion(coeffs) -> float:
@@ -382,7 +395,7 @@ def imag_axis_inclusion(coeffs) -> float:
     is exactly 0.  A constant psi has |psi| == 1 on the whole axis and
     gets the search cap.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs, cap = _checked_psi(coeffs)
     n = len(coeffs)
     # |psi(iy)|^2 as a real polynomial: convolve psi(iy) with its conjugate
     ik = np.array([1j ** k for k in range(n)])
@@ -395,7 +408,7 @@ def imag_axis_inclusion(coeffs) -> float:
     if len(nz) and q[nz[0]] > 0:
         return 0.0
     return _bisect_sup(lambda g: _bounded_by_one(coeffs, 1j * np.linspace(0.0, g, 2048)),
-                       0.0, _radius_cap(coeffs), _BISECT_TOL)
+                       0.0, cap, _BISECT_TOL)
 
 
 def circle_contractivity_radius(coeffs) -> float:
@@ -405,25 +418,34 @@ def circle_contractivity_radius(coeffs) -> float:
     sampled at 4096 points.  A degree-0 polynomial has constant modulus 1
     and returns the search cap.
     """
+    coeffs, cap = _checked_psi(coeffs)
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ring = np.exp(1j * theta) - 1.0  # unit circle through 0 centered at -1
-    return _bisect_sup(lambda r: _bounded_by_one(coeffs, r * ring),
-                       0.0, _radius_cap(coeffs), _BISECT_TOL)
+    return _bisect_sup(lambda r: _bounded_by_one(coeffs, r * ring), 0.0, cap, _BISECT_TOL)
 
 
-def _taylor_shift(coeffs, x0) -> list:
-    """Coefficients of p(x0 + h) in h by repeated synthetic division.
+def _taylor_shift(coeffs, x0: float) -> list[tuple[int, int]]:
+    """Coefficients of p(x0 + h) in h by repeated synthetic division, each
+    as an exact pair (D_j, e_j) meaning D_j / 2**e_j.
 
-    Exact rationals throughout: the alternating sums cancel catastrophically
-    in float64 once the degree climbs past ten or so.
+    Exact throughout: the alternating sums cancel catastrophically in
+    float64 once the degree climbs past ten or so.  Every float is a dyadic
+    rational, so with the coefficients a_i = m_i / 2**k over a common k and
+    x0 = X / 2**kx, the coefficient of h**j scaled by 2**e_j with
+    e_j = k + kx (n - j) is an integer, and the division step
+    d[j] += x0 d[j+1] becomes D_j += X D_{j+1} on Python integers: no
+    gcd after every operation, as Fractions would take.
     """
-    d = [Fraction(c) for c in coeffs]
-    x0 = Fraction(x0)
-    n = len(d) - 1
+    ratios = [c.as_integer_ratio() for c in map(float, coeffs)]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    X, den = float(x0).as_integer_ratio()
+    kx = den.bit_length() - 1
+    n = len(ratios) - 1
+    d = [num << (k - den.bit_length() + 1 + kx * (n - i)) for i, (num, den) in enumerate(ratios)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            d[j] += x0 * d[j + 1]
-    return d
+            d[j] += X * d[j + 1]
+    return [(dj, k + kx * (n - j)) for j, dj in enumerate(d)]
 
 
 def absolute_monotonicity_radius(coeffs) -> float:
@@ -433,19 +455,25 @@ def absolute_monotonicity_radius(coeffs) -> float:
     rounding already baked into ``coeffs``; each shifted coefficient may
     fall below zero by the larger of _AM_FLOOR and that rounding amplified
     through the same recurrence, which keeps the search from undershooting
-    a true threshold radius.
+    a true threshold radius.  Both shifts share the exponents e_j, and each
+    coefficient is compared with its float threshold exactly, by
+    cross-multiplying with the threshold's integer ratio.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    eps4 = 4.0 * np.finfo(float).eps
+    coeffs, cap = _checked_psi(coeffs)
+    eps4 = 4.0 * float(np.finfo(float).eps)
 
     def feasible(r: float) -> bool:
         d = _taylor_shift(coeffs, -r)
         amp = _taylor_shift(np.abs(coeffs), r)
-        return all(dj >= -max(eps4 * float(mj), _AM_FLOOR) for dj, mj in zip(d, amp))
+        for (dj, ej), (mj, _) in zip(d, amp):
+            num, den = (-max(eps4 * (mj / (1 << ej)), _AM_FLOOR)).as_integer_ratio()
+            if dj * den < num << ej:
+                return False
+        return True
 
     if not feasible(0.0):
         return 0.0
-    return _bisect_sup(feasible, 0.0, _radius_cap(coeffs), _AM_BISECT_TOL)
+    return _bisect_sup(feasible, 0.0, cap, _AM_BISECT_TOL)
 
 
 @dataclass(frozen=True)

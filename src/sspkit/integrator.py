@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class IntegrationResult:
     n_rejected: int
     n_fev: int
     step_log: list = field(default_factory=list)  # (t, dt, err, accepted)
-    dense_u: np.ndarray | None = None
 
     @property
     def n_attempts(self) -> int:
@@ -175,7 +174,6 @@ def integrate_adaptive(
     atol: float,
     rtol: float,
     *,
-    t_eval: Sequence[float] | None = None,
     max_attempts: int = MAX_ATTEMPTS,
     dt0: float | None = None,
 ) -> IntegrationResult:
@@ -187,8 +185,6 @@ def integrate_adaptive(
     The final step is truncated to land on T exactly (not a rejection).
     ``n_fev`` counts every call of ``problem.f``: s per attempted step,
     plus the two of ``initial_step`` when no ``dt0`` is given.
-    With ``t_eval``, ``dense_u`` holds the solution at those times,
-    linearly interpolated between accepted steps.
     Raises ValueError unless atol > 0 and rtol >= 0 are both finite and
     u0 is 1-D, StiffnessError on step underflow (a NaN step included) and
     BudgetError past max_attempts attempted steps.
@@ -208,10 +204,6 @@ def integrate_adaptive(
     else:
         dt = float(dt0)
         n_fev = 0
-
-    keep_path = t_eval is not None
-    path_t = [t] if keep_path else None
-    path_u = [u.copy()] if keep_path else None
 
     ctl = ControllerState(controller.kind)
     step_log: list[tuple[float, float, float, bool]] = []
@@ -246,18 +238,10 @@ def integrate_adaptive(
             t = T if truncated else t + dt_try
             u = u_next
             n_acc += 1
-            if keep_path:
-                path_t.append(t)
-                path_u.append(u.copy())
         else:
             ctl.on_reject()
             n_rej += 1
         dt = ctl.clamp(dt_try, beta)
-
-    dense_u = None
-    if keep_path:
-        pt, pu = np.asarray(path_t), np.asarray(path_u)
-        dense_u = np.column_stack([np.interp(t_eval, pt, col) for col in pu.T])
 
     return IntegrationResult(
         t=t,
@@ -266,7 +250,6 @@ def integrate_adaptive(
         n_rejected=n_rej,
         n_fev=n_fev + tab.s * (n_acc + n_rej),
         step_log=step_log,
-        dense_u=dense_u,
     )
 
 

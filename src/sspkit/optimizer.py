@@ -79,12 +79,14 @@ def ssp_feasible(A, w, r: float) -> bool:
 def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
     """||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of the
     pair with advancing residuals tau_main and embedded weights w, or inf
-    when an entry is not finite (a defective pair)."""
+    when an entry is not finite (a defective pair).  Six Python floats, so
+    no array is built per cost evaluation; with every entry finite,
+    ``max`` meets no NaN."""
     _, _, a2e, ainfe, b2, binf, c2, cinf = oc.error_norms(tau_main, w, p)
-    f = np.array([a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0])
-    if not np.all(np.isfinite(f)):
+    f = (a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0)
+    if not all(map(math.isfinite, f)):
         return math.inf
-    return float(np.max(np.abs(f)))
+    return max(map(abs, f))
 
 
 def _advancing_order(oc: analysis.OrderConditions, b) -> int:
@@ -104,9 +106,8 @@ def objective(A, b, w) -> float:
     ``analysis.ORDER_TOL``, or when the pair is defective so the C ratios
     diverge.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = np.asarray(w, dtype=float)
+    A, b = analysis._as_arrays(A, b)
+    _, w = analysis._as_arrays(A, w)
     oc = analysis.OrderConditions(A)
     p = _advancing_order(oc, b)
     M, rhs = oc.up_to(p - 1)
@@ -153,12 +154,13 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         nonlocal n_eval
         n_eval += 1
         w = w_part + N @ y
-        pen = _BOX_PENALTY * (np.sum(np.minimum(w, 0.0) ** 2)
-                              + np.sum(np.maximum(w - 1.0, 0.0) ** 2))
         f = _cost(oc, tau_main, w, p)
         if not math.isfinite(f):
-            return 1e30 + pen           # defective: keep the landscape finite for the simplex
-        return f + pen
+            f = 1e30                    # defective: keep the landscape finite for the simplex
+        if all(0.0 <= x <= 1.0 for x in w.tolist()):
+            return f                    # the penalty is exactly 0.0 here; false for NaN
+        return f + _BOX_PENALTY * (np.sum(np.minimum(w, 0.0) ** 2)
+                                   + np.sum(np.maximum(w - 1.0, 0.0) ** 2))
 
     rng = np.random.default_rng(spec.seed)
     per_start = max(200, spec.budget // spec.seeds)

@@ -9,12 +9,14 @@ along rays for the rest, cross-checked against the known SSP limits.
 import importlib.util
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import Polynomial
 
 from sspkit.analysis import (
     TREES,
@@ -245,6 +247,63 @@ def test_radii_ordering_catalog_wide():
         assert r.delta_C <= r.delta_R + 5e-3, mid
 
 
+def _fraction_am_radius(coeffs) -> float:
+    """R_psi as computed with Taylor shifts in Fractions: the reference
+    the integer shifts must reproduce exactly."""
+    def shift(c, x0):
+        d = [Fraction(v) for v in c]
+        x0 = Fraction(x0)
+        n = len(d) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                d[j] += x0 * d[j + 1]
+        return d
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    eps4 = 4.0 * np.finfo(float).eps
+
+    def feasible(r):
+        amp = shift(np.abs(coeffs), r)
+        return all(dj >= -max(eps4 * float(mj), 1e-12) for dj, mj in zip(shift(coeffs, -r), amp))
+
+    if not feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 10.0 * max(1, len(coeffs) - 1)
+    if feasible(hi):
+        return hi
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+def test_monotonicity_radius_equals_the_fraction_shift_exactly():
+    # every catalog psi; random sum_j a_j (1 + z/r)^j, a_j >= 0 over 12
+    # decades, of degree 1..16, whose threshold is at least r (so the
+    # bisection runs); and random coefficients over 12 decades
+    polys = [stability_polynomial(t.A, t.b) for t in map(resolve, catalog_ids())]
+    rng = np.random.default_rng(20261018)
+    for k in range(24):
+        deg = 1 + k % 16
+        a = 10.0 ** rng.uniform(-12.0, 0.0, deg + 1)
+        r = rng.uniform(0.5, 2.0 * deg)
+        polys.append(sum(aj * Polynomial([1.0, 1.0 / r]) ** j for j, aj in enumerate(a / a.sum())).coef)
+    for k in range(8):
+        polys.append(np.concatenate([[1.0], 10.0 ** rng.uniform(-12.0, 0.0, 2 * k + 1)]))
+    for c in polys:
+        assert absolute_monotonicity_radius(c) == _fraction_am_radius(c), c.tolist()
+
+
+@pytest.mark.parametrize("radius", [real_axis_inclusion, imag_axis_inclusion,
+                                    circle_contractivity_radius, absolute_monotonicity_radius])
+@pytest.mark.parametrize("coeffs", [[], [1.0, math.nan], [1.0, 1.0, math.inf], [[1.0, 1.0]]])
+def test_radius_functions_reject_empty_or_non_finite_coefficients(radius, coeffs):
+    # they used to disagree: 10.0, IndexError, "a cannot be empty", 0.0 or
+    # "cannot convert NaN to integer ratio", depending on the function
+    with pytest.raises(ValueError, match="nonempty 1-D array of finite coefficients"):
+        radius(coeffs)
+
+
 def test_monotonicity_radius_bounds_ssp_coefficient():
     for mid in ssp_catalog_ids():
         t = resolve(mid)
@@ -265,6 +324,38 @@ def test_error_measures_frozen_for_recommended_fourth_order_pair():
     assert m.Binf == pytest.approx(0.225, abs=1e-5)
     assert m.C2 == pytest.approx(1.861853, abs=1e-5)
     assert m.D == pytest.approx(1.0, abs=1e-12)
+
+
+def _ref_error_measures(t) -> ErrorMeasures:
+    """error_measures with its norms in NumPy: np.linalg.norm and
+    np.max(np.abs(.)), the reference for the Python-scalar norms."""
+    def ratio(num, den):
+        return float(num / den) if den != 0.0 else math.inf
+
+    oc = OrderConditions(t.A)
+    p = t.p
+    tau_main = oc.tau(t.b, p + 1)
+    tau_emb = oc.tau(t.b_tilde, p)
+    diff = oc.tau(t.b_tilde, p + 1) - tau_main
+    a2, ainf = np.linalg.norm(tau_main), np.max(np.abs(tau_main))
+    a2e, ainfe = np.linalg.norm(tau_emb), np.max(np.abs(tau_emb))
+    d = max(np.max(np.abs(t.A)), np.max(np.abs(t.b)), np.max(np.abs(t.b_tilde)), np.max(np.abs(t.c)))
+    return ErrorMeasures(float(a2), float(ainf), float(a2e), float(ainfe), ratio(a2, a2e),
+                         ratio(ainf, ainfe), ratio(np.linalg.norm(diff), a2e),
+                         ratio(np.max(np.abs(diff)), ainfe), D=float(d))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_error_measures_equal_the_numpy_norms_exactly():
+    pairs = [t for t in map(resolve, catalog_ids()) if t.p <= 4]
+    assert len(pairs) == len(catalog_ids()) - 1  # every pair but dp54
+    nan, inf = math.nan, math.inf
+    odd = [replace(resolve("ssp3,2-b1"), b_tilde=w) for w in ([nan] * 3, [0.5, nan, 0.5], [0.0, inf, 0.0])]
+    odd += [replace(resolve("ssp3,3"), b_tilde=[0.0, inf, 0.0]),       # NaN behind an inf
+            replace(resolve("ssp2,2-b2"), b_tilde=[0.5, 0.5])]        # defective: A2_emb = 0
+    for t in pairs + odd:
+        got, want = asdict(error_measures(t)), asdict(_ref_error_measures(t))
+        assert all(got[k] == want[k] or (math.isnan(got[k]) and math.isnan(want[k])) for k in got), t.id
 
 
 def test_error_measure_ratios_are_consistent():

@@ -240,21 +240,6 @@ def test_adaptive_consults_the_problem_step_bound():
     assert res.step_log[0][1] <= 1e-3
 
 
-def test_adaptive_dense_output_interpolates_the_path():
-    t_eval = [0.0, 0.25, 0.5, 0.75, 1.0]
-    res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 1e-6,
-                             t_eval=t_eval)
-    assert res.dense_u.shape == (5, 1)
-    assert np.max(np.abs(res.dense_u[:, 0] - np.exp(-np.array(t_eval)))) < 1e-4
-    assert res.dense_u[0, 0] == 1.0
-    assert res.dense_u[-1, 0] == res.u[0]
-
-
-def test_adaptive_without_t_eval_skips_the_dense_path():
-    res = integrate_adaptive(decay_problem(), TAB22, make_controller("i"), 1e-4, 1e-4)
-    assert res.dense_u is None
-
-
 def test_adaptive_budget_exhaustion_raises():
     with pytest.raises(BudgetError):
         integrate_adaptive(decay_problem(), TAB22, make_controller("i"), 1e-10, 1e-10,

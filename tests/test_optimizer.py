@@ -1,12 +1,16 @@
 """Tests for the embedded-weight search and its SSP feasibility screen."""
 
 import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sspkit.analysis import error_measures, ssp_coefficient_arrays
+from sspkit import optimizer
+from sspkit.analysis import OrderConditions, error_measures, ssp_coefficient_arrays
 from sspkit.optimizer import (
     OptimizationResult,
     OptimizationSpec,
@@ -83,6 +87,15 @@ def test_objective_of_known_embedded_weights_is_a_quarter():
 
 def test_objective_is_infinite_off_the_order_manifold():
     assert math.isinf(objective(A22, B22, np.array([0.6, 0.6])))
+
+
+@pytest.mark.parametrize("w, shape", [([0.5, 0.5], "(2,)"), ([[0.5], [0.25], [0.25]], "(3, 1)")])
+def test_objective_rejects_a_weight_vector_of_the_wrong_shape(w, shape):
+    # a length-2 w used to fail inside NumPy's matmul and a (3, 1) w to
+    # return inf as if it missed the order conditions
+    t = resolve("ssp3,2-b1")
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        objective(t.A, t.b, np.array(w))
 
 
 def test_objective_rejects_first_order_advancing_method():
@@ -180,3 +193,181 @@ def test_the_embedded_order_is_not_a_setting():
         OptimizationSpec(tableau=resolve("ssp3,2-b1"), target_order=1)
     with pytest.raises(TypeError):
         OptimizationSpec(tableau=resolve("ssp3,2-b1"), tol_order=1e-8)
+
+
+# ------------------------------------------- the cost, bit for bit as it was
+#
+# The search's cost used to build NumPy arrays per evaluation and always
+# evaluated the box penalty.  These are local copies of that code: the
+# reference the Python-scalar cost must match under ==, value for value.
+
+
+def _ref_ratio(num, den) -> float:
+    return float(num / den) if den != 0.0 else math.inf
+
+
+def _ref_error_norms(oc, tau_main, w, p):
+    tau_emb = oc.tau(w, p)
+    diff = oc.tau(w, p + 1) - tau_main
+    a2, ainf = np.linalg.norm(tau_main), np.max(np.abs(tau_main))
+    a2e, ainfe = np.linalg.norm(tau_emb), np.max(np.abs(tau_emb))
+    return (
+        float(a2), float(ainf), float(a2e), float(ainfe),
+        _ref_ratio(a2, a2e), _ref_ratio(ainf, ainfe),
+        _ref_ratio(np.linalg.norm(diff), a2e), _ref_ratio(np.max(np.abs(diff)), ainfe),
+    )
+
+
+def _ref_cost(oc, tau_main, w, p) -> float:
+    _, _, a2e, ainfe, b2, binf, c2, cinf = _ref_error_norms(oc, tau_main, w, p)
+    f = np.array([a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0])
+    if not np.all(np.isfinite(f)):
+        return math.inf
+    return float(np.max(np.abs(f)))
+
+
+def _ref_search_cost(t):
+    """The search's cost closure for tableau t, with its particular point
+    w_part and null-space basis N, built as optimize_embedded builds them."""
+    oc = OrderConditions(t.A)
+    p = oc.classify(t.b)
+    M, rhs = oc.up_to(p - 1)
+    w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    _, sv, Vt = np.linalg.svd(M)
+    tol_sv = max(M.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
+    N = Vt[int(np.sum(sv > tol_sv)):].T
+    tau_main = oc.tau(t.b, p + 1)
+
+    def cost(y):
+        w = w_part + N @ y
+        pen = 1e6 * (np.sum(np.minimum(w, 0.0) ** 2) + np.sum(np.maximum(w - 1.0, 0.0) ** 2))
+        f = _ref_cost(oc, tau_main, w, p)
+        if not math.isfinite(f):
+            return 1e30 + pen
+        return f + pen
+
+    return cost, w_part, N
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _checked_search(monkeypatch, spec, probes=None):
+    """Run the search with every cost value compared against the reference
+    at the same y; ``probes(w_part, N)`` yields extra y to evaluate once.
+    Returns the result and the number of values compared."""
+    ref, w_part, N = _ref_search_cost(spec.tableau)
+    real = optimizer.minimize
+    compared, bad = [], []
+
+    def compare(fun, y):
+        got, want = fun(y), ref(y)
+        compared.append(got)
+        if not _same(got, want):
+            bad.append((np.array(y).tolist(), got, want))
+        return got
+
+    def minimize(fun, x0, **kwargs):
+        if not compared:
+            for y in probes(w_part, N) if probes else ():
+                compare(fun, y)
+        return real(lambda y: compare(fun, y), x0, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", minimize)
+    result = optimize_embedded(spec)
+    assert not bad, bad[:3]
+    return result, len(compared)
+
+
+@pytest.mark.parametrize("spec", [
+    OptimizationSpec(tableau=resolve("ssp3,2-b1"), seeds=4, budget=4000, seed=5),
+    OptimizationSpec(tableau=resolve("ssp3,3"), seeds=10, seed=1),
+    OptimizationSpec(tableau=resolve("ssp9,3"), require_ssp_at=6.0, seeds=2, budget=3000, seed=0),
+], ids=["ssp3,2-b1", "ssp3,3", "ssp9,3@6"])
+def test_every_cost_value_of_a_search_is_the_reference_value(monkeypatch, spec):
+    result, n = _checked_search(monkeypatch, spec)
+    assert n == result.n_eval > 0
+    if result.w is not None:
+        oc = OrderConditions(spec.tableau.A)
+        p = oc.classify(spec.tableau.b)
+        assert result.objective == _ref_cost(oc, oc.tau(spec.tableau.b, p + 1), result.w, p)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and overflow probes
+def test_cost_on_the_box_edges_outside_it_and_at_nan_is_the_reference_value(monkeypatch):
+    # ssp3,3 has a one-dimensional null space, so w = w_part + N[:, 0] y;
+    # y = (edge - w_part[i]) / N[i, 0] or a float next to it puts w[i]
+    # exactly on the edge
+    hits = set()
+
+    def probes(w_part, N):
+        n = N[:, 0]
+        for i in range(3):
+            for edge in (0.0, 1.0):
+                y0 = (edge - w_part[i]) / n[i]
+                for y in (y0, np.nextafter(y0, math.inf), np.nextafter(y0, -math.inf)):
+                    if w_part[i] + n[i] * y == edge:
+                        hits.add(edge)
+                    yield np.array([y])
+        for y in (-3.0, -1.0, 1.0, 3.0, 1e3, -1e3, 1e160, math.nan, math.inf, -math.inf):
+            yield np.array([y])
+
+    _checked_search(monkeypatch, OptimizationSpec(tableau=resolve("ssp3,3"), seeds=1, seed=3), probes)
+    assert hits == {0.0, 1.0}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("w", [
+    [1.0, 0.0, 0.0], [-0.0, 0.5, 0.5], [0.0, 1.0, -0.0], [4 / 9, 1 / 3, 2 / 9],
+    [-0.5, 1.0, 0.5], [1.5, -0.25, -0.25], [1 / 3, 1 / 3, 1 / 3],
+    [math.nan, 0.5, 0.5], [0.0, math.inf, 0.0], [0.0, math.inf, -math.inf], [math.nan] * 3,
+])
+def test_cost_and_norms_at_edge_weights_are_the_reference_values(w):
+    t = resolve("ssp3,2-b1")
+    oc = OrderConditions(t.A)
+    tau_main = oc.tau(t.b, 3)
+    w = np.array(w)
+    got, want = oc.error_norms(tau_main, w, 2), _ref_error_norms(oc, tau_main, w, 2)
+    assert all(map(_same, got, want)), (got, want)
+    assert optimizer._cost(oc, tau_main, w, 2) == _ref_cost(oc, tau_main, w, 2)
+    if not np.isnan(w).any():
+        assert objective(t.A, t.b, w) in (_ref_cost(oc, tau_main, w, 2), math.inf)
+
+
+def test_defective_weights_cost_the_sentinel_as_before():
+    # ssp2,2's own weights satisfy the order-2 condition exactly: A2_emb = 0
+    oc = OrderConditions(A22)
+    tau_main = oc.tau(B22, 3)
+    assert oc.error_norms(tau_main, B22, 2)[2] == 0.0
+    assert optimizer._cost(oc, tau_main, B22, 2) == _ref_cost(oc, tau_main, B22, 2) == math.inf
+    assert objective(A22, B22, B22) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_residual_behind_an_inf_keeps_the_max_norm_nan():
+    # on ssp3,3, w = (0, inf, 0) gives the order-3 residuals (inf, 0 * inf):
+    # Python's max would drop the NaN behind the inf; np.max keeps it
+    t = resolve("ssp3,3")
+    oc = OrderConditions(t.A)
+    w = np.array([0.0, math.inf, 0.0])
+    assert np.isinf(oc.tau(w, 3)[0]) and np.isnan(oc.tau(w, 3)[1])
+    norms = oc.error_norms(oc.tau(t.b, 4), w, 3)
+    assert math.isnan(norms[3])  # Ainf_emb
+    assert all(map(_same, norms, _ref_error_norms(oc, oc.tau(t.b, 4), w, 3)))
+
+
+def test_stored_seed_searches_match_the_benchmark_record():
+    # the four search|... records of perfbench/data/expected.json, checked
+    # as the benchmark worker checks its stored seeds: n_eval exact
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json").read_text())
+    rows = {k: v for k, v in expected.items() if k.startswith("search|")}
+    assert set(rows) == {"search|ssp3,2-b1|0", "search|ssp3,2-b1|1", "search|ssp3,3|1", "search|ssp3,3|2"}
+    for key, want in rows.items():
+        _, base, seed = key.split("|")
+        r = optimize_embedded(OptimizationSpec(tableau=resolve(base), seed=int(seed)))
+        assert r.status == "ok", key
+        assert r.n_eval == want["n_eval"], key
+        assert abs(r.objective - want["objective"]) <= 1e-12, key
+        assert np.max(np.abs(r.w - np.array(want["w"]))) <= 1e-8, key
