@@ -11,7 +11,6 @@ from .tableau import (  # noqa: F401
     parse_method_id,
     resolve,
     ssp_catalog_ids,
-    validate,
     with_advancing_weights,
 )
 from .analysis import (  # noqa: F401

@@ -328,13 +328,17 @@ def ssp_coefficient_arrays(A, w) -> float:
 def stability_polynomial(A, w) -> np.ndarray:
     """Coefficients (ascending) of psi(z) = 1 + sum_k (w^T A^{k-1} e) z^k.
 
-    A is strictly lower triangular, hence nilpotent, so the series is the
-    exact polynomial.  Only exactly-zero trailing coefficients are trimmed
+    A must be strictly lower triangular, hence nilpotent, so the series is
+    the exact polynomial; a nonzero entry on or above the diagonal raises
+    ValueError.  Only exactly-zero trailing coefficients are trimmed
     (they arise when the last weights vanish); genuine top coefficients of
     a large method can sit far below roundoff scale, e.g. near 1e-18 at
     sixteen stages, yet still shape the polynomial at radius ten.
     """
     A, w = _as_arrays(A, w)
+    if np.triu(A).any():
+        raise ValueError("psi's series is exact only for a strictly lower triangular A, "
+                         "but an entry on or above the diagonal is nonzero")
     s = len(w)
     coeffs = [1.0]
     v = np.ones(s)

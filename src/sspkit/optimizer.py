@@ -136,10 +136,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     p = _advancing_order(oc, b)
 
     M, rhs = oc.up_to(p - 1)
-    w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    if np.max(np.abs(M @ w_part - rhs)) > 1e-8:
-        # the order conditions themselves are unsatisfiable for this A
-        return OptimizationResult("no-solution", None, math.inf, {}, None, 0)
+    w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)  # b meets these rows, so they are consistent
     # null space of the constraint rows
     _, sv, Vt = np.linalg.svd(M)
     tol_sv = max(M.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
@@ -181,8 +178,6 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
             if best is not None and r.fun >= best.fun - 1e-14:
                 break
             best, y0 = r, r.x
-        if best is None:
-            break
         w = np.clip(w_part + N @ best.x, 0.0, 1.0)
         if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
             continue                    # clipping moved it off the manifold: box-infeasible

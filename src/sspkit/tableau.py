@@ -31,11 +31,10 @@ __all__ = [
     "resolve",
     "catalog_ids",
     "ssp_catalog_ids",
-    "validate",
     "with_advancing_weights",
 ]
 
-_ATOL = 1e-13  # structural validation tolerance
+_ATOL = 1e-13  # most negative coefficient an SSP claim tolerates
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,12 @@ class EmbeddedTableau:
     stage combinations drives the error estimate (local extrapolation).
     ``ssp_claimed`` records the known SSP coefficient of the advancing
     method, or None where no SSP property is claimed.
+
+    Construction, ``replace`` included, raises ValueError naming the id
+    and the defect unless b is nonempty and 1-D, A is its size and zero
+    on and above the diagonal, b_tilde has its size, p >= 1 (p >= 2 with
+    b_tilde), and ``ssp_claimed > 0`` comes with no coefficient below
+    -1e-13.  Weight sums (order condition t1) are left to classification.
     """
 
     id: str
@@ -67,6 +72,29 @@ class EmbeddedTableau:
                 arr = np.array(getattr(self, name), dtype=float)  # a copy: the caller's stays writable
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
+
+        def reject(defect):
+            raise ValueError(f"tableau {self.id!r}: {defect}")
+
+        if self.b.ndim != 1 or self.b.size == 0:
+            reject(f"b must be a nonempty 1-D weight vector, got shape {self.b.shape}")
+        s = self.s
+        if self.A.shape != (s, s):
+            reject(f"A must be {s}x{s} to match b, got shape {self.A.shape}")
+        if self.b_tilde is not None and self.b_tilde.shape != (s,):
+            reject(f"b_tilde must have the {s} entries of b, got shape {self.b_tilde.shape}")
+        upper = np.argwhere(np.triu(self.A))
+        if len(upper):
+            i, j = upper[0]
+            reject(f"A must be strictly lower triangular (explicit), but A[{i}, {j}] = {float(self.A[i, j])!r}")
+        if self.p < (1 if self.b_tilde is None else 2):
+            reject(f"order p must be at least 1, and 2 with embedded weights of order p - 1, got {self.p}")
+        if self.ssp_claimed is not None and self.ssp_claimed > 0:
+            for name in ("A", "b", "b_tilde"):
+                arr = getattr(self, name)
+                if arr is not None and arr.min() < -_ATOL:
+                    reject(f"an SSP claim needs nonnegative coefficients, "
+                           f"but {name} has the entry {float(arr.min())!r}")
         c = self.A.sum(axis=1)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -344,32 +372,3 @@ def with_advancing_weights(t: EmbeddedTableau, use_embedded: bool = False) -> Em
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
     return replace(t, id=t.id + "~emb", b=t.b_tilde, p=t.p - 1, b_tilde=None, ssp_claimed=None)
-
-
-def validate(t: EmbeddedTableau) -> list[str]:
-    """Structural diagnostics; an empty list means the tableau is well formed.
-
-    Checks (tolerance 1e-13): A strictly lower triangular, weight vectors
-    summing to 1, and nonnegativity of A, b, b_tilde for entries claiming
-    an SSP coefficient.  (c = A e and p_tilde = p - 1 hold by construction.)
-    """
-    issues = []
-    s = t.s
-    if t.A.shape != (s, s):
-        issues.append("shape violation: A and b sizes disagree")
-        return issues
-    if np.any(np.abs(np.triu(t.A)) > 0):
-        issues.append("explicit-structure violation: upper triangle of A not zero")
-    if abs(t.b.sum() - 1.0) > _ATOL:
-        issues.append("consistency violation: advancing weights do not sum to 1")
-    if t.b_tilde is not None:
-        if len(t.b_tilde) != s:
-            issues.append("shape violation: embedded weights have wrong length")
-        elif abs(t.b_tilde.sum() - 1.0) > _ATOL:
-            issues.append("consistency violation: embedded weights do not sum to 1")
-    if t.ssp_claimed is not None and t.ssp_claimed > 0:
-        arrays = [t.A, t.b] + ([t.b_tilde] if t.b_tilde is not None else [])
-        if any(np.min(a) < -_ATOL for a in arrays):
-            issues.append("negativity violation: SSP entry claims require nonnegative coefficients")
-    return issues
-

@@ -4,12 +4,14 @@ Each test measures its own wall time against the criterion's runtime
 budget and prints a single PASS/FAIL line with the governing numbers.
 Tolerances are stated inline and never adjusted to fit observed output;
 criteria that the implementation genuinely cannot meet fail loudly.
+One further test, with no verdict line, certifies criterion 11's bound.
 """
 
 import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from sspkit import analysis
 from sspkit.bench import reference_endpoint
@@ -313,6 +315,14 @@ def test_criterion_11_overestimating_weights_pathology(criterion):
     non-defective).  Either the cataloged b2 differs from the paper's b2
     or the premise comes from another set-up; without the paper's tables
     the repository cannot tell which, so the band stands as written.
+
+    No box-bounded embedding of this A reaches the band under the leading
+    term: the coefficient is linear in w, and over every w in [0, 1]^10
+    meeting the order-3 conditions it lies in [-5.66e-3, 1/144]
+    (``test_criterion_11_leading_coefficient_is_bounded_by_an_lp``).  The
+    largest admissible value is 2.70x b3's, and with local error C dt^4 the
+    step scales as C^(-1/4), so the fev ratio is at most 2.70^(1/4) = 1.28
+    against the 3 the band needs.
     """
     t0 = time.perf_counter()
     u_ref = reference_endpoint("advection")
@@ -332,6 +342,24 @@ def test_criterion_11_overestimating_weights_pathology(criterion):
                       f"{'ok' if work_ok else 'MISS'}; b2 err="
                       f"{out['b2'][1]:.3e} vs <= 1e-5 "
                       f"{'ok' if err_ok else 'MISS'}; {elapsed:.1f}s < 300s")
+
+
+def test_criterion_11_leading_coefficient_is_bounded_by_an_lp():
+    """Certificate for criterion 11: HiGHS bounds (b - w)^T A^3 e over every
+    w in [0, 1]^10 that meets the order-3 conditions of ssp10,4."""
+    t = resolve("ssp10,4-b3")
+    v = np.linalg.matrix_power(t.A, 3) @ np.ones(t.s)
+    M, rhs = analysis.OrderConditions(t.A).up_to(3)
+    w_lo = linprog(-v, A_eq=M, b_eq=rhs, bounds=(0.0, 1.0), method="highs")
+    w_hi = linprog(v, A_eq=M, b_eq=rhs, bounds=(0.0, 1.0), method="highs")
+    assert w_lo.status == 0 and w_hi.status == 0
+    lo, hi = (t.b - w_lo.x) @ v, (t.b - w_hi.x) @ v
+    assert lo == pytest.approx(-5.658436e-3, abs=1e-9)
+    assert hi == pytest.approx(1.0 / 144.0, abs=1e-12)
+    coef = {var: (t.b - resolve(f"ssp10,4-{var}").b_tilde) @ v for var in ("b2", "b3")}
+    assert coef["b2"] == pytest.approx(6.614e-4, abs=1e-7) and coef["b3"] == pytest.approx(2.572e-3, abs=1e-6)
+    assert all(lo <= c <= hi for c in coef.values())
+    assert hi / coef["b3"] == pytest.approx(2.70, abs=1e-9)
 
 
 def test_criterion_12_optimizer_soundness(criterion):

@@ -180,6 +180,12 @@ def test_stability_polynomial_two_stage():
     np.testing.assert_allclose(stability_polynomial(t.A, t.b), [1.0, 1.0, 0.5], atol=1e-14)
 
 
+@pytest.mark.parametrize("A", [[[0.0, 1.0], [0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, np.nan]]])
+def test_stability_polynomial_rejects_a_matrix_that_is_not_strictly_lower(A):
+    with pytest.raises(ValueError, match="strictly lower triangular"):
+        stability_polynomial(A, [0.5, 0.5])
+
+
 def test_stability_polynomial_leading_terms_are_reciprocal_factorials():
     for mid in catalog_ids():
         t = resolve(mid)

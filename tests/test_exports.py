@@ -15,7 +15,9 @@ import pytest
 import sspkit
 from sspkit import analysis, bench, controller, optimizer, problems, tableau
 
-REMOVED = ("ssperk_s2", "ssperk_n2_3", "ssperk_3_3", "ssperk_10_4", "literature_pair", "to_json_dict")
+# the constructor checks a tableau's structure, so no separate validator
+REMOVED = ("ssperk_s2", "ssperk_n2_3", "ssperk_3_3", "ssperk_10_4", "literature_pair", "to_json_dict",
+           "validate")
 # test-only accessors and wrappers: one Euler primitive path, no weight
 # accessor beside weno5_reconstruct, no string-switched SSP wrapper, and
 # numpy's polyval in place of a hand-written Horner loop

@@ -14,8 +14,9 @@ from sspkit.integrator import (
     integrate_fixed,
     rk_step,
 )
-from sspkit.problems import make_problem
-from sspkit.tableau import catalog_ids, resolve, with_advancing_weights
+from sspkit.analysis import ssp_coefficient_arrays
+from sspkit.problems import make_problem, total_variation, upwind_advection
+from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
 
 TAB22 = resolve("ssp2,2-b2")
 
@@ -216,6 +217,35 @@ def test_a_reused_controller_starts_every_run_from_fresh_history(kind):
     assert (r2.n_accepted, r2.n_rejected, r2.n_fev) == (r1.n_accepted, r1.n_rejected, r1.n_fev)
     assert np.array_equal(r2.u, r1.u)
     assert ctl == make_controller(kind)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_adaptive_ssp_steps_within_the_bound_never_raise_total_variation(tol):
+    """Forward-Euler TVD carries over to (A, b) for dt <= C dt_FE, adaptive
+    runs included.  Upwind advection with N = 200 has dt_FE = dx exactly.
+    The accepted steps of a PID run are replayed with rk_step, which ends
+    at the run's state to the bit, and no step within C dx may raise the
+    total variation by more than 1e-12.
+
+    The controller does not enforce the bound.  Measured: every step above
+    it comes at 1e-2, where ssp2,2-b1 reaches 1.14 C dx, ssp2,2-b2 1.56x,
+    ssp3,2-b2 1.12x, ssp4,3-b1 1.25x and ssp4,3-b2 1.45x; ssp2,2-b2's
+    variation then grows by up to 1.2e-2 in one step.  At 1e-3 every pair
+    stays within the bound.
+    """
+    for mid in ssp_catalog_ids():
+        tab = resolve(mid)
+        prob = upwind_advection(200)
+        bound = ssp_coefficient_arrays(tab.A, tab.b) * prob.grid.dx
+        res = integrate_adaptive(prob, tab, make_controller("pid"), tol, tol)
+        u = np.array(prob.u0, dtype=float)
+        for t, dt, _, accepted in res.step_log:
+            if accepted:
+                u_next, _ = rk_step(tab, prob.f, t, u, dt)
+                if dt <= bound:
+                    assert total_variation(u_next) - total_variation(u) <= 1e-12, (mid, t, dt / bound)
+                u = u_next
+        assert np.array_equal(u, res.u), mid
 
 
 def test_adaptive_zero_field_never_rejects_and_preserves_the_state():

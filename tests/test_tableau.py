@@ -1,6 +1,7 @@
 """Tableau construction, id grammar, and catalog integrity."""
 
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from sspkit.tableau import (
     parse_method_id,
     resolve,
     ssp_catalog_ids,
-    validate,
     with_advancing_weights,
 )
 
@@ -130,7 +130,8 @@ def test_catalog_has_32_pairs_all_valid():
     assert len(ids) == 32
     for mid in ids:
         t = resolve(mid)
-        assert validate(t) == []
+        assert abs(t.b.sum() - 1.0) <= 1e-13, mid
+        assert abs(t.b_tilde.sum() - 1.0) <= 1e-13, mid
         assert t.b_tilde is not None
         assert t.p_tilde == t.p - 1
 
@@ -158,6 +159,50 @@ def test_embedded_order_is_derived_from_the_weights():
     for mid in catalog_ids() + ["ssp3,3"]:
         t = resolve(mid)
         assert t.p_tilde == (None if t.b_tilde is None else t.p - 1), mid
+
+
+_L2 = [[0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("kw, defect", [
+    (dict(A=np.zeros((2, 3)), b=[0.5, 0.5], p=2), "A must be 2x2"),
+    (dict(A=_L2, b=[0.25, 0.25, 0.5], p=2), "A must be 3x3"),
+    (dict(A=_L2, b=[[0.5, 0.5]], p=2), "b must be a nonempty 1-D"),
+    (dict(A=np.zeros((0, 0)), b=[], p=1), "b must be a nonempty 1-D"),
+    (dict(A=_L2, b=[0.5, 0.5], p=2, b_tilde=[1.0]), "b_tilde must have the 2 entries"),
+    (dict(A=[[0.0, 0.5], [1.0, 0.0]], b=[0.5, 0.5], p=2), r"A\[0, 1\] = 0.5"),
+    (dict(A=[[0.0, 0.0], [1.0, 0.25]], b=[0.5, 0.5], p=2), r"A\[1, 1\] = 0.25"),
+    (dict(A=[[np.nan, 0.0], [1.0, 0.0]], b=[0.5, 0.5], p=2), r"A\[0, 0\] = nan"),
+    (dict(A=_L2, b=[0.5, 0.5], p=0), "order p must be at least 1"),
+    (dict(A=_L2, b=[0.5, 0.5], p=1, b_tilde=[1.0, 0.0]), "2 with embedded weights"),
+    (dict(A=[[0.0, 0.0], [-1.0, 0.0]], b=[0.5, 0.5], p=2, ssp_claimed=1.0), "A has the entry -1.0"),
+    (dict(A=_L2, b=[1.5, -0.5], p=1, ssp_claimed=1.0), "b has the entry -0.5"),
+    (dict(A=_L2, b=[0.5, 0.5], p=2, b_tilde=[1.5, -0.5], ssp_claimed=1.0), "b_tilde has the entry -0.5"),
+])
+def test_a_malformed_tableau_is_rejected_with_its_id_and_defect(kw, defect):
+    with pytest.raises(ValueError, match="tableau 'bad': .*" + defect):
+        EmbeddedTableau(id="bad", **kw)
+
+
+def test_replace_runs_the_same_checks():
+    t = resolve("ssp2,2-b2")
+    with pytest.raises(ValueError, match="b_tilde must have the 2 entries"):
+        replace(t, b_tilde=[1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="2 with embedded weights"):
+        replace(t, p=1)
+    with pytest.raises(ValueError, match="b_tilde has the entry -0.5"):
+        replace(t, b_tilde=[1.5, -0.5])
+
+
+def test_what_the_constructor_leaves_to_classification_still_builds():
+    # a negative entry without an SSP claim, a weight sum off 1 (order
+    # condition t1), and non-finite embedded weights, which pass the
+    # nonnegativity check because NaN fails every comparison
+    A = np.array([[0.0, 0.0], [-1.0, 0.0]])
+    assert EmbeddedTableau(id="x", A=A, b=[0.5, 0.5], p=2, ssp_claimed=0.0).c.tolist() == [0.0, -1.0]
+    assert EmbeddedTableau(id="x", A=_L2, b=[0.25, 0.5], p=2).s == 2
+    t = replace(resolve("ssp3,2-b1"), b_tilde=[np.nan, np.inf, 0.0])
+    assert t.ssp_claimed == 2.0 and np.isnan(t.b_tilde[0])
 
 
 def test_construction_leaves_the_callers_arrays_writable():
