@@ -15,8 +15,10 @@ and the vector ``g[q]`` of 1/gamma.  Every residual is then
   composite condition can vanish even when no individual tree residual
   does.
 
-The SSP coefficient and the four stability radii are suprema of a
+The SSP coefficient, the disk radius and R_psi are suprema of a
 monotone feasibility test, all found by the one bisection ``_bisect_sup``.
+The two axis radii end where the axis, cut at the roots of its boundary
+polynomials, first leaves |psi| <= 1 (``_first_exit``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyadd, polyroots, polyval
 
 __all__ = [
     "TREES",
@@ -51,9 +53,9 @@ __all__ = [
 
 ORDER_TOL = 1e-10     # largest order-condition residual that counts as satisfied
 _FEAS_TOL = 1e-10     # componentwise slack in the SSP feasibility conditions
-_BISECT_TOL = 1e-6    # bracket width of the SSP-coefficient and radius bisections
+_BISECT_TOL = 1e-6    # bracket width of the SSP-coefficient and disk-radius bisections
 _AM_BISECT_TOL = 1e-8 # bracket width of the absolute-monotonicity bisection
-_MOD_SLACK = 1e-12    # |psi| <= 1 + slack in the radius searches
+_MOD_SLACK = 1e-12    # |psi| <= 1 + slack (+ rounding) in the three modulus radii
 _AM_FLOOR = 1e-12     # shifted coefficients down to -floor count as nonnegative
 
 
@@ -376,28 +378,43 @@ def _bounded_by_one(coeffs, z) -> bool:
     return bool(np.all(np.abs(polyval(z, coeffs)) <= 1.0 + _MOD_SLACK + _eval_noise(coeffs, z)))
 
 
+def _first_exit(coeffs, crossings, point, cap: float) -> float:
+    """Where |psi(point(t))| <= 1 first fails for t in [0, cap], or the cap.
+
+    ``crossings`` are float roots that include every t with
+    |psi(point(t))| = 1.  Cut at 0, cap and the real part of each crossing
+    in (0, cap), |psi| - 1 keeps one sign on every piece; an extra cut
+    never hides a sign change, so a real root that comes back as a
+    near-real pair still cuts.  The radius ends at the first piece whose
+    midpoint fails ``_bounded_by_one``, whose slack keeps a tangency from
+    below inside.
+    """
+    re = np.real(crossings)
+    cuts = np.unique(np.concatenate(([0.0, cap], re[(re > 0.0) & (re < cap)])))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if not _bounded_by_one(coeffs, point(0.5 * (lo + hi))):
+            return float(lo)
+    return cap
+
+
 def real_axis_inclusion(coeffs) -> float:
-    """Largest gamma with |psi| <= 1 (+noise slack) on [-gamma, 0]."""
+    """Largest gamma with |psi| <= 1 (+noise slack) on [-gamma, 0], from
+    the roots of psi(-x) - 1 and psi(-x) + 1."""
     coeffs, cap = _checked_psi(coeffs)
-
-    def feasible(g: float) -> bool:
-        return _bounded_by_one(coeffs, np.linspace(-g, 0.0, 2048))
-
-    if not feasible(_BISECT_TOL):
-        return 0.0
-    return _bisect_sup(feasible, _BISECT_TOL, cap, _BISECT_TOL)
+    psi_neg = coeffs * (-1.0) ** np.arange(len(coeffs))  # psi(-x)
+    crossings = np.concatenate([polyroots(polyadd(psi_neg, [shift])) for shift in (-1.0, 1.0)])
+    return _first_exit(coeffs, crossings, lambda x: -x, cap)
 
 
 def imag_axis_inclusion(coeffs) -> float:
     """Largest gamma with |psi| <= 1 + 1e-12 on [0, i*gamma] (0 if none).
 
-    Near the origin |psi(iy)|^2 - 1 = O(y^k), so sampled feasibility alone
-    cannot distinguish a genuine inclusion from slow growth under the
-    modulus slack.  The sign of the lowest-order term of
-    Q(u) = |psi(i sqrt(u))|^2 - 1 decides that: a positive leading
-    coefficient means the modulus exceeds 1 immediately and the radius
-    is exactly 0.  A constant psi has |psi| == 1 on the whole axis and
-    gets the search cap.
+    The axis meets |psi| = 1 only at y = sqrt(u) for the roots u of
+    Q(u) = |psi(i sqrt(u))|^2 - 1.  Near the origin Q(u) = O(u^k): the
+    terms below its lowest genuine one are roundoff and are trimmed, and
+    a positive lowest term means the modulus exceeds 1 immediately, so
+    the radius is exactly 0.  A constant psi has |psi| == 1 on the whole
+    axis and gets the search cap.
     """
     coeffs, cap = _checked_psi(coeffs)
     n = len(coeffs)
@@ -411,8 +428,8 @@ def imag_axis_inclusion(coeffs) -> float:
     nz = np.nonzero(np.abs(q) > 1e-13 * scale)[0]
     if len(nz) and q[nz[0]] > 0:
         return 0.0
-    return _bisect_sup(lambda g: _bounded_by_one(coeffs, 1j * np.linspace(0.0, g, 2048)),
-                       0.0, cap, _BISECT_TOL)
+    crossings = np.sqrt(polyroots(q[nz[0]:] if len(nz) else q).astype(complex))
+    return _first_exit(coeffs, crossings, lambda y: 1j * y, cap)
 
 
 def circle_contractivity_radius(coeffs) -> float:

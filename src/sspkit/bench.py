@@ -43,7 +43,8 @@ REFERENCE_TOL = 1e-12
 @dataclass(frozen=True)
 class BenchPlan:
     """A sweep of methods x problems x tolerances, checked when built: a
-    bad tolerance or method id fails here, before any reference solve."""
+    bad tolerance, a bad method id or a method without embedded weights
+    fails here, before any reference solve."""
 
     methods: tuple[str, ...]
     problems: tuple[str, ...]
@@ -63,7 +64,9 @@ class BenchPlan:
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be at least 1, got {self.n_jobs}")
         for method_id in self.methods:
-            resolve(method_id, seed=self.seed)  # memoized: each row's own lookup is a cache hit
+            # memoized: each row's own lookup is a cache hit
+            if resolve(method_id, seed=self.seed).b_tilde is None:
+                raise ValueError(f"method {method_id!r} has no embedded weights")
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,9 @@ class EmbeddedTableau:
     method, or None where no SSP property is claimed.
 
     Construction, ``replace`` included, raises ValueError naming the id
-    and the defect unless b is nonempty and 1-D, A is its size and zero
-    on and above the diagonal, b_tilde has its size, p >= 1 (p >= 2 with
+    and the defect unless A, b and b_tilde are rectangular arrays of
+    numbers, b is nonempty and 1-D, A is its size and zero on and above
+    the diagonal, b_tilde has its size, p is an integer >= 1 (>= 2 with
     b_tilde), and ``ssp_claimed > 0`` comes with no coefficient below
     -1e-13.  Weight sums (order condition t1) are left to classification.
     """
@@ -67,15 +68,17 @@ class EmbeddedTableau:
     ssp_claimed: float | None = None
 
     def __post_init__(self):
-        for name in ("A", "b", "b_tilde"):
-            if getattr(self, name) is not None:
-                arr = np.array(getattr(self, name), dtype=float)  # a copy: the caller's stays writable
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
-
         def reject(defect):
             raise ValueError(f"tableau {self.id!r}: {defect}")
 
+        for name in ("A", "b", "b_tilde"):
+            if getattr(self, name) is not None:
+                try:
+                    arr = np.array(getattr(self, name), dtype=float)  # a copy: the caller's stays writable
+                except (TypeError, ValueError) as exc:
+                    reject(f"{name} must be a rectangular array of numbers ({exc})")
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         if self.b.ndim != 1 or self.b.size == 0:
             reject(f"b must be a nonempty 1-D weight vector, got shape {self.b.shape}")
         s = self.s
@@ -87,6 +90,8 @@ class EmbeddedTableau:
         if len(upper):
             i, j = upper[0]
             reject(f"A must be strictly lower triangular (explicit), but A[{i}, {j}] = {float(self.A[i, j])!r}")
+        if not isinstance(self.p, (int, np.integer)):
+            reject(f"order p must be an integer, got {self.p!r}")
         if self.p < (1 if self.b_tilde is None else 2):
             reject(f"order p must be at least 1, and 2 with embedded weights of order p - 1, got {self.p}")
         if self.ssp_claimed is not None and self.ssp_claimed > 0:

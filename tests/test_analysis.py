@@ -20,6 +20,7 @@ from numpy.polynomial import Polynomial
 
 from sspkit.analysis import (
     TREES,
+    _bounded_by_one,
     ErrorMeasures,
     OrderConditions,
     StabilityRadii,
@@ -202,8 +203,8 @@ def test_two_stage_radii_closed_forms():
     # touches the imaginary axis only at the origin; the polynomial has
     # nonnegative coefficients when shifted by r = 1 and not beyond
     coeffs = stability_polynomial(*(lambda t: (t.A, t.b))(resolve("ssp2,2-b1")))
-    assert real_axis_inclusion(coeffs) == pytest.approx(2.0, abs=1e-4)
-    assert imag_axis_inclusion(coeffs) == pytest.approx(0.0, abs=1e-6)
+    assert real_axis_inclusion(coeffs) == pytest.approx(2.0, rel=1e-12)
+    assert imag_axis_inclusion(coeffs) == pytest.approx(0.0, abs=1e-15)
     assert circle_contractivity_radius(coeffs) == pytest.approx(1.0, abs=1e-4)
     assert absolute_monotonicity_radius(coeffs) == pytest.approx(1.0, abs=1e-6)
 
@@ -211,17 +212,50 @@ def test_two_stage_radii_closed_forms():
 def test_forward_euler_radii():
     coeffs = np.array([1.0, 1.0])
     r = stability_radii(coeffs)
-    assert r.delta_R == pytest.approx(2.0, abs=1e-4)
-    assert r.delta_I == pytest.approx(0.0, abs=1e-6)
+    assert r.delta_R == pytest.approx(2.0, rel=1e-12)
+    assert r.delta_I == pytest.approx(0.0, abs=1e-15)
     assert r.delta_C == pytest.approx(1.0, abs=1e-4)
     assert r.R_psi == pytest.approx(1.0, abs=1e-6)
 
 
 def test_classical_three_stage_imag_axis_reaches_sqrt3():
+    # psi(-x) = -1 at the real root of x^3 - 3x^2 + 6x - 12, which
+    # Cardano's formula gives in closed form
     t = resolve("ssp3,3-w")
     coeffs = stability_polynomial(t.A, t.b)
-    assert imag_axis_inclusion(coeffs) == pytest.approx(math.sqrt(3.0), abs=1e-4)
-    assert real_axis_inclusion(coeffs) == pytest.approx(2.5127453, abs=1e-4)
+    root17 = math.sqrt(17.0)
+    assert imag_axis_inclusion(coeffs) == pytest.approx(math.sqrt(3.0), rel=1e-12)
+    assert real_axis_inclusion(coeffs) == pytest.approx(
+        1.0 + math.cbrt(4.0 + root17) - math.cbrt(root17 - 4.0), rel=1e-12)
+
+
+def test_a_tangency_from_below_does_not_end_the_real_interval():
+    # psi(-x) - 1 = -x (1 - x)^2: |psi(-1)| = 1 from below, and psi(-2) = -1
+    assert real_axis_inclusion([1.0, 1.0, 2.0, 1.0]) == pytest.approx(2.0, rel=1e-12)
+
+
+def _radius_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(i, stability_polynomial(resolve(i).A, resolve(i).b)) for i in catalog_ids()]
+    for n in range(40):
+        deg = int(rng.integers(2, 17))
+        tail = rng.uniform(-0.5, 1.5, deg - 1) / [math.factorial(k) for k in range(2, deg + 1)]
+        cases.append((f"random {n}", np.concatenate(([1.0, 1.0], tail))))
+    return cases
+
+
+def test_axis_radii_are_maximal_under_the_modulus_test():
+    # an independent check of what the radii mean, by dense sampling: the
+    # modulus test holds on the whole interval, and fails within 1% beyond
+    # it unless the radius is the search cap (a zero radius: within 0.1)
+    for name, coeffs in _radius_cases():
+        cap = 10.0 * max(1, len(coeffs) - 1)
+        for radius, point in ((real_axis_inclusion(coeffs), lambda x: -x),
+                              (imag_axis_inclusion(coeffs), lambda y: 1j * y)):
+            assert _bounded_by_one(coeffs, point(np.linspace(0.0, radius, 20001))), (name, radius)
+            if radius < cap:
+                beyond = np.linspace(radius, min(cap, 1.01 * radius if radius else 0.1), 20001)[1:]
+                assert not _bounded_by_one(coeffs, point(beyond)), (name, radius)
 
 
 def test_ten_stage_fourth_order_radii_frozen():

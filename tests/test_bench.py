@@ -54,6 +54,7 @@ def test_plan_rejects_fewer_than_one_job():
     {"tolerances": (math.inf, 1e-3)},
     {"methods": ("nosuch",), "problems": ("advection", "vdp")},
     {"methods": ("ssp5,3",)},
+    {"methods": ("ssp3,3",)},
 ])
 def test_a_bad_plan_fails_before_any_reference_solve(monkeypatch, kwargs):
     def refuse(*_args, **_kwargs):

@@ -182,6 +182,7 @@ def test_bench_rejects_zero_jobs(capsys):
     ("--methods", "ssp2,2-b2", "--problems", "advection", "--tols", "1e-3", "-1"),
     ("--methods", "nosuch", "--problems", "advection", "vdp"),
     ("--methods", "ssp5,3", "--problems", "advection"),
+    ("--methods", "ssp3,3", "--problems", "euler"),
 ])
 def test_bench_rejects_a_bad_plan_before_any_reference_solve(capsys, monkeypatch, flags):
     def refuse(*_args, **_kwargs):

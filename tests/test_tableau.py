@@ -178,6 +178,9 @@ _L2 = [[0.0, 0.0], [1.0, 0.0]]
     (dict(A=[[0.0, 0.0], [-1.0, 0.0]], b=[0.5, 0.5], p=2, ssp_claimed=1.0), "A has the entry -1.0"),
     (dict(A=_L2, b=[1.5, -0.5], p=1, ssp_claimed=1.0), "b has the entry -0.5"),
     (dict(A=_L2, b=[0.5, 0.5], p=2, b_tilde=[1.5, -0.5], ssp_claimed=1.0), "b_tilde has the entry -0.5"),
+    (dict(A=[[0.0], [1.0, 0.0]], b=[0.5, 0.5], p=2), "A must be a rectangular array of numbers"),
+    (dict(A=_L2, b=[0.5, "x"], p=2), "b must be a rectangular array of numbers"),
+    (dict(A=_L2, b=[0.5, 0.5], p=2.5, b_tilde=[1.0, 0.0]), "order p must be an integer, got 2.5"),
 ])
 def test_a_malformed_tableau_is_rejected_with_its_id_and_defect(kw, defect):
     with pytest.raises(ValueError, match="tableau 'bad': .*" + defect):
