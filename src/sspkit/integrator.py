@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 MAX_ATTEMPTS = 10_000_000
+# largest state error_norm forms in Python floats: on a 2-CPU x86-64 VM
+# that path took 1.0-4.2 µs from 1 to 16 components, NumPy 5.7-6.9 µs at
+# any size
+_SMALL_STATE = 16
 
 
 class StiffnessError(RuntimeError):
@@ -112,7 +116,29 @@ def error_norm(
     atol: float,
     rtol: float,
 ) -> float:
-    """Max norm of (u_next - u_hat)/sc, sc = atol + max(|u_n|,|u_next|)*rtol."""
+    """Max norm of (u_next - u_hat)/sc, sc = atol + max(|u_n|,|u_next|)*rtol.
+
+    The three states share one shape.  A 1-D state of 1 to
+    ``_SMALL_STATE`` components is normed in Python floats, where NumPy's
+    dispatch costs more than the arithmetic; any other state takes the
+    NumPy expression.  Both paths do the same IEEE operations per
+    component and propagate a NaN as ``np.maximum`` and ``ndarray.max``
+    do, so they agree to the bit.  A zero scale, which needs atol <= 0,
+    also takes the NumPy path.
+    """
+    if u_n.ndim == 1 and 0 < u_n.size <= _SMALL_STATE:
+        err = -math.inf
+        try:
+            for x, y, z in zip(u_n.tolist(), u_next.tolist(), u_hat.tolist()):
+                a, b = abs(x), abs(y)
+                r = abs(y - z) / (atol + (a if a > b or a != a else b) * rtol)
+                if r != r:
+                    return r
+                if r > err:
+                    err = r
+            return err
+        except ZeroDivisionError:
+            pass
     sc = atol + np.maximum(np.abs(u_n), np.abs(u_next)) * rtol
     return float((np.abs(u_next - u_hat) / sc).max())
 
@@ -185,14 +211,17 @@ def integrate_adaptive(
     The final step is truncated to land on T exactly (not a rejection).
     ``n_fev`` counts every call of ``problem.f``: s per attempted step,
     plus the two of ``initial_step`` when no ``dt0`` is given.
-    Raises ValueError unless atol > 0 and rtol >= 0 are both finite and
-    u0 is 1-D, StiffnessError on step underflow (a NaN step included) and
-    BudgetError past max_attempts attempted steps.
+    Raises ValueError unless atol > 0 and rtol >= 0 are both finite, a
+    given dt0 is finite and positive and u0 is 1-D, StiffnessError on step
+    underflow (a NaN step included) and BudgetError past max_attempts
+    attempted steps.
     """
     if tab.b_tilde is None:
         raise ValueError(f"method {tab.id!r} has no embedded weights")
     if not (0.0 < atol < math.inf and 0.0 <= rtol < math.inf):
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got atol={atol}, rtol={rtol}")
+    if dt0 is not None and not 0.0 < dt0 < math.inf:
+        raise ValueError(f"dt0 must be finite and positive, got {dt0}")
     f = problem.f
     t0, T = problem.t_span
     u = _initial_state(problem)

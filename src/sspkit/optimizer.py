@@ -15,6 +15,7 @@ penalty.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ class OptimizationSpec:
             raise ValueError(f"require_ssp_at must be finite and nonnegative, got {r}")
         if self.seeds < 1 or self.budget < 1:
             raise ValueError(f"seeds and budget must be at least 1, got {self.seeds} and {self.budget}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

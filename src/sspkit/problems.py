@@ -77,14 +77,25 @@ class Grid1D:
 # ODE right-hand sides
 
 
+# Both compute in Python floats, which cost less than NumPy scalars and
+# round the same: ``x ** 2`` is libm pow either way (``x * x`` can differ
+# from it in the last bit), except that a Python pow that overflows raises
+# where NumPy returns inf.
+
+
 def vdp_rhs(t: float, u: np.ndarray) -> np.ndarray:
     # stiff scaling: the initial point [2, -0.6654321] sits on the slow
     # manifold u2 ~ u1/(1 - u1^2), so the whole bracket carries 1/eps
-    return np.array([u[1], ((1.0 - u[0] ** 2) * u[1] - u[0]) / VDP_EPS])
+    x, y = u.tolist()
+    try:
+        x2 = x ** 2
+    except OverflowError:
+        x2 = math.inf
+    return np.array([y, ((1.0 - x2) * y - x) / VDP_EPS])
 
 
 def brusselator_rhs(t: float, u: np.ndarray) -> np.ndarray:
-    x, y = u
+    x, y = u.tolist()
     return np.array([1.0 + x * x * y - 4.0 * x, 3.0 * x - x * x * y])
 
 

@@ -263,6 +263,25 @@ def test_optimize_rejects_a_bad_spec_before_searching(capsys, monkeypatch, flags
     assert "sspkit: error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "ssp3,2", "--seed", "-1"),
+    ("integrate", "--method", "ssp3,3-w", "--problem", "vdp", "--seed", "-3"),
+    ("bench", "--methods", "ssp3,3-w", "--problems", "vdp", "--tols", "1e-3", "--seed", "-2"),
+], ids=["optimize", "integrate", "bench"])
+def test_a_negative_seed_fails_naming_the_seed(capsys, monkeypatch, argv):
+    # the message is the search spec's, not NumPy's random generator's
+    import sspkit.optimizer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran with a negative seed")
+
+    monkeypatch.setattr(sspkit.optimizer, "minimize", refuse)
+    monkeypatch.setattr(bench, "reference_endpoint", refuse)
+    code, lines, err = run_cli(capsys, *argv)
+    assert code == 1 and lines == []
+    assert err == f"sspkit: error: seed must be a non-negative integer, got {argv[-1]}\n"
+
+
 def test_optimize_has_no_target_order_flag(capsys):
     # the embedded order is always the advancing order minus one
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sspkit import integrator
 from sspkit.controller import GAINS, make_controller
 from sspkit.integrator import (
     BudgetError,
@@ -130,6 +131,46 @@ def test_error_norm_takes_the_worst_component():
     # same absolute defect, smaller scale in the first component wins
     err = error_norm(u_n, u_next, u_hat, 1e-6, 1e-6)
     assert err == pytest.approx(1e-4 / 2e-6, rel=1e-12)
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def _with_specials(rng, u, share):
+    # replace about that share of the components with NaN, infinities,
+    # signed zeros or values near the ends of the range
+    pick = rng.random(u.size) < share
+    u[pick] = rng.choice(_SPECIALS, size=int(pick.sum()))
+    return u
+
+
+@pytest.mark.parametrize("n", range(1, 2 * integrator._SMALL_STATE + 1))
+def test_error_norm_matches_the_numpy_form_bit_for_bit(n):
+    # both sides of the size cut, against the NumPy expression, on states
+    # over sixteen decades with none to half of their components special;
+    # every third trial has rtol = 0.  NaN counts as equal to NaN.
+    rng = np.random.default_rng(n)
+    for trial in range(400):
+        share = (0.0, 0.05, 0.2, 0.5)[trial % 4]
+        u_n = _with_specials(rng, _magnitudes(rng, n), share)
+        u_next = _with_specials(rng, u_n + _magnitudes(rng, n) * 1e-6, share)
+        u_hat = _with_specials(rng, u_next + _magnitudes(rng, n) * 1e-9, share)
+        atol, rtol = (float(x) for x in 10.0 ** rng.uniform(-12.0, -2.0, size=2))
+        if trial % 3 == 0:
+            rtol = 0.0
+        with np.errstate(all="ignore"):
+            want = _np_max_error_norm(u_n, u_next, u_hat, atol, rtol)
+            got = error_norm(u_n, u_next, u_hat, atol, rtol)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want)), (u_n, u_next, u_hat, atol, rtol)
+
+
+def test_error_norm_with_a_zero_scale_takes_the_numpy_form():
+    # atol = rtol = 0 divides by zero: inf for a defect, NaN for none
+    z = np.zeros(2)
+    with np.errstate(all="ignore"):
+        assert error_norm(z, np.array([1.0, 2.0]), z, 0.0, 0.0) == np.inf
+        assert np.isnan(error_norm(z, z, z, 0.0, 0.0))
 
 
 # ------------------------------------------------------------- initial step
@@ -287,11 +328,14 @@ def test_adaptive_step_underflow_raises():
         integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3)
 
 
-def test_a_nan_step_fails_the_underflow_check_at_once():
+@pytest.mark.parametrize("dt0", [-1.0, 0.0, np.nan, np.inf])
+def test_a_bad_dt0_is_rejected_before_any_rhs_call(dt0):
+    # bad input, not a stiffness failure: these used to raise the underflow
+    # StiffnessError at t = 0 (inf ran)
     calls = []
     prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
-    with pytest.raises(StiffnessError, match="nan"):
-        integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3, dt0=float("nan"))
+    with pytest.raises(ValueError, match="dt0 must be finite and positive"):
+        integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3, dt0=dt0)
     assert calls == []
 
 

@@ -167,7 +167,7 @@ def test_result_reports_only_what_the_search_found():
 
 @pytest.mark.parametrize("kwargs", [
     {"require_ssp_at": math.nan}, {"require_ssp_at": math.inf}, {"require_ssp_at": -1.0},
-    {"seeds": 0}, {"budget": 0}, {"seeds": -3},
+    {"seeds": 0}, {"budget": 0}, {"seeds": -3}, {"seed": -1}, {"seed": 1.5},
 ])
 def test_spec_rejects_bad_settings_before_any_search(kwargs):
     with pytest.raises(ValueError):

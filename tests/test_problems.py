@@ -77,6 +77,30 @@ def test_brusselator_rhs_values_and_fixed_point():
     assert np.array_equal(brusselator_rhs(0.0, np.array([1.0, 3.0])), [0.0, 0.0])
 
 
+def _np_scalar_vdp_rhs(t, u):
+    return np.array([u[1], ((1.0 - u[0] ** 2) * u[1] - u[0]) / 0.1])
+
+
+def _np_scalar_brusselator_rhs(t, u):
+    x, y = u
+    return np.array([1.0 + x * x * y - 4.0 * x, 3.0 * x - x * x * y])
+
+
+def test_ode_rhs_match_the_numpy_scalar_forms_bit_for_bit():
+    # states over sixteen decades, then non-finite, zero and huge entries
+    # (1e200 ** 2 overflows: NumPy returns inf where Python raises)
+    rng = np.random.default_rng(20_260_115)
+    states = rng.choice([-1.0, 1.0], size=(20_000, 2)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(20_000, 2))
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e200, -1e200, 1e-200, 3.0]
+    states = np.vstack([states, [[a, b] for a in specials for b in specials]])
+    for ours, ref in ((vdp_rhs, _np_scalar_vdp_rhs), (brusselator_rhs, _np_scalar_brusselator_rhs)):
+        for u in states:
+            with np.errstate(all="ignore"):
+                want = ref(0.0, u)
+            got = ours(0.0, u)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (ours.__name__, u)
+
+
 def test_ode_factories_carry_the_documented_setups():
     p = vdp()
     assert p.t_span == (0.0, 2.0)
