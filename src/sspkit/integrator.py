@@ -9,7 +9,7 @@ extrapolation); the embedded weights enter only through the error estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -90,23 +90,28 @@ def rk_step(
     """One explicit RK step: (u_next from b, u_hat from b_tilde).
 
     The two solutions share the s stage evaluations; u_hat is None when
-    the tableau carries no embedded weights.  Each stage sum and each
-    solution is a row-vector product (``A[i, :i] @ k[:i]``, ``b @ k``).
-    NumPy sends it to the same BLAS matrix-vector kernel as
-    ``np.tensordot``, so the result is the same to the bit, at about a
-    third of the Python overhead.  The two solutions stay two products:
-    one ``(2, s) @ k`` product is a matrix-matrix kernel, whose summation
-    order changes the last bit of most results.
+    the tableau carries no embedded weights.  u_n is a 1-D array and is
+    only read.  Each stage sum and each solution is one row-vector
+    product, ``A[i, :i].dot(k[:i]) * dt`` and ``b.dot(k) * dt``, on the
+    rows and abscissae the tableau derived when it was built.
+    ``ndarray.dot`` reaches the BLAS matrix-vector kernel that
+    ``np.tensordot`` calls, so the result is the same to the bit; on a
+    2-CPU x86-64 VM a product costs 0.40-0.45 µs for 2 components and
+    0.82 µs for 200, against 0.80-0.93 and 1.43 µs for ``@``.  Scaling by
+    dt after the product is the same IEEE multiply as before it.  The two
+    solutions stay two products: one ``(2, s) @ k`` product is a
+    matrix-matrix kernel, whose summation order changes the last bit of
+    most results.
     """
-    A, c = tab.A, tab.c
-    k = np.empty((tab.s,) + np.shape(u_n))
+    c, rows = tab._stage_c, tab._stage_rows
+    k = np.empty((tab.s,) + u_n.shape)
     k[0] = f(t_n + c[0] * dt, u_n)
     for i in range(1, tab.s):
-        k[i] = f(t_n + c[i] * dt, u_n + dt * (A[i, :i] @ k[:i]))
-    u_next = u_n + dt * (tab.b @ k)
+        k[i] = f(t_n + c[i] * dt, u_n + rows[i].dot(k[:i]) * dt)
+    u_next = u_n + tab.b.dot(k) * dt
     if tab.b_tilde is None:
         return u_next, None
-    return u_next, u_n + dt * (tab.b_tilde @ k)
+    return u_next, u_n + tab.b_tilde.dot(k) * dt
 
 
 def error_norm(
@@ -148,7 +153,11 @@ def _rms(v: np.ndarray, sc: np.ndarray) -> float:
 
 
 def _initial_state(problem: OdeSystem) -> np.ndarray:
-    """A float copy of problem.u0; ValueError unless it is 1-D."""
+    """A float copy of problem.u0; ValueError unless the time span
+    (t0, T) is finite with t0 < T and u0 is 1-D."""
+    t0, T = problem.t_span
+    if not -math.inf < t0 < T < math.inf:
+        raise ValueError(f"t_span must be finite with t0 < T, got {problem.t_span}")
     u = np.asarray(problem.u0, dtype=float).copy()
     if u.ndim != 1:
         raise ValueError(f"u0 must be a 1-D array, got shape {u.shape}")
@@ -212,7 +221,8 @@ def integrate_adaptive(
     ``n_fev`` counts every call of ``problem.f``: s per attempted step,
     plus the two of ``initial_step`` when no ``dt0`` is given.
     Raises ValueError unless atol > 0 and rtol >= 0 are both finite, a
-    given dt0 is finite and positive and u0 is 1-D, StiffnessError on step
+    given dt0 is finite and positive, the time span is finite with
+    t0 < T and u0 is 1-D, StiffnessError on step
     underflow (a NaN step included) and BudgetError past max_attempts
     attempted steps.
     """
@@ -238,13 +248,14 @@ def integrate_adaptive(
     step_log: list[tuple[float, float, float, bool]] = []
     n_acc = 0
     n_rej = 0
-    eps = float(np.finfo(float).eps)
+    min_step = 100.0 * float(np.finfo(float).eps)
     t_scale = max(abs(t0), abs(T), 1.0)
+    p_tilde = tab.p_tilde
 
     while t < T:
         # |T| enters the underflow scale so the check is meaningful at t = 0;
         # written as "not >=" so that a NaN step fails it too
-        if not dt >= 100.0 * eps * max(abs(t), t_scale):
+        if not dt >= min_step * max(abs(t), t_scale):
             raise StiffnessError(
                 f"step size {dt:.3e} underflowed at t = {t:.6g} "
                 f"({n_acc} accepted, {n_rej} rejected)"
@@ -261,7 +272,7 @@ def integrate_adaptive(
         step_log.append((t, dt_try, err, accepted))
         # the estimate tracks the embedded solution's local error, so the
         # controller exponents normalize by the embedded order
-        beta = ctl.propose_factor(err, tab.p_tilde)
+        beta = ctl.propose_factor(err, p_tilde)
         if accepted:
             ctl.on_accept(err)
             t = T if truncated else t + dt_try
@@ -292,9 +303,11 @@ def integrate_fixed(
     """Uniform stepping with the advancing weights only; the last step is
     shortened to land on T.  callback(t, u) fires at t0 and after every
     step (total-variation monitoring and the like).  Raises ValueError
-    unless dt > 0 is finite and u0 is 1-D."""
+    unless dt > 0 is finite, the time span is finite with t0 < T and u0
+    is 1-D."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    tab = replace(tab, b_tilde=None)  # no embedded solution to form and drop
     f = problem.f
     t0, T = problem.t_span
     u = _initial_state(problem)

@@ -9,8 +9,10 @@ once, so structural identities (row sums, weight sums) hold to roundoff.
 stage count of the family once, runs the family's private builder, and
 builds each id once per process.  Derived tableaux are
 ``dataclasses.replace`` copies.  Nothing that follows from the pair is
-stored: c = A e comes from A, and p_tilde is p - 1 whenever embedded
-weights are present.
+passed in; it is derived once, when the tableau is built: the abscissae
+c = A e, the stage count s, the stage data ``rk_step`` reads (c as
+Python floats and the rows A[i, :i]), and p_tilde, which is p - 1
+whenever embedded weights are present.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ class EmbeddedTableau:
 
     The advancing weights ``b`` give a method of order ``p``; the optional
     embedded weights ``b_tilde`` share the stage coefficients A and have
-    order ``p_tilde = p - 1``, derived on construction (None without
-    ``b_tilde``).  The arrays are frozen copies of the ones passed in.
+    order ``p_tilde = p - 1`` (None without ``b_tilde``).  The arrays are
+    frozen copies of the ones passed in.  Construction derives c, the
+    stage count ``s = len(b)``, p_tilde and the private stage data of
+    ``rk_step``: c as Python floats and the read-only views A[i, :i].
+    ``replace`` derives them again, so they never fall out of step.
     Steps are advanced with ``b`` and the difference between the two
     stage combinations drives the error estimate (local extrapolation).
     ``ssp_claimed`` records the known SSP coefficient of the advancing
@@ -62,10 +67,13 @@ class EmbeddedTableau:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray = field(init=False)
+    s: int = field(init=False)
     p: int
     b_tilde: np.ndarray | None = None
     p_tilde: int | None = field(init=False)
     ssp_claimed: float | None = None
+    _stage_c: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _stage_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def reject(defect):
@@ -81,7 +89,7 @@ class EmbeddedTableau:
                 object.__setattr__(self, name, arr)
         if self.b.ndim != 1 or self.b.size == 0:
             reject(f"b must be a nonempty 1-D weight vector, got shape {self.b.shape}")
-        s = self.s
+        s = len(self.b)
         if self.A.shape != (s, s):
             reject(f"A must be {s}x{s} to match b, got shape {self.A.shape}")
         if self.b_tilde is not None and self.b_tilde.shape != (s,):
@@ -103,11 +111,10 @@ class EmbeddedTableau:
         c = self.A.sum(axis=1)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "p_tilde", None if self.b_tilde is None else self.p - 1)
-
-    @property
-    def s(self) -> int:
-        return len(self.b)
+        object.__setattr__(self, "_stage_c", tuple(c.tolist()))
+        object.__setattr__(self, "_stage_rows", tuple(self.A[i, :i] for i in range(s)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for the stepping kernel, step-size selection, and the two drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,27 @@ def test_step_and_norm_match_the_tensordot_reference_bit_for_bit(method, n):
             assert np.array_equal(got[1], want[1])
             atol, rtol = 10.0 ** rng.uniform(-12.0, -2.0, size=2)
             assert error_norm(u_n, *got, atol, rtol) == _np_max_error_norm(u_n, *want, atol, rtol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_step_never_writes_into_the_callers_state(n):
+    # a read-only u_n makes an in-place shortcut (u_n += ...) fail, and
+    # neither solution may be a view of u_n
+    u_n = np.linspace(1.0, 2.0, n)
+    u_n.setflags(write=False)
+    got = rk_step(resolve("ssp10,4-b3"), lambda t, u: -u, 0.0, u_n, 0.1)
+    assert np.array_equal(u_n, np.linspace(1.0, 2.0, n))
+    for v in got:
+        assert not np.shares_memory(v, u_n)
+
+
+def test_step_reads_the_stage_rows_of_a_replaced_tableau():
+    # the rows A[i, :i] are derived when a tableau is built, so a copy with
+    # the same id and another A must step with its own: k2 = 1 + 0.5 * 0.1
+    half = replace(TAB22, A=[[0.0, 0.0], [0.5, 0.0]])
+    for tab, want in ((TAB22, 1.105), (half, 1.1025), (TAB22, 1.105)):
+        u_next, _ = rk_step(tab, lambda t, u: u, 0.0, np.array([1.0]), 0.1)
+        assert u_next[0] == pytest.approx(want, abs=1e-15)
 
 
 # --------------------------------------------------------------- error norm
@@ -336,6 +359,22 @@ def test_a_bad_dt0_is_rejected_before_any_rhs_call(dt0):
     prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
     with pytest.raises(ValueError, match="dt0 must be finite and positive"):
         integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3, dt0=dt0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_span", [(1.0, 0.0), (0.0, 0.0), (0.0, np.nan), (np.nan, 1.0),
+                                    (0.0, np.inf), (-np.inf, 0.0)])
+@pytest.mark.parametrize("driver", ["adaptive", "fixed"])
+def test_a_bad_time_span_is_rejected_before_any_rhs_call(driver, t_span):
+    # a reversed span used to return u0, NaN to return u0 or fail converting
+    # the step count, inf to raise StiffnessError or OverflowError
+    calls = []
+    prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=t_span, u0=np.array([1.0]))
+    with pytest.raises(ValueError, match="t_span must be finite with t0 < T"):
+        if driver == "adaptive":
+            integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3)
+        else:
+            integrate_fixed(prob, TAB22, 0.1, callback=lambda t, u: calls.append(t))
     assert calls == []
 
 
