@@ -149,7 +149,9 @@ def error_norm(
 
 
 def _rms(v: np.ndarray, sc: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((v / sc) ** 2)))
+    """RMS of v / sc; inf, without a warning, when a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((v / sc) ** 2)))
 
 
 def _initial_state(problem: OdeSystem) -> np.ndarray:
@@ -182,8 +184,8 @@ def initial_step(
     sc = atol + np.abs(u0) * rtol
     d0 = _rms(u0, sc)
     d1 = _rms(f0, sc)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
+    if d0 < 1e-5 or d1 < 1e-5 or not (math.isfinite(d0) and math.isfinite(d1)):
+        h0 = 1e-6                       # 0.01 * d0 / d1 would be 0, inf or nan
     else:
         h0 = 0.01 * d0 / d1
     u1 = u0 + h0 * f0

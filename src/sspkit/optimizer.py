@@ -9,7 +9,8 @@ For a fixed stage matrix A every order condition is linear in the weight
 vector, so the equality constraints are eliminated exactly: each start is
 projected onto the affine solution manifold and the local search runs in
 its null-space coordinates.  Only the box constraint 0 <= w <= 1 needs a
-penalty.
+penalty.  The local search is an in-house adaptive Nelder-Mead, so the
+package needs no SciPy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import analysis
 from .tableau import EmbeddedTableau
@@ -50,8 +50,10 @@ class OptimizationSpec:
         r = self.require_ssp_at
         if r is not None and not (math.isfinite(r) and r >= 0):
             raise ValueError(f"require_ssp_at must be finite and nonnegative, got {r}")
-        if self.seeds < 1 or self.budget < 1:
-            raise ValueError(f"seeds and budget must be at least 1, got {self.seeds} and {self.budget}")
+        for name in ("seeds", "budget"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and v >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {v!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -92,6 +94,85 @@ def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
     return max(map(abs, f))
 
 
+class _Budget(Exception):
+    """A call the Nelder-Mead budget does not allow."""
+
+
+def _nelder_mead(fun, x0, maxfev: int):
+    """Minimize fun from x0 by adaptive Nelder-Mead in at most maxfev calls
+    of fun; returns the best vertex and the least cost value.
+
+    The parameters are Gao & Han's (2012), "Implementing the Nelder-Mead
+    simplex algorithm with adaptive parameters", Comput. Optim. Appl. 51,
+    for N = len(x0) unknowns.  The steps are those of SciPy 1.17's
+    ``minimize(method="Nelder-Mead")`` with adaptive=True, xatol=1e-12,
+    fatol=1e-14 and no bounds, in the same NumPy operations and order, so
+    every point evaluated, the call count and the result are SciPy's to
+    the bit.  A call past the budget is neither made nor counted, and it
+    ends the search with the simplex as it stands.
+    """
+    N = len(x0)
+    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Budget
+        calls += 1
+        return fun(x)
+
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _Budget:
+        pass
+    for _ in range(2):                  # sorted twice, as SciPy does
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while calls < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:      # outside contraction
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:                   # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _Budget:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def _advancing_order(oc: analysis.OrderConditions, b) -> int:
     """Order p of the advancing weights b, which must lie in 2..4: the
     embedded order p - 1 needs a condition, and the cost trees to p + 1."""
@@ -124,13 +205,14 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
 
     Every start draws a random simplex point, projects it onto the affine
     order-condition manifold, and descends on the cost plus a quadratic
-    box penalty in the manifold's null-space coordinates.  Candidates are
-    kept only if they verify cleanly: order residuals within ORDER_TOL
-    after clipping to [0, 1], non-defective at order p (with the
-    structural exemptions), and passing the SSP screen when
-    ``require_ssp_at`` is set.  With no surviving candidate the result is
-    an explicit no-solution report.  Runs are deterministic for a fixed
-    ``seed``.
+    box penalty in the manifold's null-space coordinates, by the in-house
+    adaptive Nelder-Mead of Gao & Han (2012) (``_nelder_mead``), restarted
+    once from the point it finds.  Candidates are kept only if they verify
+    cleanly: order residuals within ORDER_TOL after clipping to [0, 1],
+    non-defective at order p (with the structural exemptions), and passing
+    the SSP screen when ``require_ssp_at`` is set.  With no surviving
+    candidate the result is an explicit no-solution report.  Runs are
+    deterministic for a fixed ``seed``.
     """
     t = spec.tableau
     A, b = t.A, t.b
@@ -170,18 +252,16 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
             break
         x0 = rng.dirichlet(np.ones(s))
         y0 = N.T @ (x0 - w_part)
-        best = None
+        y_best = None
         for _ in range(2):              # one adaptive restart from the found point
             maxfev = min(per_start, spec.budget - n_eval)
             if maxfev <= 0:
                 break
-            r = minimize(cost, y0, method="Nelder-Mead",
-                         options={"maxfev": maxfev, "xatol": 1e-12,
-                                  "fatol": 1e-14, "adaptive": True})
-            if best is not None and r.fun >= best.fun - 1e-14:
+            y, fy = _nelder_mead(cost, y0, maxfev)
+            if y_best is not None and fy >= f_best - 1e-14:
                 break
-            best, y0 = r, r.x
-        w = np.clip(w_part + N @ best.x, 0.0, 1.0)
+            y_best, f_best, y0 = y, fy, y
+        w = np.clip(w_part + N @ y_best, 0.0, 1.0)
         if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
             continue                    # clipping moved it off the manifold: box-infeasible
         obj = _cost(oc, tau_main, w, p)

@@ -257,7 +257,7 @@ def test_optimize_rejects_a_bad_spec_before_searching(capsys, monkeypatch, flags
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(sspkit.optimizer, "minimize", no_search)
+    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", no_search)
     code, lines, err = run_cli(capsys, "optimize", "ssp3,2-b1", *flags)
     assert code == 1 and lines == []
     assert "sspkit: error:" in err
@@ -275,7 +275,7 @@ def test_a_negative_seed_fails_naming_the_seed(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("work ran with a negative seed")
 
-    monkeypatch.setattr(sspkit.optimizer, "minimize", refuse)
+    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", refuse)
     monkeypatch.setattr(bench, "reference_endpoint", refuse)
     code, lines, err = run_cli(capsys, *argv)
     assert code == 1 and lines == []
@@ -314,6 +314,16 @@ def test_integrate_rejects_a_bad_tolerance(capsys, tol):
                                "--tol", tol, "--skip-error")
     assert code == 1 and lines == []
     assert "atol > 0 and rtol >= 0" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_unreachable_tolerance_fails_with_a_finite_step_and_no_warning(capsys):
+    # 1e-300 used to print NumPy's overflow warning and report "step size nan"
+    code, lines, err = run_cli(capsys, "integrate", "--method", "ssp2,2-b2", "--problem", "vdp",
+                               "--tol", "1e-300")
+    assert code == 2 and lines == []
+    assert err == ("sspkit: stiffness failure: step size 0.000e+00 underflowed at t = 0 "
+                   "(0 accepted, 0 rejected)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,18 +367,44 @@ def test_console_script_smoke():
         target = tomllib.load(fh)["project"]["scripts"]["sspkit"]
     module, func = target.split(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    env = dict(os.environ)
-    package_parent = str(Path(sspkit.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_parent, env.get("PYTHONPATH")) if p)
     commands = [[sys.executable, "-c", wrapper, "--version"]]
     installed = shutil.which("sspkit")
     if installed:
         commands.append([installed, "--version"])
     for cmd in commands:
-        out = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        out = subprocess.run(cmd, capture_output=True, text=True, env=_package_env())
         assert out.returncode == 0, (cmd, out.stderr)
         assert out.stdout.startswith(f"sspkit {sspkit.__version__}"), (cmd, out.stdout)
+
+
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    package_parent = str(Path(sspkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_parent, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_the_package_and_its_cli_load_no_scipy():
+    # numpy is the only run-time requirement: importing scipy.optimize
+    # alone took most of the start-up time.  ssp3,3-w is derived by the
+    # weight search, so resolving it runs a search.
+    script = """
+import runpy, sys
+import sspkit
+sspkit.resolve("ssp3,3-w")
+sys.argv = ["sspkit", "--help"]
+try:
+    runpy.run_module("sspkit.cli", run_name="__main__")
+except SystemExit:
+    pass
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_package_env())
+    assert out.returncode == 0, out.stderr
+    assert "usage: sspkit" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_header_records_command_and_seed(capsys):

@@ -378,13 +378,18 @@ def test_a_bad_time_span_is_rejected_before_any_rhs_call(driver, t_span):
     assert calls == []
 
 
-def test_a_nan_starting_step_fails_the_underflow_check():
-    # sc = 1e-300 + |u| 1e-300 makes the starting-step heuristic overflow to nan
-    prob = decay_problem()
-    with np.errstate(over="ignore"):
-        assert np.isnan(initial_step(prob.f, 0.0, prob.u0, 2, 1e-300, 1e-300))
-        with pytest.raises(StiffnessError):
-            integrate_adaptive(prob, TAB22, make_controller("i"), 1e-300, 1e-300, max_attempts=100)
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_start_estimate_falls_back_and_fails_the_underflow_check():
+    # sc = 1e-300 + |u| 1e-300 overflows every RMS estimate to inf, which
+    # used to warn and give h0 = 0.01 inf / inf = nan.  Now h0 takes the
+    # 1e-6 fallback, and the f' estimate, too large for the tolerance,
+    # leaves a zero step that fails the underflow check by its value.
+    calls = []
+    prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
+    assert initial_step(prob.f, 0.0, prob.u0, 2, 1e-300, 1e-300) == 0.0
+    assert calls == [0.0, 1e-6]
+    with pytest.raises(StiffnessError, match=r"step size 0\.000e\+00 underflowed at t = 0"):
+        integrate_adaptive(prob, TAB22, make_controller("i"), 1e-300, 1e-300, max_attempts=100)
 
 
 @pytest.mark.parametrize("atol, rtol", [

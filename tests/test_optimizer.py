@@ -168,6 +168,7 @@ def test_result_reports_only_what_the_search_found():
 @pytest.mark.parametrize("kwargs", [
     {"require_ssp_at": math.nan}, {"require_ssp_at": math.inf}, {"require_ssp_at": -1.0},
     {"seeds": 0}, {"budget": 0}, {"seeds": -3}, {"seed": -1}, {"seed": 1.5},
+    {"seeds": 2.5}, {"seeds": 2.0}, {"budget": 1e9}, {"budget": "200"},
 ])
 def test_spec_rejects_bad_settings_before_any_search(kwargs):
     with pytest.raises(ValueError):
@@ -258,7 +259,7 @@ def _checked_search(monkeypatch, spec, probes=None):
     at the same y; ``probes(w_part, N)`` yields extra y to evaluate once.
     Returns the result and the number of values compared."""
     ref, w_part, N = _ref_search_cost(spec.tableau)
-    real = optimizer.minimize
+    real = optimizer._nelder_mead
     compared, bad = [], []
 
     def compare(fun, y):
@@ -268,13 +269,13 @@ def _checked_search(monkeypatch, spec, probes=None):
             bad.append((np.array(y).tolist(), got, want))
         return got
 
-    def minimize(fun, x0, **kwargs):
+    def nelder_mead(fun, x0, maxfev):
         if not compared:
             for y in probes(w_part, N) if probes else ():
                 compare(fun, y)
-        return real(lambda y: compare(fun, y), x0, **kwargs)
+        return real(lambda y: compare(fun, y), x0, maxfev)
 
-    monkeypatch.setattr(optimizer, "minimize", minimize)
+    monkeypatch.setattr(optimizer, "_nelder_mead", nelder_mead)
     result = optimize_embedded(spec)
     assert not bad, bad[:3]
     return result, len(compared)
@@ -371,3 +372,89 @@ def test_stored_seed_searches_match_the_benchmark_record():
         assert r.n_eval == want["n_eval"], key
         assert abs(r.objective - want["objective"]) <= 1e-12, key
         assert np.max(np.abs(r.w - np.array(want["w"]))) <= 1e-8, key
+
+
+# ------------------------------------- Nelder-Mead, bit for bit with SciPy's
+
+
+def _plateau(x):
+    # 1e30 outside the unit ball, as the search's cost is on defective
+    # weights, so the simplex sorts ties
+    r = float(x @ x)
+    return 1e30 if r > 1.0 else r - x[0]
+
+
+def _terraces(x):
+    # piecewise constant, so an expansion can cost what its reflection does
+    return float(np.sum(np.floor(2 * np.abs(x))))
+
+
+def _six_d(x):
+    return float(np.sum(np.arange(1, 7) * (x - 0.1 * np.arange(6)) ** 2) + np.max(np.abs(x)))
+
+
+def _search_cost_and_start(mid):
+    cost, w_part, N = _ref_search_cost(resolve(mid))
+    w0 = np.random.default_rng(7).dirichlet(np.ones(N.shape[0]))
+    return cost, N.T @ (w0 - w_part)
+
+
+def _run_both(fun, x0, maxfev):
+    """(x, fun, points) from optimizer._nelder_mead and from SciPy's
+    adaptive Nelder-Mead with the search's tolerances."""
+    from scipy.optimize import minimize
+
+    def scipy_nelder_mead(f):
+        r = minimize(f, x0, method="Nelder-Mead",
+                     options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True})
+        return r.x, r.fun
+
+    runs = []
+    for solve in (lambda f: optimizer._nelder_mead(f, x0, maxfev), scipy_nelder_mead):
+        points = []
+        x, fx = solve(lambda y: points.append(np.array(y)) or fun(y))
+        runs.append((x, fx, points))
+    return runs
+
+
+def _assert_same_run(mine, ref):
+    (x, fx, pts), (x_ref, fx_ref, pts_ref) = mine, ref
+    assert x.tobytes() == x_ref.tobytes()
+    assert _same(fx, fx_ref)
+    assert len(pts) == len(pts_ref)
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(pts, pts_ref))
+
+
+@pytest.mark.parametrize("fun, x0, maxfev", [
+    (lambda x: float((x[0] - 0.3) ** 2 + 0.1 * abs(x[0])), np.array([2.0]), 400),
+    (lambda x: float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2), np.array([-1.2, 1.0]), 1000),
+    (_six_d, np.zeros(6), 4000),
+    (_six_d, np.linspace(-1.0, 1.0, 6), 4),
+    (_plateau, np.array([0.9, 0.0, 0.5]), 2000),
+    (_terraces, np.array([-2.0]), 300),
+    (_terraces, np.array([-2.0, 3.0]), 500),
+    (*_search_cost_and_start("ssp3,2-b1"), 600),
+    (*_search_cost_and_start("ssp10,4"), 600),
+], ids=["1-D", "2-D", "6-D", "budget-in-initial-simplex", "plateau-ties", "terraces-1-D", "terraces-2-D",
+        "ssp3,2-b1", "ssp10,4"])
+def test_nelder_mead_matches_scipy_bit_for_bit(fun, x0, maxfev):
+    mine, ref = _run_both(fun, x0, maxfev)
+    _assert_same_run(mine, ref)
+    assert len(mine[2]) <= maxfev
+
+
+def test_nelder_mead_cut_inside_a_shrink_matches_scipy():
+    # every vertex on the plateau: reflect (call 4), inside contraction
+    # (call 5), then a shrink whose first point is call 6
+    mine, ref = _run_both(_plateau, np.array([3.0, 3.0]), 6)
+    _assert_same_run(mine, ref)
+    p = mine[2]
+    assert p[5].tobytes() == (p[0] + 0.5 * (p[1] - p[0])).tobytes()
+
+
+def test_nelder_mead_matches_scipy_for_every_budget_of_a_short_run():
+    # a budget ending on each call in turn: the first 79 calls from this
+    # start cover the initial simplex, reflections, expansions, outside and
+    # inside contractions and a shrink
+    for maxfev in range(1, 80):
+        _assert_same_run(*_run_both(_plateau, np.array([0.95, -0.3]), maxfev))
