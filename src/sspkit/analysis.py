@@ -213,14 +213,20 @@ class OrderConditions:
         weights and ``w`` are the embedded weights.  Returns (A2, Ainf,
         A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
         ``error_measures``; a ratio with a zero denominator is inf.  The
-        weight search calls this once per cost evaluation, so the norms
-        are Python floats (``_norms``).
+        norms are Python floats (``_norms``); the weight search, which
+        forms the norms of ``tau_main`` once, calls ``_pair_norms`` itself.
         """
-        a2, ainf = _norms(tau_main)
-        a2e, ainfe = _norms(self.tau(w, p))
-        d2, dinf = _norms(self.tau(w, p + 1) - tau_main)
-        return (a2, ainf, a2e, ainfe,
-                _ratio(a2, a2e), _ratio(ainf, ainfe), _ratio(d2, a2e), _ratio(dinf, ainfe))
+        return _pair_norms(*_norms(tau_main), self.tau(w, p), self.tau(w, p + 1) - tau_main)
+
+
+def _pair_norms(a2, ainf, tau_emb, diff) -> tuple[float, ...]:
+    """``OrderConditions.error_norms`` from the advancing norms (a2, ainf),
+    the embedded residuals ``tau(w, p)`` and the order-(p+1) difference
+    ``tau(w, p + 1) - tau_main``; the weight search forms (a2, ainf) once."""
+    a2e, ainfe = _norms(tau_emb)
+    d2, dinf = _norms(diff)
+    return (a2, ainf, a2e, ainfe,
+            _ratio(a2, a2e), _ratio(ainf, ainfe), _ratio(d2, a2e), _ratio(dinf, ainfe))
 
 
 def _as_arrays(A, w):
@@ -553,16 +559,19 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
 
     Returns (re_vals, im_vals, Z) with Z[j, i] = |psi(re_i + i*im_j)|;
     the |psi| = 1 contour of Z outlines the absolute stability region.
-    Raises ValueError unless each range is finite with MIN < MAX.
+    Raises ValueError unless each range is finite with MIN < MAX.  Z is
+    allocated first, so a lattice too large to hold raises MemoryError
+    before any axis is sampled.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
     if not all(-math.inf < lo < hi < math.inf for lo, hi in (re_range, im_range)):
         raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
+    Z = np.empty((ny, nx))
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)
     X, Y = np.meshgrid(re, im)
-    Z = np.abs(polyval(X + 1j * Y, coeffs))
+    np.abs(polyval(X + 1j * Y, coeffs), out=Z)
     return re, im, Z
 
 

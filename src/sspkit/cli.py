@@ -239,6 +239,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"sspkit: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"sspkit: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except StiffnessError as exc:
         print(f"sspkit: stiffness failure: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ For a fixed stage matrix A every order condition is linear in the weight
 vector, so the equality constraints are eliminated exactly: each start is
 projected onto the affine solution manifold and the local search runs in
 its null-space coordinates.  Only the box constraint 0 <= w <= 1 needs a
-penalty.  The local search is an in-house adaptive Nelder-Mead, so the
+penalty.  The local search is an in-house adaptive Nelder-Mead that takes
+SciPy's steps in the same IEEE operations, on Python floats, so the
 package needs no SciPy.
 """
 
@@ -81,17 +82,24 @@ def ssp_feasible(A, w, r: float) -> bool:
     return K is not None and analysis._ssp_feasible(K, r)
 
 
-def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
-    """||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of the
-    pair with advancing residuals tau_main and embedded weights w, or inf
-    when an entry is not finite (a defective pair).  Six Python floats, so
-    no array is built per cost evaluation; with every entry finite,
-    ``max`` meets no NaN."""
-    _, _, a2e, ainfe, b2, binf, c2, cinf = oc.error_norms(tau_main, w, p)
+def _f_max(a2, ainf, tau_emb, diff) -> float:
+    """||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of a pair
+    whose advancing residuals have the norms (a2, ainf), from the embedded
+    residuals and the order-(p+1) difference (``analysis._pair_norms``),
+    or inf when an entry is not finite (a defective pair).  Six Python
+    floats, so no array is built; with every entry finite, ``max`` meets
+    no NaN."""
+    _, _, a2e, ainfe, b2, binf, c2, cinf = analysis._pair_norms(a2, ainf, tau_emb, diff)
     f = (a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0)
     if not all(map(math.isfinite, f)):
         return math.inf
     return max(map(abs, f))
+
+
+def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
+    """``_f_max`` of the pair with advancing residuals tau_main and
+    embedded weights w."""
+    return _f_max(*analysis._norms(tau_main), oc.tau(w, p), oc.tau(w, p + 1) - tau_main)
 
 
 class _Budget(Exception):
@@ -106,13 +114,23 @@ def _nelder_mead(fun, x0, maxfev: int):
     simplex algorithm with adaptive parameters", Comput. Optim. Appl. 51,
     for N = len(x0) unknowns.  The steps are those of SciPy 1.17's
     ``minimize(method="Nelder-Mead")`` with adaptive=True, xatol=1e-12,
-    fatol=1e-14 and no bounds, in the same NumPy operations and order, so
+    fatol=1e-14 and no bounds, in the same IEEE operations and order, so
     every point evaluated, the call count and the result are SciPy's to
     the bit.  A call past the budget is neither made nor counted, and it
     ends the search with the simplex as it stands.
+
+    The simplex and its values are Python lists of floats, and fun gets
+    each point as a new 1-D array.  SciPy's centroid ``np.add.reduce(sim[:-1],
+    0) / N`` adds the rows in turn to the identity 0.0, so a coordinate
+    that is -0.0 in every row sums to +0.0 here too.  The vertices are
+    ordered by ``np.argsort`` of the values, as SciPy orders them: NumPy's
+    sort is not stable, and from 4 entries on it can order equal values
+    (and NaNs, which go last) differently from ``sorted``, which would
+    change the next centroid.
     """
     N = len(x0)
     chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    c_exp, c_out, c_in = 1 + chi, 1 + psi, 1 - psi     # rho = 1 folded away: 1 * x is x
     calls = 0
 
     def f(x):
@@ -120,57 +138,66 @@ def _nelder_mead(fun, x0, maxfev: int):
         if calls >= maxfev:
             raise _Budget
         calls += 1
-        return fun(x)
+        return fun(np.array(x))
 
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
+    def ordered(sim, fsim):
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    x0 = np.asarray(x0, dtype=float).tolist()
+    sim = [x0]
     for k in range(N):
-        sim[k + 1] = x0
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(N + 1, np.inf)
+        x = list(x0)
+        x[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(x)
+    fsim = [math.inf] * (N + 1)
     try:
         for k in range(N + 1):
             fsim[k] = f(sim[k])
     except _Budget:
         pass
     for _ in range(2):                  # sorted twice, as SciPy does
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = ordered(sim, fsim)
 
     while calls < maxfev:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+        best, f_best = sim[0], fsim[0]
+        # NaN fails both tests, as it fails them in SciPy's np.max
+        if (all(abs(v - u) <= 1e-12 for x in sim[1:] for v, u in zip(x, best))
+                and all(abs(f_best - v) <= 1e-14 for v in fsim[1:])):
             break
         try:
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = 2 * xbar - sim[-1]
+            xbar = [0.0] * N
+            for x in sim[:-1]:
+                xbar = [a + v for a, v in zip(xbar, x)]
+            xbar = [a / N for a in xbar]
+            worst = sim[-1]
+            xr = [2 * a - v for a, v in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + chi) * xbar - chi * sim[-1]
+                xe = [c_exp * a - chi * v for a, v in zip(xbar, worst)]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:      # outside contraction
-                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    xc = [c_out * a - psi * v for a, v in zip(xbar, worst)]
                     fxc = f(xc)
                     shrink = not fxc <= fxr
                 else:                   # inside contraction
-                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    xc = [c_in * a + psi * v for a, v in zip(xbar, worst)]
                     fxc = f(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = [u + sigma * (v - u) for u, v in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
         except _Budget:
             pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
+        sim, fsim = ordered(sim, fsim)
+    return np.array(sim[0]), np.min(fsim)
 
 
 def _advancing_order(oc: analysis.OrderConditions, b) -> int:
@@ -229,14 +256,21 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     N = Vt[rank:].T                     # s x k, orthonormal columns
 
     tau_main = oc.tau(b, p + 1)
+    a2, ainf = analysis._norms(tau_main)
+    phi_p, g_p, phi_q, g_q = oc.phi[p], oc.g[p], oc.phi[p + 1], oc.g[p + 1]
     exempt = oc.vacuous(p)
     n_eval = 0
+
+    def f_max(w: np.ndarray) -> float:
+        # _cost(oc, tau_main, w, p) to the bit: ndarray.dot is the BLAS
+        # product that @ reaches, and the norms of tau_main are formed once
+        return _f_max(a2, ainf, phi_p.dot(w) - g_p, phi_q.dot(w) - g_q - tau_main)
 
     def cost(y: np.ndarray) -> float:
         nonlocal n_eval
         n_eval += 1
-        w = w_part + N @ y
-        f = _cost(oc, tau_main, w, p)
+        w = w_part + N.dot(y)
+        f = f_max(w)
         if not math.isfinite(f):
             f = 1e30                    # defective: keep the landscape finite for the simplex
         if all(0.0 <= x <= 1.0 for x in w.tolist()):
@@ -264,7 +298,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         w = np.clip(w_part + N @ y_best, 0.0, 1.0)
         if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
             continue                    # clipping moved it off the manifold: box-infeasible
-        obj = _cost(oc, tau_main, w, p)
+        obj = f_max(w)
         if not math.isfinite(obj):
             continue
         if not oc.non_defective(w, p, exempt).ok:

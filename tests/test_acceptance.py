@@ -4,7 +4,8 @@ Each test measures its own wall time against the criterion's runtime
 budget and prints a single PASS/FAIL line with the governing numbers.
 Tolerances are stated inline and never adjusted to fit observed output;
 criteria that the implementation genuinely cannot meet fail loudly.
-One further test, with no verdict line, certifies criterion 11's bound.
+Two further tests, with no verdict line, certify criterion 06's and
+criterion 11's misses.
 """
 
 import time
@@ -237,6 +238,44 @@ def test_criterion_06_brusselator_reproduction_band(criterion):
                      f"{'ok' if steps_ok else 'MISS'}; err={err:.3e} vs "
                      f"[1e-5,1e-4] {'ok' if err_ok else 'MISS'}; "
                      f"{elapsed:.1f}s < 10s")
+
+
+def test_criterion_06_work_precision_curve_passes_beside_the_box():
+    """Certificate for criterion 06: ssp3,3-w's own work-precision curve on
+    the Brusselator never enters the band's box (attempts in [230, 380]
+    with error <= 1e-4).
+
+    PID, atol = rtol at 17 tolerances log-spaced from 1e-3 to 1e-7, about
+    0.4 s.  Measured (attempts, l2 endpoint error):
+
+    - 1e-3: 92, 1.0e-2; 1e-4: 169, 2.6e-3 (the band test's row);
+    - the only rows with attempts in [230, 380] are 230, 271 and 322
+      attempts (tolerances 3.2e-5, 1.8e-5, 1e-5), with errors 9.4e-4,
+      5.8e-4 and 3.4e-4, 3.4x to 9.4x the box's 1e-4;
+    - the error first drops to 1e-4 or below at 564 attempts, 6.9e-5
+      (tolerance 1.8e-6), 1.5x the box's 380;
+    - 1e-7: 1460, 4.4e-6.
+
+    Attempts rise and the error falls at every step down the ladder, so no
+    tolerance convention that moves along this curve can pass.  A pass
+    needs another curve: other initial data, another error measure or
+    another pair.  The band test and its verdict line stay as written.
+    """
+    u_ref = reference_endpoint("brusselator")
+    tab = resolve("ssp3,3-w")
+    rows = []
+    for tol in np.logspace(-3, -7, 17):
+        res = integrate_adaptive(brusselator(), tab, make_controller("pid"), tol, tol)
+        rows.append((res.n_attempts, float(np.linalg.norm(res.u - u_ref))))
+    attempts, errors = zip(*rows)
+    assert all(a < b for a, b in zip(attempts, attempts[1:]))
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+    assert not any(230 <= n <= 380 and err <= 1e-4 for n, err in rows)
+    in_band = [(n, err) for n, err in rows if 230 <= n <= 380]
+    assert [n for n, _ in in_band] == [230, 271, 322]
+    assert [err for _, err in in_band] == pytest.approx([9.415e-4, 5.806e-4, 3.437e-4], rel=1e-3)
+    first = next((n, err) for n, err in rows if err <= 1e-4)
+    assert first[0] == 564 and first[1] == pytest.approx(6.854e-5, rel=1e-3)
 
 
 def test_criterion_07_controller_step_count_ordering(criterion):

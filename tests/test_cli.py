@@ -85,6 +85,16 @@ def test_region_rejects_a_nan_or_reversed_range(capsys, flags):
     assert "finite MIN < MAX" in err
 
 
+def test_region_too_large_to_hold_fails_with_a_message(capsys):
+    # 1e16 lattice points (80 PB) exceed any address space, so the lattice
+    # allocation, which comes before any sampling, fails at once; it used to
+    # end in a NumPy _ArrayMemoryError traceback
+    code, lines, err = run_cli(capsys, "region", "ssp2,2", "--nx", "100000000", "--ny", "100000000")
+    assert code == 1
+    assert lines == []
+    assert err.startswith("sspkit: error: out of memory: ") and "(100000000, 100000000)" in err
+
+
 def test_region_writes_to_a_file(tmp_path, capsys):
     out = tmp_path / "region.csv"
     code, lines, _ = run_cli(capsys, "region", "ssp2,2-b2", "--nx", "3", "--ny", "3",

@@ -393,6 +393,20 @@ def _six_d(x):
     return float(np.sum(np.arange(1, 7) * (x - 0.1 * np.arange(6)) ** 2) + np.max(np.abs(x)))
 
 
+def _nan_region(x):
+    # NaN past the line x0 + x1 = 1: a NaN vertex sorts last, fails every
+    # comparison and makes SciPy's np.min(fsim) NaN
+    return math.nan if x[0] + x[1] > 1.0 else float(x @ x) - 2 * x[0] - x[1]
+
+
+def _signed_zero(x):
+    # tells -0.0 from +0.0: from x0 = [-0.0] the simplex shrinks to
+    # [-0.0, +0.0], whose centroid is +0.0 as np.add.reduce forms it from
+    # the identity 0.0, so the next reflection is +0.0, not -0.0
+    v = x[0]
+    return 2.0 if v < 0 else (0.0 if math.copysign(1.0, v) < 0 else 1.0)
+
+
 def _search_cost_and_start(mid):
     cost, w_part, N = _ref_search_cost(resolve(mid))
     w0 = np.random.default_rng(7).dirichlet(np.ones(N.shape[0]))
@@ -435,8 +449,13 @@ def _assert_same_run(mine, ref):
     (_terraces, np.array([-2.0, 3.0]), 500),
     (*_search_cost_and_start("ssp3,2-b1"), 600),
     (*_search_cost_and_start("ssp10,4"), 600),
+    (_terraces, np.array([-0.4, -4.0, -0.5, -1.7, 6.6]), 300),
+    (_nan_region, np.array([0.5, 0.49, 0.1, 0.2]), 6),
+    (_nan_region, np.array([0.5, 0.49, 0.1, 0.2]), 14),
+    (_signed_zero, np.array([-0.0]), 20),
 ], ids=["1-D", "2-D", "6-D", "budget-in-initial-simplex", "plateau-ties", "terraces-1-D", "terraces-2-D",
-        "ssp3,2-b1", "ssp10,4"])
+        "ssp3,2-b1", "ssp10,4", "terraces-5-D-ties", "nan-region-two-left", "nan-region-one-left",
+        "signed-zero-centroid"])
 def test_nelder_mead_matches_scipy_bit_for_bit(fun, x0, maxfev):
     mine, ref = _run_both(fun, x0, maxfev)
     _assert_same_run(mine, ref)
@@ -458,3 +477,41 @@ def test_nelder_mead_matches_scipy_for_every_budget_of_a_short_run():
     # inside contractions and a shrink
     for maxfev in range(1, 80):
         _assert_same_run(*_run_both(_plateau, np.array([0.95, -0.3]), maxfev))
+
+
+def test_the_tie_and_nan_cases_reach_what_they_guard():
+    # the 5-D terraces run starts from a simplex whose 6 vertices hold 4 or
+    # more equal values, where np.argsort and a stable sort disagree from 4
+    # entries on; the NaN runs end with NaN in the final simplex, so the
+    # value returned is np.min's NaN while the best vertex is finite
+    points = []
+    optimizer._nelder_mead(lambda y: points.append(y) or _terraces(y),
+                           np.array([-0.4, -4.0, -0.5, -1.7, 6.6]), 300)
+    first = [_terraces(y) for y in points[:6]]
+    assert max(map(first.count, first)) >= 4
+    for maxfev in (6, 14):
+        x, fx = optimizer._nelder_mead(_nan_region, np.array([0.5, 0.49, 0.1, 0.2]), maxfev)
+        assert math.isnan(fx) and math.isfinite(_nan_region(x))
+
+
+def _scipy_nelder_mead(fun, x0, maxfev):
+    from scipy.optimize import minimize
+
+    r = minimize(fun, x0, method="Nelder-Mead",
+                 options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True})
+    return r.x, r.fun
+
+
+@pytest.mark.parametrize("base, seed", [("ssp10,4-b3", 3), ("ssp16,3", 4)])
+def test_searches_in_large_null_spaces_match_scipy_bit_for_bit(monkeypatch, base, seed):
+    # null-space dimensions 6 and 14, the largest in the catalog; a short
+    # budget keeps the pair of searches well under a second
+    spec = OptimizationSpec(tableau=resolve(base), seeds=2, budget=800, seed=seed)
+    mine = optimize_embedded(spec)
+    monkeypatch.setattr(optimizer, "_nelder_mead", _scipy_nelder_mead)
+    ref = optimize_embedded(spec)
+    assert (mine.status, mine.n_eval) == (ref.status, ref.n_eval)
+    assert _same(mine.objective, ref.objective)
+    assert (mine.w is None) == (ref.w is None)
+    if mine.w is not None:
+        assert mine.w.tobytes() == ref.w.tobytes()
