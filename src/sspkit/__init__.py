@@ -10,8 +10,6 @@ from .tableau import (  # noqa: F401
     format_method_id,
     parse_method_id,
     resolve,
-    ssp_catalog_ids,
-    with_advancing_weights,
 )
 from .analysis import (  # noqa: F401
     ErrorMeasures,
@@ -55,6 +53,5 @@ from .problems import (  # noqa: F401
     total_variation,
     upwind_advection,
     vdp,
-    weno5_reconstruct,
 )
 from .bench import BenchPlan, WorkPrecisionRow, run_bench  # noqa: F401

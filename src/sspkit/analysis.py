@@ -206,23 +206,15 @@ class OrderConditions:
         ok = not any(name not in exempt and abs(r) <= ORDER_TOL for name, r in residuals.items())
         return NonDefectiveReport(ok=ok, residuals=residuals, exempt=exempt)
 
-    def error_norms(self, tau_main, w, p: int) -> tuple[float, ...]:
-        """Norms of the leading truncation errors of a pair.
-
-        ``tau_main`` holds the order-(p+1) tree residuals of the advancing
-        weights and ``w`` are the embedded weights.  Returns (A2, Ainf,
-        A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
-        ``error_measures``; a ratio with a zero denominator is inf.  The
-        norms are Python floats (``_norms``); the weight search, which
-        forms the norms of ``tau_main`` once, calls ``_pair_norms`` itself.
-        """
-        return _pair_norms(*_norms(tau_main), self.tau(w, p), self.tau(w, p + 1) - tau_main)
-
 
 def _pair_norms(a2, ainf, tau_emb, diff) -> tuple[float, ...]:
-    """``OrderConditions.error_norms`` from the advancing norms (a2, ainf),
-    the embedded residuals ``tau(w, p)`` and the order-(p+1) difference
-    ``tau(w, p + 1) - tau_main``; the weight search forms (a2, ainf) once."""
+    """Norms of the leading truncation errors of a pair, as Python floats:
+    (A2, Ainf, A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
+    ``error_measures``, from the norms (a2, ainf) of the advancing
+    order-(p+1) residuals ``tau_main``, the embedded residuals
+    ``tau(w, p)`` and the difference ``tau(w, p + 1) - tau_main``.  A
+    ratio with a zero denominator is inf.  ``error_measures`` and the
+    weight search's cost (``optimizer._f_max``) both read them here."""
     a2e, ainfe = _norms(tau_emb)
     d2, dinf = _norms(diff)
     return (a2, ainf, a2e, ainfe,
@@ -549,7 +541,8 @@ def error_measures(t) -> ErrorMeasures:
     if p > 4:
         raise ValueError("error measures need trees to order p+1 <= 5")
     oc = OrderConditions(t.A)
-    norms = oc.error_norms(oc.tau(t.b, p + 1), t.b_tilde, p)
+    tau_main = oc.tau(t.b, p + 1)
+    norms = _pair_norms(*_norms(tau_main), oc.tau(t.b_tilde, p), oc.tau(t.b_tilde, p + 1) - tau_main)
     d = max(np.max(np.abs(t.A)), np.max(np.abs(t.b)), np.max(np.abs(t.b_tilde)), np.max(np.abs(t.c)))
     return ErrorMeasures(*norms, D=float(d))
 

@@ -3,8 +3,11 @@ one CSV row per run, against a high-accuracy reference solve per problem
 (recomputed on every call).
 
 Work is counted as right-hand-side evaluations: s per attempted step plus
-the two of the starting-step selection.  Individual
-run failures become rows with a failure status; the sweep never aborts.
+the two of the starting-step selection.  A ``BenchPlan`` checks its axes,
+tolerance ladder, problem ids, controller kind, job count and method ids
+when it is built, so a bad plan fails before any reference solve.
+Individual run failures become rows with a failure status; the sweep
+never aborts.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,9 +23,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .controller import make_controller
+from .controller import GAINS, make_controller
 from .integrator import BudgetError, StiffnessError, integrate_adaptive
-from .problems import make_problem
+from .problems import PROBLEM_IDS, make_problem
 from .tableau import resolve
 
 __all__ = [
@@ -42,9 +46,15 @@ REFERENCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BenchPlan:
-    """A sweep of methods x problems x tolerances, checked when built: a
-    bad tolerance, a bad method id or a method without embedded weights
-    fails here, before any reference solve."""
+    """A sweep of methods x problems x tolerances, checked when built.
+
+    Each axis is nonempty, every tolerance finite and positive and the
+    ladder strictly decreasing, every problem id one of ``PROBLEM_IDS``
+    and the controller a kind of ``GAINS`` (both case-insensitive, as
+    ``make_problem`` and ``make_controller`` read them), ``n_jobs`` an
+    integer of at least 1, and every method id resolvable with embedded
+    weights.  A plan that misses any of these raises ValueError here,
+    before any reference solve."""
 
     methods: tuple[str, ...]
     problems: tuple[str, ...]
@@ -54,15 +64,22 @@ class BenchPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.methods or not self.problems:
-            raise ValueError("need at least one method and one problem")
+        if not self.methods or not self.problems or not self.tolerances:
+            raise ValueError("need at least one method, one problem and one tolerance")
         bad = [tol for tol in self.tolerances if not (math.isfinite(tol) and tol > 0)]
         if bad:
             raise ValueError(f"tolerances must be finite and positive, got {bad}")
         if any(b >= a for a, b in zip(self.tolerances, self.tolerances[1:])):
             raise ValueError("tolerances must be strictly decreasing")
+        if not isinstance(self.n_jobs, numbers.Integral):
+            raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be at least 1, got {self.n_jobs}")
+        for problem_id in self.problems:
+            if problem_id.lower() not in PROBLEM_IDS:
+                raise ValueError(f"unknown problem id {problem_id!r}")
+        if self.controller.lower() not in GAINS:
+            raise ValueError(f"unknown controller kind {self.controller!r}")
         for method_id in self.methods:
             # memoized: each row's own lookup is a cache hit
             if resolve(method_id, seed=self.seed).b_tilde is None:

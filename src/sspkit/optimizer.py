@@ -11,7 +11,9 @@ projected onto the affine solution manifold and the local search runs in
 its null-space coordinates.  Only the box constraint 0 <= w <= 1 needs a
 penalty.  The local search is an in-house adaptive Nelder-Mead that takes
 SciPy's steps in the same IEEE operations, on Python floats, so the
-package needs no SciPy.
+package needs no SciPy.  The cost has one implementation, the closure
+that ``_pair_cost`` builds: ``objective`` returns its value, and the
+search evaluates it at every point.
 """
 
 from __future__ import annotations
@@ -94,12 +96,6 @@ def _f_max(a2, ainf, tau_emb, diff) -> float:
     if not all(map(math.isfinite, f)):
         return math.inf
     return max(map(abs, f))
-
-
-def _cost(oc: analysis.OrderConditions, tau_main, w, p: int) -> float:
-    """``_f_max`` of the pair with advancing residuals tau_main and
-    embedded weights w."""
-    return _f_max(*analysis._norms(tau_main), oc.tau(w, p), oc.tau(w, p + 1) - tau_main)
 
 
 class _Budget(Exception):
@@ -200,13 +196,26 @@ def _nelder_mead(fun, x0, maxfev: int):
     return np.array(sim[0]), np.min(fsim)
 
 
-def _advancing_order(oc: analysis.OrderConditions, b) -> int:
-    """Order p of the advancing weights b, which must lie in 2..4: the
-    embedded order p - 1 needs a condition, and the cost trees to p + 1."""
+def _pair_cost(A, b):
+    """What the cost of embedded weights for (A, b) needs: the engine
+    ``oc`` of A, the advancing order p of b, the rows (M, rhs) of
+    ``oc.up_to(p - 1)`` that the weights must meet, and ``f_max(w)``,
+    ``_f_max`` of the pair (A, b, w).  p must lie in 2..4: the embedded
+    order p - 1 needs a condition, and the cost trees to p + 1.  The norms
+    of the advancing residuals are formed once, and the products are
+    ``ndarray.dot``, the BLAS product that ``@`` reaches."""
+    oc = analysis.OrderConditions(A)
     p = oc.classify(b)
     if not 2 <= p <= 4:
         raise ValueError(f"the weight search needs an advancing method of order 2..4, got order {p}")
-    return p
+    tau_main = oc.tau(b, p + 1)
+    a2, ainf = analysis._norms(tau_main)
+    phi_p, g_p, phi_q, g_q = oc.phi[p], oc.g[p], oc.phi[p + 1], oc.g[p + 1]
+
+    def f_max(w) -> float:
+        return _f_max(a2, ainf, phi_p.dot(w) - g_p, phi_q.dot(w) - g_q - tau_main)
+
+    return oc, p, oc.up_to(p - 1), f_max
 
 
 def objective(A, b, w) -> float:
@@ -215,16 +224,14 @@ def objective(A, b, w) -> float:
     Returns the +inf sentinel when w misses the order constraints of order
     p-1 (p being the advancing order of (A, b)) beyond
     ``analysis.ORDER_TOL``, or when the pair is defective so the C ratios
-    diverge.
+    diverge.  On the manifold it is the value the search's cost takes at w.
     """
     A, b = analysis._as_arrays(A, b)
     _, w = analysis._as_arrays(A, w)
-    oc = analysis.OrderConditions(A)
-    p = _advancing_order(oc, b)
-    M, rhs = oc.up_to(p - 1)
+    _, _, (M, rhs), f_max = _pair_cost(A, b)
     if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
         return math.inf
-    return _cost(oc, oc.tau(b, p + 1), w, p)
+    return f_max(w)
 
 
 def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
@@ -242,12 +249,8 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     deterministic for a fixed ``seed``.
     """
     t = spec.tableau
-    A, b = t.A, t.b
-    s = t.s
-    oc = analysis.OrderConditions(A)
-    p = _advancing_order(oc, b)
-
-    M, rhs = oc.up_to(p - 1)
+    A, s = t.A, t.s
+    oc, p, (M, rhs), f_max = _pair_cost(A, t.b)
     w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)  # b meets these rows, so they are consistent
     # null space of the constraint rows
     _, sv, Vt = np.linalg.svd(M)
@@ -255,16 +258,8 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     rank = int(np.sum(sv > tol_sv))
     N = Vt[rank:].T                     # s x k, orthonormal columns
 
-    tau_main = oc.tau(b, p + 1)
-    a2, ainf = analysis._norms(tau_main)
-    phi_p, g_p, phi_q, g_q = oc.phi[p], oc.g[p], oc.phi[p + 1], oc.g[p + 1]
     exempt = oc.vacuous(p)
     n_eval = 0
-
-    def f_max(w: np.ndarray) -> float:
-        # _cost(oc, tau_main, w, p) to the bit: ndarray.dot is the BLAS
-        # product that @ reaches, and the norms of tau_main are formed once
-        return _f_max(a2, ainf, phi_p.dot(w) - g_p, phi_q.dot(w) - g_q - tau_main)
 
     def cost(y: np.ndarray) -> float:
         nonlocal n_eval

@@ -25,7 +25,6 @@ __all__ = [
     "Grid1D",
     "vdp_rhs",
     "brusselator_rhs",
-    "weno5_reconstruct",
     "advection_rhs",
     "upwind_rhs",
     "euler_rhs",
@@ -124,16 +123,6 @@ def _weno5_faces(v: np.ndarray) -> np.ndarray:
     a2 = _D2 / (_WENO_EPS + b2) ** 2
     asum = a0 + a1 + a2
     return (a0 / asum) * q0 + (a1 / asum) * q1 + (a2 / asum) * q2
-
-
-def weno5_reconstruct(v) -> float:
-    """Interface value v_{i+1/2} from the five cell averages
-    (v_{i-2}, ..., v_{i+2}), biased for a right-moving wave: the face
-    kernel on one five-cell stencil."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (5,):
-        raise ValueError(f"need five cell averages, got shape {v.shape}")
-    return float(_weno5_faces(v)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ __all__ = [
     "format_method_id",
     "resolve",
     "catalog_ids",
-    "ssp_catalog_ids",
-    "with_advancing_weights",
 ]
 
 _ATOL = 1e-13  # most negative coefficient an SSP claim tolerates
@@ -366,21 +364,3 @@ def catalog_ids() -> list[str]:
     ids += [f"ssp10,4-b{k}" for k in range(1, 9)]
     ids += ["bs32", "dp54"]
     return ids
-
-
-def ssp_catalog_ids() -> list[str]:
-    """Subset of catalog_ids whose advancing method claims an SSP coefficient."""
-    return [i for i in catalog_ids() if resolve(i).ssp_claimed is not None]
-
-
-def with_advancing_weights(t: EmbeddedTableau, use_embedded: bool = False) -> EmbeddedTableau:
-    """Copy of ``t`` advancing with its own b, or with b_tilde if requested.
-
-    Swapping in the embedded weights gives the plain method RK(A, b_tilde)
-    for fixed-step order studies; the copy carries no embedded vector.
-    """
-    if not use_embedded:
-        return replace(t, b_tilde=None)
-    if t.b_tilde is None:
-        raise ValueError(f"{t.id} has no embedded weights")
-    return replace(t, id=t.id + "~emb", b=t.b_tilde, p=t.p - 1, b_tilde=None, ssp_claimed=None)

@@ -28,7 +28,9 @@ from sspkit.problems import (
     upwind_advection,
     vdp_rhs,
 )
-from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
+from sspkit.tableau import catalog_ids, resolve
+
+from conftest import embedded_method, ssp_ids
 
 
 def run_vdp(method_id, kind, tol=1e-4):
@@ -95,7 +97,7 @@ def test_criterion_03_stability_radii(criterion):
         order_ok &= (r.R_psi <= r.delta_C + order_tol
                      and r.delta_C <= r.delta_R + order_tol)
     bound_ok = True
-    for mid in ssp_catalog_ids():
+    for mid in ssp_ids():
         t = resolve(mid)
         R = analysis.absolute_monotonicity_radius(analysis.stability_polynomial(t.A, t.b))
         bound_ok &= R >= t.ssp_claimed - 1e-6
@@ -139,7 +141,7 @@ def test_criterion_04_fixed_step_convergence_orders(criterion):
     for mid in catalog_ids():
         t = resolve(mid)
         q = observed_order(t, override.get((mid, "main"), ladder[t.p]))
-        te = with_advancing_weights(t, use_embedded=True)
+        te = embedded_method(t)
         q_t = observed_order(te, override.get((mid, "emb"), ladder[t.p_tilde]))
         worst_main = max(worst_main, abs(q - t.p))
         worst_emb = max(worst_emb, abs(q_t - t.p_tilde))

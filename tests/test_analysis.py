@@ -38,7 +38,9 @@ from sspkit.analysis import (
     stability_radii,
     stability_region_grid,
 )
-from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
+from sspkit.tableau import catalog_ids, resolve
+
+from conftest import embedded_method, ssp_ids
 
 
 # ------------------------------------------------------------- residuals
@@ -345,7 +347,7 @@ def test_radius_functions_reject_empty_or_non_finite_coefficients(radius, coeffs
 
 
 def test_monotonicity_radius_bounds_ssp_coefficient():
-    for mid in ssp_catalog_ids():
+    for mid in ssp_ids():
         t = resolve(mid)
         r = absolute_monotonicity_radius(stability_polynomial(t.A, t.b))
         assert r >= t.ssp_claimed - 1e-6, mid
@@ -448,7 +450,7 @@ def test_analyze_method_reports_key_fields():
 
 
 def test_analyze_method_on_swapped_weights_sees_lower_order():
-    t = with_advancing_weights(resolve("ssp4,3-b2"), use_embedded=True)
+    t = embedded_method(resolve("ssp4,3-b2"))
     assert classify_order(t.A, t.b) == 2
 
 

@@ -47,6 +47,12 @@ def test_plan_rejects_fewer_than_one_job():
             BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), n_jobs=n)
 
 
+def test_plan_reads_problem_ids_and_controller_kinds_in_any_case():
+    # as make_problem and make_controller read them
+    plan = BenchPlan(methods=("ssp2,2-b2",), problems=("VdP", "EULER"), controller="PID")
+    assert plan.problems == ("VdP", "EULER") and plan.controller == "PID"
+
+
 @pytest.mark.parametrize("kwargs", [
     {"tolerances": (1e-3, -1.0)},
     {"tolerances": (0.0,)},
@@ -55,6 +61,10 @@ def test_plan_rejects_fewer_than_one_job():
     {"methods": ("nosuch",), "problems": ("advection", "vdp")},
     {"methods": ("ssp5,3",)},
     {"methods": ("ssp3,3",)},
+    {"problems": ("vdp", "nope")},
+    {"controller": "nope"},
+    {"tolerances": ()},
+    {"n_jobs": 1.5},
 ])
 def test_a_bad_plan_fails_before_any_reference_solve(monkeypatch, kwargs):
     def refuse(*_args, **_kwargs):

@@ -19,7 +19,9 @@ from sspkit.integrator import (
 )
 from sspkit.analysis import ssp_coefficient_arrays
 from sspkit.problems import make_problem, total_variation, upwind_advection
-from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
+from sspkit.tableau import catalog_ids, resolve
+
+from conftest import ssp_ids
 
 TAB22 = resolve("ssp2,2-b2")
 
@@ -46,7 +48,7 @@ def test_step_passes_stage_times_through_c():
 
 
 def test_step_without_embedded_weights_returns_no_estimate():
-    tab = with_advancing_weights(TAB22, use_embedded=False)
+    tab = replace(TAB22, b_tilde=None)
     u_next, u_hat = rk_step(tab, lambda t, u: u, 0.0, np.array([1.0]), 0.1)
     assert u_hat is None
     assert u_next[0] == pytest.approx(1.105, abs=1e-15)
@@ -92,7 +94,7 @@ def test_step_and_norm_match_the_tensordot_reference_bit_for_bit(method, n):
     # the two solutions
     rng = np.random.default_rng([n, *method.encode()])
     embedded = resolve(method)
-    for tab in (embedded, with_advancing_weights(embedded)):
+    for tab in (embedded, replace(embedded, b_tilde=None)):
         for _ in range(8):
             u_n = _magnitudes(rng, n)
             dt = 10.0 ** rng.uniform(-4.0, 0.0)
@@ -224,7 +226,7 @@ def test_initial_step_rejects_non_finite_rhs():
 
 
 def test_adaptive_requires_embedded_weights():
-    tab = with_advancing_weights(TAB22, use_embedded=False)
+    tab = replace(TAB22, b_tilde=None)
     with pytest.raises(ValueError):
         integrate_adaptive(decay_problem(), tab, make_controller("i"), 1e-6, 1e-6)
 
@@ -297,7 +299,7 @@ def test_adaptive_ssp_steps_within_the_bound_never_raise_total_variation(tol):
     variation then grows by up to 1.2e-2 in one step.  At 1e-3 every pair
     stays within the bound.
     """
-    for mid in ssp_catalog_ids():
+    for mid in ssp_ids():
         tab = resolve(mid)
         prob = upwind_advection(200)
         bound = ssp_coefficient_arrays(tab.A, tab.b) * prob.grid.dx

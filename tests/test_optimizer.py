@@ -18,7 +18,9 @@ from sspkit.optimizer import (
     optimize_embedded,
     ssp_feasible,
 )
-from sspkit.tableau import catalog_ids, resolve, ssp_catalog_ids, with_advancing_weights
+from sspkit.tableau import catalog_ids, resolve
+
+from conftest import embedded_method, pair_norms, ssp_ids
 
 A22 = np.array([[0.0, 0.0], [1.0, 0.0]])
 B22 = np.array([0.5, 0.5])
@@ -53,7 +55,7 @@ def test_screen_matches_claimed_coefficient_for_nine_stage_second_order():
 
 def test_screen_brackets_the_bisected_coefficient_catalog_wide():
     # the screen and the SSP coefficient share one feasibility test
-    for mid in ssp_catalog_ids():
+    for mid in ssp_ids():
         t = resolve(mid)
         r = ssp_coefficient_arrays(t.A, t.b)
         assert ssp_feasible(t.A, t.b, r), mid
@@ -182,7 +184,7 @@ def test_spec_accepts_a_zero_screen_coefficient():
 def test_first_order_base_is_rejected_naming_its_order():
     # the embedded order is always one below the advancing order, so a
     # first-order base leaves nothing to search for
-    base = with_advancing_weights(resolve("ssp2,2-b2"), use_embedded=True)
+    base = embedded_method(resolve("ssp2,2-b2"))
     with pytest.raises(ValueError, match="order 2..4, got order 1"):
         optimize_embedded(OptimizationSpec(tableau=base))
     with pytest.raises(ValueError, match="got order 5"):
@@ -293,6 +295,7 @@ def test_every_cost_value_of_a_search_is_the_reference_value(monkeypatch, spec):
         oc = OrderConditions(spec.tableau.A)
         p = oc.classify(spec.tableau.b)
         assert result.objective == _ref_cost(oc, oc.tau(spec.tableau.b, p + 1), result.w, p)
+        assert result.objective == objective(spec.tableau.A, spec.tableau.b, result.w)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and overflow probes
@@ -329,9 +332,9 @@ def test_cost_and_norms_at_edge_weights_are_the_reference_values(w):
     oc = OrderConditions(t.A)
     tau_main = oc.tau(t.b, 3)
     w = np.array(w)
-    got, want = oc.error_norms(tau_main, w, 2), _ref_error_norms(oc, tau_main, w, 2)
+    got, want = pair_norms(oc, tau_main, w, 2), _ref_error_norms(oc, tau_main, w, 2)
     assert all(map(_same, got, want)), (got, want)
-    assert optimizer._cost(oc, tau_main, w, 2) == _ref_cost(oc, tau_main, w, 2)
+    assert optimizer._pair_cost(t.A, t.b)[3](w) == _ref_cost(oc, tau_main, w, 2)
     if not np.isnan(w).any():
         assert objective(t.A, t.b, w) in (_ref_cost(oc, tau_main, w, 2), math.inf)
 
@@ -340,8 +343,8 @@ def test_defective_weights_cost_the_sentinel_as_before():
     # ssp2,2's own weights satisfy the order-2 condition exactly: A2_emb = 0
     oc = OrderConditions(A22)
     tau_main = oc.tau(B22, 3)
-    assert oc.error_norms(tau_main, B22, 2)[2] == 0.0
-    assert optimizer._cost(oc, tau_main, B22, 2) == _ref_cost(oc, tau_main, B22, 2) == math.inf
+    assert pair_norms(oc, tau_main, B22, 2)[2] == 0.0
+    assert optimizer._pair_cost(A22, B22)[3](B22) == _ref_cost(oc, tau_main, B22, 2) == math.inf
     assert objective(A22, B22, B22) == math.inf
 
 
@@ -353,7 +356,7 @@ def test_a_nan_residual_behind_an_inf_keeps_the_max_norm_nan():
     oc = OrderConditions(t.A)
     w = np.array([0.0, math.inf, 0.0])
     assert np.isinf(oc.tau(w, 3)[0]) and np.isnan(oc.tau(w, 3)[1])
-    norms = oc.error_norms(oc.tau(t.b, 4), w, 3)
+    norms = pair_norms(oc, oc.tau(t.b, 4), w, 3)
     assert math.isnan(norms[3])  # Ainf_emb
     assert all(map(_same, norms, _ref_error_norms(oc, oc.tau(t.b, 4), w, 3)))
 

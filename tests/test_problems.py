@@ -26,10 +26,11 @@ from sspkit.problems import (
     upwind_rhs,
     vdp,
     vdp_rhs,
-    weno5_reconstruct,
 )
 from sspkit.problems import _ghost
 from sspkit.tableau import resolve
+
+from conftest import weno5_face
 
 GRID = Grid1D(100, -1.0, 1.0)
 
@@ -121,7 +122,7 @@ def _candidates(v):
 
 
 def test_reconstruction_is_exact_on_constants_with_ideal_weights():
-    assert weno5_reconstruct([2.5] * 5) == pytest.approx(2.5, rel=1e-14)
+    assert weno5_face([2.5] * 5) == pytest.approx(2.5, rel=1e-14)
     # all three smoothness indicators equal 13/3 here, so the weights are
     # the ideal (0.1, 0.6, 0.3) and the value is the fifth-order linear
     # blend (2 v-2 - 13 v-1 + 47 v0 + 27 v1 - 3 v2)/60, away from each of
@@ -129,12 +130,12 @@ def test_reconstruction_is_exact_on_constants_with_ideal_weights():
     v = [0.75, 1.0, 0.0, 1.0, 0.75]
     q = _candidates(v)
     assert q == pytest.approx((-11 / 12, 1 / 6, 17 / 24), rel=1e-15)
-    assert weno5_reconstruct(v) == pytest.approx(13.25 / 60, rel=1e-12)
-    assert weno5_reconstruct(v) == pytest.approx(0.1 * q[0] + 0.6 * q[1] + 0.3 * q[2], rel=1e-12)
+    assert weno5_face(v) == pytest.approx(13.25 / 60, rel=1e-12)
+    assert weno5_face(v) == pytest.approx(0.1 * q[0] + 0.6 * q[1] + 0.3 * q[2], rel=1e-12)
 
 
 def test_reconstruction_is_exact_on_linear_data():
-    assert weno5_reconstruct([-2.0, -1.0, 0.0, 1.0, 2.0]) == pytest.approx(0.5, abs=1e-13)
+    assert weno5_face([-2.0, -1.0, 0.0, 1.0, 2.0]) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_weights_are_convex_on_arbitrary_data():
@@ -142,7 +143,7 @@ def test_weights_are_convex_on_arbitrary_data():
     rng = np.random.default_rng(5)
     for v in [[1.0, 3.0, -2.0, 0.5, 7.0], *rng.standard_normal((200, 5))]:
         q = _candidates(v)
-        assert min(q) - 1e-12 <= weno5_reconstruct(v) <= max(q) + 1e-12
+        assert min(q) - 1e-12 <= weno5_face(v) <= max(q) + 1e-12
 
 
 def test_weights_avoid_a_downstream_discontinuity():
@@ -150,7 +151,7 @@ def test_weights_avoid_a_downstream_discontinuity():
     # the other two read 2/3 and 1/3: the value shows it carries the weight
     v = [1.0, 1.0, 1.0, 0.0, 0.0]
     assert _candidates(v) == pytest.approx((1.0, 2 / 3, 1 / 3), rel=1e-15)
-    assert weno5_reconstruct(v) == pytest.approx(1.0, abs=1e-9)
+    assert weno5_face(v) == pytest.approx(1.0, abs=1e-9)
 
 
 # ----------------------------------------------------- advection discretizers
@@ -251,7 +252,7 @@ def test_one_pass_weno5_matches_the_two_pass_kernel_bit_for_bit(n, boundary):
     # (Python floats square through libm pow, which can differ from x*x
     # in the last bit)
     for v in _sixteen_decades(rng, (20, 5)):
-        assert weno5_reconstruct(v) == _weno5_face(*v[:, None])[0]
+        assert weno5_face(v) == _weno5_face(*v[:, None])[0]
 
 
 def test_upwind_euler_step_is_total_variation_stable_at_the_cfl_limit():

@@ -12,9 +12,9 @@ from sspkit.tableau import (
     format_method_id,
     parse_method_id,
     resolve,
-    ssp_catalog_ids,
-    with_advancing_weights,
 )
+
+from conftest import ssp_ids
 
 
 # ---------------------------------------------------------------- id grammar
@@ -244,7 +244,7 @@ def test_weights_sum_to_one():
 
 
 def test_ssp_catalog_excludes_literature_pairs():
-    ids = ssp_catalog_ids()
+    ids = ssp_ids()
     assert "bs32" not in ids and "dp54" not in ids
     assert "ssp2,2-b1" in ids and "ssp10,4-b3" in ids
 
@@ -259,22 +259,6 @@ def test_ssp_claims_match_family_formulas():
 
 
 # ------------------------------------------------------------- derived views
-
-def test_with_advancing_weights_swaps_embedded():
-    t = resolve("ssp2,2-b2")
-    main = with_advancing_weights(t)
-    assert main.b_tilde is None and main.p == 2
-    emb = with_advancing_weights(t, use_embedded=True)
-    assert emb.b_tilde is None and emb.p == t.p - 1 == 1
-    assert main.p_tilde is None and emb.p_tilde is None
-    np.testing.assert_allclose(emb.b, t.b_tilde, atol=1e-15)
-    assert np.array_equal(main.c, t.c) and np.array_equal(emb.c, t.c)
-
-
-def test_with_advancing_weights_requires_embedded():
-    with pytest.raises(ValueError):
-        with_advancing_weights(resolve("ssp3,3"), use_embedded=True)
-
 
 def test_optimized_variant_is_cached_and_deterministic():
     a = resolve("ssp3,3-w")
