@@ -45,13 +45,9 @@ from .integrator import (  # noqa: F401
 )
 from .problems import (  # noqa: F401
     Grid1D,
-    advection,
-    brusselator,
     cfl_step,
-    euler_sod,
     make_problem,
     total_variation,
     upwind_advection,
-    vdp,
 )
 from .bench import BenchPlan, WorkPrecisionRow, run_bench  # noqa: F401

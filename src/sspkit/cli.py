@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -36,6 +37,12 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number is a value, not a flag, in exponent form too
+        # (--re -1e1 2); Python 3.11's own pattern knows only -10 and -1.5
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # spec reserves exit code 2 for stiffness failures; usage errors exit 1
     def error(self, message):
         self.print_usage(sys.stderr)

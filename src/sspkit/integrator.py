@@ -210,41 +210,33 @@ def integrate_adaptive(
     controller: ControllerState,
     atol: float,
     rtol: float,
-    *,
-    max_attempts: int = MAX_ATTEMPTS,
-    dt0: float | None = None,
 ) -> IntegrationResult:
     """Accept/reject loop: a step stands iff error_norm <= 1.
 
     The run reads only ``controller.kind``: it steps with a fresh
     ``ControllerState`` of that kind and leaves the caller's object as it
     was, so every run starts from the same warm-up history.
-    The final step is truncated to land on T exactly (not a rejection).
-    ``n_fev`` counts every call of ``problem.f``: s per attempted step,
-    plus the two of ``initial_step`` when no ``dt0`` is given.
-    Raises ValueError unless atol > 0 and rtol >= 0 are both finite, a
-    given dt0 is finite and positive, the time span is finite with
-    t0 < T and u0 is 1-D, StiffnessError on step
-    underflow (a NaN step included) and BudgetError past max_attempts
-    attempted steps.
+    The starting step comes from ``initial_step``, capped by the
+    problem's ``cfl_hint`` when it has one.  The final step is truncated
+    to land on T exactly (not a rejection).  ``n_fev`` counts every call
+    of ``problem.f``: s per attempted step plus the two of
+    ``initial_step``.
+    Raises ValueError unless atol > 0 and rtol >= 0 are both finite, the
+    time span is finite with t0 < T and u0 is 1-D, StiffnessError on step
+    underflow (a NaN step included) and BudgetError past ``MAX_ATTEMPTS``
+    attempted steps, the module constant as it reads when the run starts.
     """
     if tab.b_tilde is None:
         raise ValueError(f"method {tab.id!r} has no embedded weights")
     if not (0.0 < atol < math.inf and 0.0 <= rtol < math.inf):
         raise ValueError(f"need finite atol > 0 and rtol >= 0, got atol={atol}, rtol={rtol}")
-    if dt0 is not None and not 0.0 < dt0 < math.inf:
-        raise ValueError(f"dt0 must be finite and positive, got {dt0}")
     f = problem.f
     t0, T = problem.t_span
     u = _initial_state(problem)
     t = float(t0)
-    if dt0 is None:
-        cfl = problem.cfl_hint(u) if problem.cfl_hint is not None else None
-        dt = initial_step(f, t, u, tab.p, atol, rtol, cfl)
-        n_fev = 2  # initial_step evaluates f at u0 and at its Euler probe
-    else:
-        dt = float(dt0)
-        n_fev = 0
+    cfl = problem.cfl_hint(u) if problem.cfl_hint is not None else None
+    dt = initial_step(f, t, u, tab.p, atol, rtol, cfl)
+    max_attempts = MAX_ATTEMPTS
 
     ctl = ControllerState(controller.kind)
     step_log: list[tuple[float, float, float, bool]] = []
@@ -290,7 +282,7 @@ def integrate_adaptive(
         u=u,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        n_fev=n_fev + tab.s * (n_acc + n_rej),
+        n_fev=tab.s * (n_acc + n_rej) + 2,  # initial_step calls f at u0 and at its Euler probe
         step_log=step_log,
     )
 
@@ -304,15 +296,16 @@ def integrate_fixed(
 ) -> np.ndarray:
     """Uniform stepping with the advancing weights only; the last step is
     shortened to land on T.  callback(t, u) fires at t0 and after every
-    step (total-variation monitoring and the like).  Raises ValueError
-    unless dt > 0 is finite, the time span is finite with t0 < T and u0
-    is 1-D."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    tab = replace(tab, b_tilde=None)  # no embedded solution to form and drop
-    f = problem.f
+    step (total-variation monitoring and the like).  Raises ValueError,
+    before any call of f or callback, unless the time span is finite with
+    t0 < T, u0 is 1-D and dt > 0 is finite with a finite step count
+    (T - t0)/dt."""
     t0, T = problem.t_span
     u = _initial_state(problem)
+    if not (0.0 < dt < math.inf and (T - t0) / dt < math.inf):
+        raise ValueError(f"dt must be finite and positive with (T - t0)/dt finite, got {dt}")
+    tab = replace(tab, b_tilde=None)  # no embedded solution to form and drop
+    f = problem.f
     if callback is not None:
         callback(t0, u)
     n_steps = int(np.ceil((T - t0) / dt - 1e-9))

@@ -1,6 +1,7 @@
 """Test systems: Van der Pol, Brusselator, WENO5 linear advection, WENO5
 1-D Euler (Sod shock tube), and a first-order upwind advection operator
-used by the TVD property checks.
+used by the TVD property checks.  ``make_problem`` is the one constructor
+of the four benchmark problems.
 
 PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
@@ -30,10 +31,6 @@ __all__ = [
     "euler_rhs",
     "total_variation",
     "cfl_step",
-    "vdp",
-    "brusselator",
-    "advection",
-    "euler_sod",
     "upwind_advection",
     "make_problem",
     "PROBLEM_IDS",
@@ -54,8 +51,10 @@ class Grid1D:
     boundary: str = "periodic"  # or "outflow"
 
     def __post_init__(self):
-        if self.n_cells < 1 or self.x_max <= self.x_min:
-            raise ValueError("degenerate grid")
+        if self.n_cells < 1:
+            raise ValueError(f"n_cells must be at least 1, got {self.n_cells}")
+        if not self.x_min < self.x_max:
+            raise ValueError(f"x_max must exceed x_min, got x_min={self.x_min}, x_max={self.x_max}")
         if self.boundary not in ("periodic", "outflow"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -235,20 +234,13 @@ def square_wave_average(grid: Grid1D) -> np.ndarray:
     return np.clip((np.minimum(xr, 0.5) - np.maximum(xl, -0.5)) / grid.dx, 0.0, 1.0)
 
 
-def sine_average(grid: Grid1D) -> np.ndarray:
-    """Cell averages of sin(pi x) on the grid."""
-    xl = grid.edges[:-1]
-    xr = grid.edges[1:]
-    return (np.cos(np.pi * xl) - np.cos(np.pi * xr)) / (np.pi * grid.dx)
-
-
 # ---------------------------------------------------------------------------
-# problem factories
+# problem factories: make_problem is the one public constructor of the four
+# benchmark problems; each private builder takes only n_cells, which the
+# two ODEs ignore
 
-PROBLEM_IDS = ("vdp", "brusselator", "advection", "euler")
 
-
-def vdp() -> OdeSystem:
+def _vdp(n_cells: int) -> OdeSystem:
     return OdeSystem(
         f=vdp_rhs,
         t_span=(0.0, 2.0),
@@ -257,7 +249,7 @@ def vdp() -> OdeSystem:
     )
 
 
-def brusselator() -> OdeSystem:
+def _brusselator(n_cells: int) -> OdeSystem:
     return OdeSystem(
         f=brusselator_rhs,
         t_span=(0.0, 20.0),
@@ -266,18 +258,12 @@ def brusselator() -> OdeSystem:
     )
 
 
-def advection(n_cells: int = 200, profile: str = "square", t_final: float = 0.2) -> OdeSystem:
+def _advection(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
-    if profile == "square":
-        u0 = square_wave_average(grid)
-    elif profile == "sine":
-        u0 = sine_average(grid)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
     return OdeSystem(
         f=lambda t, u: advection_rhs(u, grid),
-        t_span=(0.0, t_final),
-        u0=u0,
+        t_span=(0.0, 0.2),
+        u0=square_wave_average(grid),
         cfl_hint=lambda u: cfl_step(grid, 1.0, CFL_DEFAULT),
         name="advection",
         grid=grid,
@@ -304,11 +290,11 @@ def sod_initial(grid: Grid1D) -> np.ndarray:
     return np.concatenate([rho, mom, E])
 
 
-def euler_sod(n_cells: int = 200, t_final: float = 0.2) -> OdeSystem:
+def _euler(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, 0.0, 1.0, "outflow")
     return OdeSystem(
         f=lambda t, q: euler_rhs(q, grid),
-        t_span=(0.0, t_final),
+        t_span=(0.0, 0.2),
         u0=sod_initial(grid),
         cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q), CFL_DEFAULT),
         name="euler",
@@ -316,14 +302,14 @@ def euler_sod(n_cells: int = 200, t_final: float = 0.2) -> OdeSystem:
     )
 
 
+_BUILDERS = {"vdp": _vdp, "brusselator": _brusselator, "advection": _advection, "euler": _euler}
+PROBLEM_IDS = tuple(_BUILDERS)
+
+
 def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:
-    pid = problem_id.lower()
-    if pid == "vdp":
-        return vdp()
-    if pid == "brusselator":
-        return brusselator()
-    if pid == "advection":
-        return advection(n_cells)
-    if pid == "euler":
-        return euler_sod(n_cells)
-    raise ValueError(f"unknown problem id {problem_id!r}")
+    """The benchmark problem ``problem_id`` (read case-insensitively), on
+    ``n_cells`` cells for the two PDEs; ValueError for an unknown id."""
+    build = _BUILDERS.get(problem_id.lower())
+    if build is None:
+        raise ValueError(f"unknown problem id {problem_id!r}")
+    return build(n_cells)

@@ -40,6 +40,13 @@ def pair_norms(oc, tau_main, w, p: int) -> tuple[float, ...]:
     return _pair_norms(*_norms(tau_main), oc.tau(w, p), oc.tau(w, p + 1) - tau_main)
 
 
+def sine_average(grid) -> np.ndarray:
+    """Cell averages of sin(pi x) on the grid."""
+    xl = grid.edges[:-1]
+    xr = grid.edges[1:]
+    return (np.cos(np.pi * xl) - np.cos(np.pi * xr)) / (np.pi * grid.dx)
+
+
 def weno5_face(v) -> float:
     """Left-biased WENO5 value v_{i+1/2} from the five cell averages
     (v_{i-2}, ..., v_{i+2}): the face kernel on one stencil."""

@@ -9,6 +9,7 @@ criterion 11's misses.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,18 +20,10 @@ from sspkit.bench import reference_endpoint
 from sspkit.controller import make_controller
 from sspkit.integrator import OdeSystem, integrate_adaptive, integrate_fixed
 from sspkit.optimizer import OptimizationSpec, optimize_embedded
-from sspkit.problems import (
-    advection,
-    brusselator,
-    make_problem,
-    sine_average,
-    total_variation,
-    upwind_advection,
-    vdp_rhs,
-)
+from sspkit.problems import make_problem, total_variation, upwind_advection, vdp_rhs
 from sspkit.tableau import catalog_ids, resolve
 
-from conftest import embedded_method, ssp_ids
+from conftest import embedded_method, sine_average, ssp_ids
 
 
 def run_vdp(method_id, kind, tol=1e-4):
@@ -229,7 +222,7 @@ def test_criterion_06_brusselator_reproduction_band(criterion):
     """
     t0 = time.perf_counter()
     u_ref = reference_endpoint("brusselator")
-    res = integrate_adaptive(brusselator(), resolve("ssp3,3-w"),
+    res = integrate_adaptive(make_problem("brusselator"), resolve("ssp3,3-w"),
                              make_controller("pid"), 1e-4, 1e-4)
     err = float(np.linalg.norm(res.u - u_ref))
     elapsed = time.perf_counter() - t0
@@ -267,7 +260,7 @@ def test_criterion_06_work_precision_curve_passes_beside_the_box():
     tab = resolve("ssp3,3-w")
     rows = []
     for tol in np.logspace(-3, -7, 17):
-        res = integrate_adaptive(brusselator(), tab, make_controller("pid"), tol, tol)
+        res = integrate_adaptive(make_problem("brusselator"), tab, make_controller("pid"), tol, tol)
         rows.append((res.n_attempts, float(np.linalg.norm(res.u - u_ref))))
     attempts, errors = zip(*rows)
     assert all(a < b for a, b in zip(attempts, attempts[1:]))
@@ -329,7 +322,8 @@ def test_criterion_10_weno5_spatial_convergence(criterion):
     t0 = time.perf_counter()
     errs = {}
     for n in (25, 50, 100):
-        prob = advection(n_cells=n, profile="sine", t_final=2.0)
+        prob = make_problem("advection", n_cells=n)
+        prob = replace(prob, u0=sine_average(prob.grid), t_span=(0.0, 2.0))
         u_end = integrate_fixed(prob, resolve("ssp10,4-b3"), 1e-3)
         errs[n] = float(prob.grid.dx * np.sum(np.abs(u_end - sine_average(prob.grid))))
     s1 = float(np.log2(errs[25] / errs[50]))
@@ -369,7 +363,7 @@ def test_criterion_11_overestimating_weights_pathology(criterion):
     u_ref = reference_endpoint("advection")
     out = {}
     for var in ("b2", "b3"):
-        prob = advection(n_cells=200, profile="square", t_final=0.2)
+        prob = make_problem("advection", n_cells=200)
         res = integrate_adaptive(prob, resolve(f"ssp10,4-{var}"),
                                  make_controller("pid"), 1e-4, 1e-4)
         out[var] = (res.n_fev, float(np.linalg.norm(res.u - u_ref)))

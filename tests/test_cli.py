@@ -85,6 +85,23 @@ def test_region_rejects_a_nan_or_reversed_range(capsys, flags):
     assert "finite MIN < MAX" in err
 
 
+@pytest.mark.parametrize("flag, plain, exponent", [
+    ("--re", ("-10", "2"), ("-1e1", "2")),
+    ("--im", ("-8", "8"), ("-8e0", "8")),
+    ("--re", ("-0.5", "2"), ("-5E-1", "2e0")),
+])
+def test_region_reads_a_negative_bound_in_exponent_form(tmp_path, capsys, flag, plain, exponent):
+    # argparse's own pattern took "-1e1" for a flag ("expected 2 arguments")
+    texts = []
+    for i, bounds in enumerate((plain, exponent)):
+        out = tmp_path / f"region{i}.csv"
+        code, _, err = run_cli(capsys, "region", "ssp2,2-b2", "--nx", "4", "--ny", "3",
+                               flag, *bounds, "--out", str(out))
+        assert (code, err) == (0, "")
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
 def test_region_too_large_to_hold_fails_with_a_message(capsys):
     # 1e16 lattice points (80 PB) exceed any address space, so the lattice
     # allocation, which comes before any sampling, fails at once; it used to
@@ -158,6 +175,14 @@ def test_integrate_has_no_gain_flags(capsys):
         main(["integrate", "--method", "ssp2,2-b2", "--problem", "vdp", "--k1", "0.5"])
     assert exc.value.code == 1
     assert "--k1" in capsys.readouterr().err
+
+
+def test_integrate_on_an_empty_grid_names_the_bad_field(capsys):
+    code, lines, err = run_cli(capsys, "integrate", "--method", "ssp2,2-b2",
+                               "--problem", "advection", "--n-cells", "0")
+    assert code == 1
+    assert lines == []
+    assert err == "sspkit: error: n_cells must be at least 1, got 0\n"
 
 
 def test_integrate_rejects_unknown_problem(capsys):
