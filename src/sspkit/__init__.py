@@ -3,14 +3,7 @@ explicit Runge-Kutta methods."""
 
 __version__ = "0.1.0"
 
-from .tableau import (  # noqa: F401
-    EmbeddedTableau,
-    MethodId,
-    catalog_ids,
-    format_method_id,
-    parse_method_id,
-    resolve,
-)
+from .tableau import EmbeddedTableau, catalog_ids, resolve  # noqa: F401
 from .analysis import (  # noqa: F401
     ErrorMeasures,
     NonDefectiveReport,

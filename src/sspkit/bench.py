@@ -121,6 +121,7 @@ def run_single(
     u_ref: np.ndarray,
     seed: int = 0,
 ) -> WorkPrecisionRow:
+    """One adaptive run as a row, whose ``method`` is the canonical id."""
     tab = resolve(method_id, seed=seed)
     prob = make_problem(problem_id)
     t0 = time.perf_counter()
@@ -131,13 +132,13 @@ def run_single(
     except (StiffnessError, BudgetError) as exc:
         status = "stiffness-failure" if isinstance(exc, StiffnessError) else "budget-failure"
         return WorkPrecisionRow(
-            method_id, problem_id, tol, 0, 0, 0, float("nan"),
+            tab.id, problem_id, tol, 0, 0, 0, float("nan"),
             1e3 * (time.perf_counter() - t0), status,
         )
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(res.u - u_ref))
     return WorkPrecisionRow(
-        method_id, problem_id, tol, res.n_accepted, res.n_rejected,
+        tab.id, problem_id, tol, res.n_accepted, res.n_rejected,
         res.n_fev, err, wall_ms, "ok",
     )
 

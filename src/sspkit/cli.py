@@ -143,8 +143,6 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.relative_to is not None and args.relative_to not in args.methods:
-        raise ValueError(f"--relative-to {args.relative_to!r} is not one of --methods")
     plan = BenchPlan(
         methods=tuple(args.methods),
         problems=tuple(args.problems),
@@ -153,8 +151,14 @@ def _cmd_bench(args) -> int:
         n_jobs=args.jobs,
         seed=args.seed,
     )
+    # rows carry canonical ids, so the base is compared and passed in that form
+    relative_to = None
+    if args.relative_to is not None:
+        relative_to = resolve(args.relative_to, seed=args.seed).id
+        if relative_to not in {resolve(m, seed=args.seed).id for m in plan.methods}:
+            raise ValueError(f"--relative-to {args.relative_to!r} is not one of --methods")
     rows = run_bench(plan)
-    _emit(args, rows_to_csv(rows, relative_to=args.relative_to))
+    _emit(args, rows_to_csv(rows, relative_to=relative_to))
     return 0
 
 

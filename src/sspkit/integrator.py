@@ -298,17 +298,21 @@ def integrate_fixed(
     shortened to land on T.  callback(t, u) fires at t0 and after every
     step (total-variation monitoring and the like).  Raises ValueError,
     before any call of f or callback, unless the time span is finite with
-    t0 < T, u0 is 1-D and dt > 0 is finite with a finite step count
-    (T - t0)/dt."""
+    t0 < T, u0 is 1-D and dt > 0 is finite with a step count (T - t0)/dt
+    of at most ``MAX_ATTEMPTS``, the module constant as it reads when the
+    run starts."""
     t0, T = problem.t_span
     u = _initial_state(problem)
     if not (0.0 < dt < math.inf and (T - t0) / dt < math.inf):
         raise ValueError(f"dt must be finite and positive with (T - t0)/dt finite, got {dt}")
+    n_steps = int(np.ceil((T - t0) / dt - 1e-9))
+    max_steps = MAX_ATTEMPTS
+    if n_steps > max_steps:
+        raise ValueError(f"dt = {dt} takes {n_steps:.6g} steps, more than MAX_ATTEMPTS = {max_steps}")
     tab = replace(tab, b_tilde=None)  # no embedded solution to form and drop
     f = problem.f
     if callback is not None:
         callback(t0, u)
-    n_steps = int(np.ceil((T - t0) / dt - 1e-9))
     t = float(t0)
     for i in range(n_steps):
         t_next = min(t0 + (i + 1) * dt, T)

@@ -5,14 +5,17 @@ methods of orders 2, 3 and 4 together with embedded weight vectors one
 order lower, plus two classical non-SSP pairs for comparison.  All
 coefficients are assembled from exact rationals and converted to float
 once, so structural identities (row sums, weight sums) hold to roundoff.
-``resolve`` is the one public way to a catalog tableau: it checks the
-stage count of the family once, runs the family's private builder, and
-builds each id once per process.  Derived tableaux are
-``dataclasses.replace`` copies.  Nothing that follows from the pair is
-passed in; it is derived once, when the tableau is built: the abscissae
-c = A e, the stage count s, the stage data ``rk_step`` reads (c as
-Python floats and the rows A[i, :i]), and p_tilde, which is p - 1
-whenever embedded weights are present.
+A method is named by its id string, ``ssp<s>,<p>[-b<k>|-w]`` (s stages,
+advancing order p in 2..4, embedded variant b<k> or the weight search
+w), ``bs32`` or ``dp54``; ids are case-insensitive.  ``resolve`` is the
+one parser of ids and the one public way to a catalog tableau: it reads
+(s, p, variant) once, runs the private builder of order p, which checks
+its own stage count, and builds each id once per process.  Derived
+tableaux are ``dataclasses.replace`` copies.  Nothing that follows from
+the pair is passed in; it is derived once, when the tableau is built:
+the abscissae c = A e, the stage count s, the stage data ``rk_step``
+reads (c as Python floats and the rows A[i, :i]), and p_tilde, which is
+p - 1 whenever embedded weights are present.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ import numpy as np
 
 __all__ = [
     "EmbeddedTableau",
-    "MethodId",
-    "parse_method_id",
-    "format_method_id",
     "resolve",
     "catalog_ids",
 ]
@@ -115,70 +115,27 @@ class EmbeddedTableau:
         object.__setattr__(self, "_stage_rows", tuple(self.A[i, :i] for i in range(s)))
 
 
-@dataclass(frozen=True)
-class MethodId:
-    """Parsed method identifier.
-
-    ``family`` is ``ssp2``/``ssp3``/``ssp4`` (keyed by the order of the
-    advancing method) or ``literature``; ``variant`` selects the embedded
-    weights: ``b1``..``b8`` for cataloged vectors, ``w`` for weights
-    produced by the numerical optimizer, ``none`` for no selection.
-    """
-
-    family: str
-    s: int
-    variant: str = "none"
-
-
 _ID_RE = re.compile(r"^ssp(\d+),(\d+)(?:-(b\d+|w))?$")
-
-# the literature pairs by name and by stage count
-_LITERATURE = {"bs32": 4, "dp54": 7}
-_LITERATURE_BY_STAGES = {s: name for name, s in _LITERATURE.items()}
+_LITERATURE = ("bs32", "dp54")
 
 
-def parse_method_id(text: str) -> MethodId:
-    """Parse ``ssp<s>,<p>[-b<k>|-w]``, ``bs32`` or ``dp54`` (case-insensitive)."""
-    t = text.strip().lower()
-    if t in _LITERATURE:
-        return MethodId("literature", _LITERATURE[t])
-    m = _ID_RE.match(t)
-    if not m:
-        raise ValueError(f"unrecognized method id: {text!r}")
-    s, p = int(m.group(1)), int(m.group(2))
-    if p not in (2, 3, 4):
-        raise ValueError(f"unsupported order in method id: {text!r}")
-    variant = m.group(3) or "none"
-    return MethodId(f"ssp{p}", s, variant)
-
-
-def format_method_id(mid: MethodId) -> str:
-    """Canonical lower-case text form; inverse of parse_method_id."""
-    if mid.family == "literature":
-        return _LITERATURE_BY_STAGES[mid.s]
-    p = int(mid.family[3:])
-    base = f"ssp{mid.s},{p}"
-    return base if mid.variant == "none" else f"{base}-{mid.variant}"
-
-
-def _tableau(mid, A, b, p, embedded=None, ssp=None) -> EmbeddedTableau:
+def _tableau(base, variant, A, b, p, embedded=None, ssp=None) -> EmbeddedTableau:
     """The one constructor of catalog tableaux, from exact rationals.
 
-    ``embedded`` maps the variants of the method to their embedded
-    weights, all of order p - 1; variant ``none`` carries none unless the
-    map has an entry of that name.
+    ``base`` is the id without a variant.  ``embedded`` maps the variants
+    of the method to their embedded weights, all of order p - 1; variant
+    ``none`` carries none unless the map has an entry of that name.
     """
     embedded = embedded or {}
-    if mid.variant != "none" and mid.variant not in embedded:
-        base = format_method_id(MethodId(mid.family, mid.s))
-        raise ValueError(f"unknown embedded variant {mid.variant!r} for {base}; "
+    if variant != "none" and variant not in embedded:
+        raise ValueError(f"unknown embedded variant {variant!r} for {base}; "
                          "-w runs the weight search")
-    return EmbeddedTableau(id=format_method_id(mid), A=A, b=b, p=p,
-                           b_tilde=embedded.get(mid.variant), ssp_claimed=ssp)
+    return EmbeddedTableau(id=base if variant == "none" else f"{base}-{variant}", A=A, b=b,
+                           p=p, b_tilde=embedded.get(variant), ssp_claimed=ssp)
 
 
-def _ssp_s2(mid: MethodId) -> EmbeddedTableau:
-    """Optimal second-order SSP method with s stages, SSP coefficient s-1.
+def _ssp2(s, variant) -> EmbeddedTableau:
+    """Optimal second-order SSP method with s >= 2 stages, SSP coefficient s-1.
 
     Every strictly-lower entry of A is 1/(s-1) and b = (1/s) e, so the
     abscissae are c_i = (i-1)/(s-1).  Embedded weight choices:
@@ -188,7 +145,8 @@ def _ssp_s2(mid: MethodId) -> EmbeddedTableau:
     * ``b2``: ((s+1)/s^2, 1/s, ..., 1/s, (s-1)/s^2) -- first order, the
       recommended pair on stability and error-measure grounds.
     """
-    s = mid.s
+    if s < 2:
+        raise ValueError("second-order family needs at least 2 stages")
     low = Fraction(1, s - 1)
     A = [[low if j < i else Fraction(0) for j in range(s)] for i in range(s)]
     b = [Fraction(1, s)] * s
@@ -196,25 +154,38 @@ def _ssp_s2(mid: MethodId) -> EmbeddedTableau:
         "b1": [low] * (s - 1) + [Fraction(0)],
         "b2": [Fraction(s + 1, s * s)] + [Fraction(1, s)] * (s - 2) + [Fraction(s - 1, s * s)],
     }
-    return _tableau(mid, A, b, 2, embedded, ssp=float(s - 1))
+    return _tableau(f"ssp{s},2", variant, A, b, 2, embedded, ssp=float(s - 1))
 
 
-def _ssp_n2_3(mid: MethodId) -> EmbeddedTableau:
-    """Optimal third-order SSP method with s = n^2 stages (n >= 2).
+def _ssp3(s, variant) -> EmbeddedTableau:
+    """Third-order SSP methods: the classical three-stage one, and the
+    optimal ones with s = n^2 stages (n >= 2).
 
-    SSP coefficient n^2 - n.  Every strictly-lower entry of A is
-    1/(n(n-1)), except a block of 1/(n(2n-1)) entries in the final
-    n(n-1)/2 rows: in those rows the 2n-1 columns starting after column
-    (n-1)(n-2)/2 carry 1/(n(2n-1)).  The weight vector b has the same
-    three-segment layout: (n-1)(n-2)/2 entries of 1/(n(n-1)), then 2n-1
-    entries of 1/(n(2n-1)), then n(n-1)/2 entries of 1/(n(n-1)).
+    The three-stage method has SSP coefficient 1 and carries no frozen
+    embedded weights; adaptive use goes through the optimizer (method id
+    ``ssp3,3-w``).
+
+    The s = n^2 method has SSP coefficient n^2 - n.  Every strictly-lower
+    entry of A is 1/(n(n-1)), except a block of 1/(n(2n-1)) entries in
+    the final n(n-1)/2 rows: in those rows the 2n-1 columns starting
+    after column (n-1)(n-2)/2 carry 1/(n(2n-1)).  The weight vector b has
+    the same three-segment layout: (n-1)(n-2)/2 entries of 1/(n(n-1)),
+    then 2n-1 entries of 1/(n(2n-1)), then n(n-1)/2 entries of
+    1/(n(n-1)).
 
     Embedded weight choices: for n = 2 the vectors ``b1`` =
     (1/3, 1/3, 1/3, 0) and ``b2`` = (1/4, 1/4, 1/4, 1/4); for n >= 3 the
     uniform vector (1/n^2) e, selected with variant ``none``.
     """
-    s = mid.s
+    if s == 3:
+        A = [[0, 0, 0], [1, 0, 0], [Fraction(1, 4), Fraction(1, 4), 0]]
+        b = [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)]
+        return _tableau("ssp3,3", variant, A, b, 3, ssp=1.0)
     n = math.isqrt(s)
+    if n * n != s:
+        raise ValueError(f"third-order family needs a square stage count, got {s}")
+    if n < 2:
+        raise ValueError("third-order family needs n >= 2 (s = n^2 stages)")
     low = Fraction(1, n * (n - 1))
     blk = Fraction(1, n * (2 * n - 1))
     q = (n - 1) * (n - 2) // 2       # columns before the block
@@ -229,21 +200,10 @@ def _ssp_n2_3(mid: MethodId) -> EmbeddedTableau:
         embedded = {"b1": [Fraction(1, 3)] * 3 + [Fraction(0)], "b2": [Fraction(1, 4)] * 4}
     else:
         embedded = {"none": [Fraction(1, s)] * s}
-    return _tableau(mid, A, b, 3, embedded, ssp=float(s - n))
+    return _tableau(f"ssp{s},3", variant, A, b, 3, embedded, ssp=float(s - n))
 
 
-def _ssp_3_3(mid: MethodId) -> EmbeddedTableau:
-    """Classical three-stage third-order SSP method, SSP coefficient 1.
-
-    Carries no frozen embedded weights; adaptive use goes through the
-    optimizer (method id ``ssp3,3-w``).
-    """
-    A = [[0, 0, 0], [1, 0, 0], [Fraction(1, 4), Fraction(1, 4), 0]]
-    b = [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)]
-    return _tableau(mid, A, b, 3, ssp=1.0)
-
-
-def _ssp_10_4(mid: MethodId) -> EmbeddedTableau:
+def _ssp4(s, variant) -> EmbeddedTableau:
     """Ten-stage fourth-order SSP method with SSP coefficient 6.
 
     Rows 1-5 of A have 1/6 on every strictly-lower entry; rows 6-10 have
@@ -251,6 +211,8 @@ def _ssp_10_4(mid: MethodId) -> EmbeddedTableau:
     third-order weight vectors ``b1`` .. ``b8`` are cataloged; ``b3`` is
     the recommended pair.
     """
+    if s != 10:
+        raise ValueError("fourth-order family is cataloged with 10 stages only")
     F = Fraction
     A = [[F(0)] * 10 for _ in range(10)]
     for i in range(10):
@@ -267,17 +229,21 @@ def _ssp_10_4(mid: MethodId) -> EmbeddedTableau:
         "b7": [0, F(2, 5), 0, F(1, 10), 0, 0, 0, F(1, 5), F(3, 10), 0],
         "b8": [F(1, 7), 0, F(5, 14), 0, 0, 0, 0, F(3, 14), F(2, 7), 0],
     }
-    return _tableau(mid, A, b, 4, pairs, ssp=6.0)
+    return _tableau("ssp10,4", variant, A, b, 4, pairs, ssp=6.0)
 
 
-def _literature(mid: MethodId) -> EmbeddedTableau:
+_FAMILIES = {2: _ssp2, 3: _ssp3, 4: _ssp4}
+
+
+@lru_cache(maxsize=None)
+def _literature(name) -> EmbeddedTableau:
     """Classical non-SSP embedded pairs used for comparison runs.
 
     ``bs32``: the 4-stage 3(2) pair of Bogacki and Shampine.
     ``dp54``: the 7-stage 5(4) pair of Dormand and Prince.
     """
     F = Fraction
-    if format_method_id(mid) == "bs32":
+    if name == "bs32":
         A = [
             [0, 0, 0, 0],
             [F(1, 2), 0, 0, 0],
@@ -286,7 +252,7 @@ def _literature(mid: MethodId) -> EmbeddedTableau:
         ]
         b = [F(2, 9), F(1, 3), F(4, 9), 0]
         bt = [F(7, 24), F(1, 4), F(1, 3), F(1, 8)]
-        return _tableau(mid, A, b, 3, {"none": bt})
+        return _tableau(name, "none", A, b, 3, {"none": bt})
     A = [
         [0] * 7,
         [F(1, 5), 0, 0, 0, 0, 0, 0],
@@ -298,61 +264,42 @@ def _literature(mid: MethodId) -> EmbeddedTableau:
     ]
     b = [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), 0]
     bt = [F(5179, 57600), 0, F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)]
-    return _tableau(mid, A, b, 5, {"none": bt})
+    return _tableau(name, "none", A, b, 5, {"none": bt})
 
 
-def _builder(mid: MethodId):
-    """The builder of the family of ``mid``, once its stage count is checked.
+def resolve(method: str, seed: int = 0) -> EmbeddedTableau:
+    """Return the catalog tableau for a method id.
 
-    This is the one place the (family, s) combinations are checked; the
-    variants are checked by ``_tableau``.
+    This is the one parser of ids: ``ssp<s>,<p>[-b<k>|-w]``, ``bs32`` or
+    ``dp54``, read case-insensitively after stripping surrounding
+    whitespace.  Variant ``w`` attaches embedded weights computed by the
+    numerical optimizer; the result is deterministic for a given seed.
+    Every id (and seed, for ``w``) is built once per process and the same
+    frozen object is returned on every later call, however it is spelled.
     """
-    family, s = mid.family, mid.s
-    if family == "literature" and s in _LITERATURE_BY_STAGES:
-        return _literature
-    if family == "ssp2":
-        if s < 2:
-            raise ValueError("second-order family needs at least 2 stages")
-        return _ssp_s2
-    if family == "ssp3":
-        if s == 3:
-            return _ssp_3_3
-        n = math.isqrt(s)
-        if n * n != s:
-            raise ValueError(f"third-order family needs a square stage count, got {s}")
-        if n < 2:
-            raise ValueError("third-order family needs n >= 2 (s = n^2 stages)")
-        return _ssp_n2_3
-    if family == "ssp4":
-        if s != 10:
-            raise ValueError("fourth-order family is cataloged with 10 stages only")
-        return _ssp_10_4
-    raise ValueError(f"unknown method family {family!r} with {s} stages")
-
-
-def resolve(method, seed: int = 0) -> EmbeddedTableau:
-    """Return the catalog tableau for a method id (text or MethodId).
-
-    Variant ``w`` attaches embedded weights computed by the numerical
-    optimizer; the result is deterministic for a given seed.  Every id
-    (and seed, for ``w``) is built once per process and the same frozen
-    object is returned on every later call.
-    """
-    mid = parse_method_id(method) if isinstance(method, str) else method
-    return _build(mid, seed if mid.variant == "w" else 0)
+    text = method.strip().lower()
+    if text in _LITERATURE:
+        return _literature(text)
+    m = _ID_RE.match(text)
+    if not m:
+        raise ValueError(f"unrecognized method id: {method!r}")
+    s, p, variant = int(m[1]), int(m[2]), m[3] or "none"
+    if p not in _FAMILIES:
+        raise ValueError(f"unsupported order in method id: {method!r}")
+    return _build(s, p, variant, seed if variant == "w" else 0)
 
 
 @lru_cache(maxsize=None)
-def _build(mid: MethodId, seed: int) -> EmbeddedTableau:
-    if mid.variant == "w":
-        base = resolve(MethodId(mid.family, mid.s))
+def _build(s: int, p: int, variant: str, seed: int) -> EmbeddedTableau:
+    if variant == "w":
+        base = resolve(f"ssp{s},{p}")
         from .optimizer import OptimizationSpec, optimize_embedded
 
         res = optimize_embedded(OptimizationSpec(tableau=base, seed=seed))
         if res.w is None:
-            raise ValueError(f"optimizer found no embedded weights for {format_method_id(mid)}")
-        return replace(base, id=format_method_id(mid), b_tilde=res.w)
-    return _builder(mid)(mid)
+            raise ValueError(f"optimizer found no embedded weights for {base.id}-w")
+        return replace(base, id=f"{base.id}-w", b_tilde=res.w)
+    return _FAMILIES[p](s, variant)
 
 
 def catalog_ids() -> list[str]:

@@ -257,6 +257,27 @@ def test_bench_relative_work_column(capsys):
     assert float(by_method["ssp4,3-b1"]["relative_work"]) == pytest.approx(want, rel=1e-5)
 
 
+def test_bench_reads_method_ids_in_any_case(capsys):
+    # the rows carry canonical ids, so a mixed-case --relative-to matches
+    # its method and the CSV body is the all-lower-case one; wall_ms is a
+    # timing and differs between runs
+    def body(*methods_and_base):
+        *methods, base = methods_and_base
+        code, lines, err = run_cli(capsys, "bench", "--methods", *methods, "--problems", "vdp",
+                                   "--tols", "1e-3", "--relative-to", base)
+        assert code == 0, err
+        recs = list(csv.DictReader(lines[1:]))
+        for r in recs:
+            del r["wall_ms"]
+        return recs
+
+    lower = body("ssp2,2-b2", "ssp3,2-b1", "ssp2,2-b2")
+    assert body("SSP2,2-B2", "ssp3,2-b1", "ssp2,2-b2") == lower
+    assert body("ssp2,2-b2", "Ssp3,2-B1", "SSP2,2-B2") == lower
+    assert [r["method"] for r in lower] == ["ssp2,2-b2", "ssp3,2-b1"]
+    assert lower[0]["relative_work"] == "1"
+
+
 # ---------------------------------------------------------------- optimize
 
 

@@ -27,11 +27,13 @@ REMOVED = ("ssperk_s2", "ssperk_n2_3", "ssperk_3_3", "ssperk_10_4", "literature_
 # test-only accessors and wrappers: one Euler primitive path, no WENO5
 # accessor beside the one face kernel, no string-switched SSP wrapper, and
 # numpy's polyval in place of a hand-written Horner loop; make_problem is
-# the one constructor of the four benchmark problems, and the sine profile
-# only the tests read
+# the one constructor of the four benchmark problems, the sine profile
+# only the tests read, and a method id is its canonical string, which only
+# resolve parses
 REMOVED_ACCESSORS = ("EulerState", "weno5_weights", "ssp_coefficient", "psi_eval",
                      "weno5_reconstruct", "ssp_catalog_ids", "with_advancing_weights",
-                     "vdp", "brusselator", "advection", "euler_sod", "sine_average")
+                     "vdp", "brusselator", "advection", "euler_sod", "sine_average",
+                     "MethodId", "parse_method_id", "format_method_id")
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sspkit").glob("*.py"))
 HARNESS = sorted((ROOT / "perfbench").glob("*.py"))

@@ -120,6 +120,23 @@ def test_step_and_norm_match_the_tensordot_reference_bit_for_bit(method, n):
             assert error_norm(u_n, *got, atol, rtol) == _np_max_error_norm(u_n, *want, atol, rtol)
 
 
+def test_the_estimate_ratio_of_two_embeddings_tends_to_their_leading_terms():
+    # u' = -u: u_next - u_hat = sum_j (b - w)^T A^(j-1) e (-h)^j, and the
+    # terms j <= 3 vanish for third-order w, so the ratio of the estimates
+    # of two embeddings that share (A, b) tends to (b - w2)^T A^3 e /
+    # (b - w3)^T A^3 e = 9/35 as h -> 0; below h ~ 3e-3 the estimates
+    # (~h^4 / 1000) near roundoff
+    t2, t3 = resolve("ssp10,4-b2"), resolve("ssp10,4-b3")
+    lead = [(t.b - t.b_tilde) @ np.linalg.matrix_power(t.A, 3) @ np.ones(t.s) for t in (t2, t3)]
+    assert lead[0] / lead[1] == pytest.approx(9 / 35, rel=1e-12)
+    dist = []
+    for h in (1e-1, 3e-2, 1e-2):
+        est = [np.subtract(*rk_step(t, lambda t, u: -u, 0.0, np.array([1.0]), h))[0] for t in (t2, t3)]
+        dist.append(abs(est[0] / est[1] / (9 / 35) - 1.0))
+    assert dist[0] > dist[1] > dist[2]
+    assert dist[2] < 0.01
+
+
 @pytest.mark.parametrize("n", [1, 2, 200])
 def test_step_never_writes_into_the_callers_state(n):
     # a read-only u_n makes an in-place shortcut (u_n += ...) fail, and
@@ -404,7 +421,7 @@ def test_rtol_zero_with_a_positive_atol_runs():
 # ------------------------------------------------------------- fixed driver
 
 
-def test_fixed_rejects_nonpositive_dt():
+def test_fixed_rejects_nonpositive_dt(monkeypatch):
     # also inf, which used to take no step and return u0 as the state at
     # T, nan, which failed converting the step count to an integer, and
     # the smallest subnormal, whose step count (T - t0)/dt overflows to inf
@@ -415,6 +432,14 @@ def test_fixed_rejects_nonpositive_dt():
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             integrate_fixed(prob, TAB22, dt, callback=lambda t, u: calls.append(t))
     assert calls == []
+    # a finite step count above the attempt budget (1e-300 on vdp used to
+    # plan 2e300 steps and never return); a count at the budget runs
+    monkeypatch.setattr(integrator, "MAX_ATTEMPTS", 3)
+    with pytest.raises(ValueError, match=r"dt = 0.25 takes 4 steps, more than MAX_ATTEMPTS = 3"):
+        integrate_fixed(prob, TAB22, 0.25, callback=lambda t, u: calls.append(t))
+    assert calls == []
+    integrate_fixed(prob, TAB22, 1.0 / 3.0)
+    assert len(calls) == 3 * TAB22.s
 
 
 def test_a_state_that_is_not_1d_is_rejected_before_any_rhs_call():

@@ -6,13 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sspkit.tableau import (
-    EmbeddedTableau,
-    catalog_ids,
-    format_method_id,
-    parse_method_id,
-    resolve,
-)
+from sspkit.tableau import EmbeddedTableau, catalog_ids, resolve
 
 from conftest import ssp_ids
 
@@ -21,18 +15,18 @@ from conftest import ssp_ids
 
 def test_parse_round_trips_canonical_ids():
     for mid in catalog_ids():
-        assert format_method_id(parse_method_id(mid)) == mid
+        assert resolve(mid).id == mid
 
 
 def test_parse_is_case_insensitive():
-    assert format_method_id(parse_method_id("SSP10,4-B3")) == "ssp10,4-b3"
-    assert format_method_id(parse_method_id("DP54")) == "dp54"
+    assert resolve("SSP10,4-B3").id == "ssp10,4-b3"
+    assert resolve("DP54").id == "dp54"
 
 
 @pytest.mark.parametrize("bad", ["ssp2", "ssp2,5", "rk4", "ssp2,2-b9x", ""])
 def test_parse_rejects_malformed_ids(bad):
-    with pytest.raises(ValueError):
-        parse_method_id(bad)
+    with pytest.raises(ValueError, match="(unrecognized|unsupported order in) method id"):
+        resolve(bad)
 
 
 def test_resolve_rejects_unknown_variant():
@@ -234,6 +228,9 @@ def test_resolve_returns_one_object_per_id():
     for mid in catalog_ids() + ["ssp3,3"]:
         assert resolve(mid) is resolve(mid)
         assert resolve(mid) is resolve(mid.upper())
+        assert resolve(mid) is resolve(f" {mid}\t")
+    # the cache key is the parsed id, so a leading zero is the same method
+    assert resolve("ssp010,4-b3") is resolve("SSP10,4-B3") is resolve(" ssp10,4-b3 ")
 
 
 def test_weights_sum_to_one():
