@@ -4,8 +4,8 @@ one CSV row per run, against a high-accuracy reference solve per problem
 
 Work is counted as right-hand-side evaluations: s per attempted step plus
 the two of the starting-step selection.  A ``BenchPlan`` checks its axes,
-tolerance ladder, problem ids, controller kind, job count and method ids
-when it is built, so a bad plan fails before any reference solve.
+tolerance ladder, job count and ids when it is built and stores each id
+canonical, so a bad or repeated entry fails before any reference solve.
 Individual run failures become rows with a failure status; the sweep
 never aborts.
 """
@@ -23,9 +23,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .controller import GAINS, make_controller
+from .controller import make_controller
 from .integrator import BudgetError, StiffnessError, integrate_adaptive
-from .problems import PROBLEM_IDS, make_problem
+from .problems import make_problem
 from .tableau import resolve
 
 __all__ = [
@@ -49,12 +49,12 @@ class BenchPlan:
     """A sweep of methods x problems x tolerances, checked when built.
 
     Each axis is nonempty, every tolerance finite and positive and the
-    ladder strictly decreasing, every problem id one of ``PROBLEM_IDS``
-    and the controller a kind of ``GAINS`` (both case-insensitive, as
-    ``make_problem`` and ``make_controller`` read them), ``n_jobs`` an
-    integer of at least 1, and every method id resolvable with embedded
-    weights.  A plan that misses any of these raises ValueError here,
-    before any reference solve."""
+    ladder strictly decreasing, ``n_jobs`` an integer of at least 1, and
+    every id known to its owner (``make_problem``, ``make_controller``,
+    ``resolve``, with embedded weights).  Each id is stored as its owner
+    spells it (``.name``, ``.kind``, ``.id``) and a method or problem
+    listed twice is refused.  A plan that misses any of these raises
+    ValueError here, before any reference solve."""
 
     methods: tuple[str, ...]
     problems: tuple[str, ...]
@@ -75,15 +75,17 @@ class BenchPlan:
             raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be at least 1, got {self.n_jobs}")
-        for problem_id in self.problems:
-            if problem_id.lower() not in PROBLEM_IDS:
-                raise ValueError(f"unknown problem id {problem_id!r}")
-        if self.controller.lower() not in GAINS:
-            raise ValueError(f"unknown controller kind {self.controller!r}")
-        for method_id in self.methods:
-            # memoized: each row's own lookup is a cache hit
-            if resolve(method_id, seed=self.seed).b_tilde is None:
+        object.__setattr__(self, "problems", tuple(make_problem(p).name for p in self.problems))
+        object.__setattr__(self, "controller", make_controller(self.controller).kind)
+        # memoized: each row's own lookup is a cache hit
+        tabs = [resolve(m, seed=self.seed) for m in self.methods]
+        for method_id, tab in zip(self.methods, tabs):
+            if tab.b_tilde is None:
                 raise ValueError(f"method {method_id!r} has no embedded weights")
+        object.__setattr__(self, "methods", tuple(tab.id for tab in tabs))
+        for axis, ids in (("method", self.methods), ("problem", self.problems)):
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"{axis} {max(ids, key=ids.count)!r} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def run_single(
     u_ref: np.ndarray,
     seed: int = 0,
 ) -> WorkPrecisionRow:
-    """One adaptive run as a row, whose ``method`` is the canonical id."""
+    """One adaptive run as a row, whose ``method`` and ``problem`` are canonical."""
     tab = resolve(method_id, seed=seed)
     prob = make_problem(problem_id)
     t0 = time.perf_counter()
@@ -132,20 +134,15 @@ def run_single(
     except (StiffnessError, BudgetError) as exc:
         status = "stiffness-failure" if isinstance(exc, StiffnessError) else "budget-failure"
         return WorkPrecisionRow(
-            tab.id, problem_id, tol, 0, 0, 0, float("nan"),
+            tab.id, prob.name, tol, 0, 0, 0, float("nan"),
             1e3 * (time.perf_counter() - t0), status,
         )
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(res.u - u_ref))
     return WorkPrecisionRow(
-        tab.id, problem_id, tol, res.n_accepted, res.n_rejected,
+        tab.id, prob.name, tol, res.n_accepted, res.n_rejected,
         res.n_fev, err, wall_ms, "ok",
     )
-
-
-def _worker(task):
-    method_id, problem_id, tol, controller, u_ref, seed = task
-    return run_single(method_id, problem_id, tol, controller, u_ref, seed)
 
 
 def run_bench(plan: BenchPlan) -> list[WorkPrecisionRow]:
@@ -163,20 +160,22 @@ def run_bench(plan: BenchPlan) -> list[WorkPrecisionRow]:
     n_jobs = min(plan.n_jobs, os.cpu_count() or 1)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_worker, tasks))
+            rows = list(pool.map(run_single, *zip(*tasks)))
     else:
-        rows = [_worker(t) for t in tasks]
+        rows = [run_single(*t) for t in tasks]
     rows.sort(key=lambda r: (r.problem, r.method, -r.tol))
     return rows
 
 
 def rows_to_csv(rows, relative_to: str | None = None) -> list[str]:
-    """CSV lines; with relative_to, an extra column normalizes nfev by the
-    named method's nfev at the same (problem, tol).  Method ids contain
-    commas, so fields carry standard CSV quoting."""
+    """CSV lines; with relative_to, which must be some row's method, an extra
+    column normalizes nfev by that method's nfev at the same (problem, tol).
+    Method ids contain commas, so fields carry standard CSV quoting."""
     header = CSV_COLUMNS
     base = {}
     if relative_to is not None:
+        if relative_to not in {r.method for r in rows}:
+            raise ValueError(f"relative_to {relative_to!r} is not the method of any row")
         header += ",relative_work"
         for r in rows:
             if r.method == relative_to and r.status == "ok":

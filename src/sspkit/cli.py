@@ -155,7 +155,7 @@ def _cmd_bench(args) -> int:
     relative_to = None
     if args.relative_to is not None:
         relative_to = resolve(args.relative_to, seed=args.seed).id
-        if relative_to not in {resolve(m, seed=args.seed).id for m in plan.methods}:
+        if relative_to not in plan.methods:
             raise ValueError(f"--relative-to {args.relative_to!r} is not one of --methods")
     rows = run_bench(plan)
     _emit(args, rows_to_csv(rows, relative_to=relative_to))

@@ -1,6 +1,8 @@
 """Shared fixtures, helpers and hypothesis profiles for the test suite."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,16 @@ def pair_norms(oc, tau_main, w, p: int) -> tuple[float, ...]:
     advancing order-(p+1) residuals tau_main and embedded weights w, as
     ``error_measures`` forms them."""
     return _pair_norms(*_norms(tau_main), oc.tau(w, p), oc.tau(w, p + 1) - tau_main)
+
+
+def perfbench_worker():
+    """The benchmark's ``perfbench/worker.py``, loaded as a module for its
+    constants and checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sine_average(grid) -> np.ndarray:

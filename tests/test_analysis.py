@@ -6,12 +6,10 @@ axis sqrt(3) for the classical three-stage method), bisection on |psi|
 along rays for the rest, cross-checked against the known SSP limits.
 """
 
-import importlib.util
 import json
 import math
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +38,7 @@ from sspkit.analysis import (
 )
 from sspkit.tableau import catalog_ids, resolve
 
-from conftest import embedded_method, ssp_ids
+from conftest import embedded_method, perfbench_worker, ssp_ids
 
 
 # ------------------------------------------------------------- residuals
@@ -478,10 +476,7 @@ def test_reports_match_the_benchmark_expectations(catalog_reports):
     # the design-search workload checks these reports with its own _close
     # and ANALYSIS_RTOL; a drift shows here instead of only in the benchmark
     # self-test
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = perfbench_worker()
     expected = json.loads(worker.EXPECTED.read_text())
     stored = {k.split("|", 1)[1] for k in expected if k.startswith("analyze|")}
     assert set(catalog_reports) == stored

@@ -1,7 +1,6 @@
 """Tests for the work-precision sweep and its CSV rendering."""
 
 import csv
-import importlib.util
 import io
 import json
 import math
@@ -24,6 +23,8 @@ from sspkit.bench import (
 from sspkit.integrator import integrate_fixed
 from sspkit.problems import make_problem
 from sspkit.tableau import resolve
+
+from conftest import perfbench_worker
 
 SMALL_PLAN = BenchPlan(
     methods=("ssp2,2-b2", "ssp4,3-b1"),
@@ -48,9 +49,10 @@ def test_plan_rejects_fewer_than_one_job():
 
 
 def test_plan_reads_problem_ids_and_controller_kinds_in_any_case():
-    # as make_problem and make_controller read them
-    plan = BenchPlan(methods=("ssp2,2-b2",), problems=("VdP", "EULER"), controller="PID")
-    assert plan.problems == ("VdP", "EULER") and plan.controller == "PID"
+    # read as make_problem and make_controller read them, stored as their owners spell them
+    plan = BenchPlan(methods=("SSP2,2-B2",), problems=("VdP", "EULER"), controller="PID")
+    assert plan.methods == ("ssp2,2-b2",)
+    assert plan.problems == ("vdp", "euler") and plan.controller == "pid"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -65,6 +67,8 @@ def test_plan_reads_problem_ids_and_controller_kinds_in_any_case():
     {"controller": "nope"},
     {"tolerances": ()},
     {"n_jobs": 1.5},
+    {"problems": ("VDP", "vdp")},
+    {"methods": ("ssp2,2-b2", "SSP2,2-B2")},
 ])
 def test_a_bad_plan_fails_before_any_reference_solve(monkeypatch, kwargs):
     def refuse(*_args, **_kwargs):
@@ -91,8 +95,8 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, n_jobs, cpus, work
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
@@ -137,14 +141,6 @@ def test_sweep_counts_match_the_benchmark_record():
         assert got == (want["accepted"], want["rejected"], want["fev"]), key
 
 
-def _perfbench_worker():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_pde_counts_match_the_benchmark_record():
     # the pde-weno rows: four adaptive solves at 1e-4 (counts exact) and
     # four fixed-step solves at the CFL step (counts exact, the error
@@ -152,7 +148,7 @@ def test_pde_counts_match_the_benchmark_record():
     root = Path(__file__).resolve().parents[1] / "perfbench" / "data"
     expected = json.loads((root / "expected.json").read_text())
     refs = json.loads((root / "references.json").read_text())
-    worker = _perfbench_worker()
+    worker = perfbench_worker()
     rows = {k: v for k, v in expected.items() if k.startswith("pde|") and k.endswith("|0.0001")}
     assert len(rows) == 4
     for key, want in rows.items():
@@ -230,3 +226,29 @@ def test_failed_runs_render_with_empty_relative_work():
     lines = rows_to_csv([row], relative_to="ssp2,2-b2")
     assert lines[1].endswith("stiffness-failure,")
     assert "nan" in lines[1]
+
+
+@pytest.mark.parametrize("base", ["SSP2,2-B2", "dp54"])
+def test_relative_work_refuses_a_base_that_no_row_has(base):
+    # rows carry canonical ids, so a base in another case names no row either
+    rows = [WorkPrecisionRow(m, "vdp", 1e-3, 10, 0, 22, 1e-4, 1.0)
+            for m in ("ssp2,2-b2", "ssp3,2-b1")]
+    with pytest.raises(ValueError, match="is not the method of any row"):
+        rows_to_csv(rows, relative_to=base)
+
+
+def test_a_repeat_is_refused_by_its_canonical_id():
+    with pytest.raises(ValueError, match="problem 'vdp' is listed twice"):
+        BenchPlan(methods=("ssp2,2-b2",), problems=("VDP", "vdp"))
+    with pytest.raises(ValueError, match="method 'ssp2,2-b2' is listed twice"):
+        BenchPlan(methods=("ssp2,2-b2", "SSP2,2-B2"), problems=("vdp",))
+
+
+def test_process_pool_gives_the_rows_of_the_serial_sweep(monkeypatch):
+    # a real two-worker pool, whatever the machine's CPU count; wall_ms is a timing
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    plan = BenchPlan(methods=("ssp2,2-b2", "bs32"), problems=("vdp", "brusselator"),
+                     tolerances=(1e-3, 1e-4))
+    serial, pooled = (run_bench(replace(plan, n_jobs=n)) for n in (1, 2))
+    assert [replace(r, wall_ms=0.0) for r in pooled] == [replace(r, wall_ms=0.0) for r in serial]
+    assert len(serial) == 8

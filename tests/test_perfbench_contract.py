@@ -13,6 +13,8 @@ import numpy as np
 
 from sspkit import analysis, bench, controller, integrator, optimizer, problems, tableau
 
+from conftest import perfbench_worker
+
 FUNCTIONS = {
     problems: ["make_problem"],
     tableau: ["resolve", "catalog_ids"],
@@ -30,6 +32,18 @@ def test_rebound_module_functions_exist():
             assert isinstance(getattr(mod, name), types.FunctionType), f"{mod.__name__}.{name}"
     assert set(FUNCTIONS[analysis]) <= set(analysis.__all__)
     assert hasattr(bench, "BenchPlan") and hasattr(optimizer, "OptimizationSpec")
+
+
+def test_the_benchmark_plans_are_canonical_as_written():
+    # the ode-sweep row keys ode|<controller>|<method>|<problem>|<tol> are
+    # read from the plan, so a plan that re-spelled an id would move them
+    worker = perfbench_worker()
+    for kind in worker.CONTROLLERS:
+        plan = bench.BenchPlan(methods=worker.SWEEP_PAIRS, problems=worker.SWEEP_PROBLEMS,
+                               tolerances=worker.SWEEP_TOLS, controller=kind,
+                               seed=worker.PLAN_SEED)
+        assert (plan.methods, plan.problems, plan.controller) == (
+            worker.SWEEP_PAIRS, worker.SWEEP_PROBLEMS, kind)
 
 
 def test_controller_methods_are_wrappable_on_the_class():
