@@ -552,7 +552,8 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
 
     Returns (re_vals, im_vals, Z) with Z[j, i] = |psi(re_i + i*im_j)|;
     the |psi| = 1 contour of Z outlines the absolute stability region.
-    Raises ValueError unless each range is finite with MIN < MAX.  Z is
+    Raises ValueError unless each range is finite with MIN < MAX and a
+    finite width MAX - MIN, which the uniform spacing needs.  Z is
     allocated first, so a lattice too large to hold raises MemoryError
     before any axis is sampled.
     """
@@ -560,6 +561,9 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
         raise ValueError("grid needs at least 2 points per axis")
     if not all(-math.inf < lo < hi < math.inf for lo, hi in (re_range, im_range)):
         raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
+    for name, (lo, hi) in (("re", re_range), ("im", im_range)):
+        if math.isinf(hi - lo):
+            raise ValueError(f"{name} range {(lo, hi)} is too wide: MAX - MIN overflows")
     Z = np.empty((ny, nx))
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)

@@ -6,11 +6,14 @@ of the four benchmark problems.
 PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
 the three conserved fields into one vector).  The boundary comes from
-``Grid1D.boundary`` through one ghost-cell helper, and both WENO5
-right-hand sides share one flux-difference kernel, which makes one face
-pass per call.  The physical
-constants never vary: gamma, the WENO5 CFL number and the van der Pol
-epsilon are the module constants below.
+``Grid1D.boundary`` through one ghost-cell helper (a single ``np.take``),
+and both WENO5 right-hand sides share one flux-difference kernel, which
+makes one face pass per call over a contiguous buffer of flux rows.  The
+kernel works on (3, n) row blocks in place, so a face pass costs a
+fixed 37 NumPy calls whatever the buffer's length; each value still sees
+the IEEE operations of the term-by-term formula in their order.  The
+physical constants never vary: gamma, the WENO5 CFL number and the van
+der Pol epsilon are the module constants below.
 """
 
 from __future__ import annotations
@@ -101,27 +104,54 @@ def brusselator_rhs(t: float, u: np.ndarray) -> np.ndarray:
 # WENO5 reconstruction
 
 _WENO_EPS = 1e-6
-_D0, _D1, _D2 = 0.1, 0.6, 0.3
+_D = np.array([[0.1], [0.6], [0.3]])  # ideal weights d0, d1, d2 as a column
 
 
 def _weno5_faces(v: np.ndarray) -> np.ndarray:
     """Left-biased WENO5 values at the right faces of v[2:-2], one per full
-    five-cell stencil of the 1-D array v.  The stencil multiples and the
-    term 13/12 (v[j-1] - 2v[j] + v[j+1])^2, which beta0, beta1 and beta2
-    read at j-1, j and j+1, are formed once over the whole array."""
+    five-cell stencil of the 1-D array v.
+
+    The stencil multiples and the term 13/12 (v[j-1] - 2v[j] + v[j+1])^2,
+    which beta0, beta1 and beta2 read at j-1, j and j+1, are formed once
+    over the whole array.  The candidates q0..q2 are the rows of one
+    (3, n) buffer Q and the smoothness indicators, then the weights, the
+    rows of another, B, so each later step is one in-place operation over
+    a whole block.  Every element sees the IEEE operations of the textbook
+    formula in its order (x*x for x**2, (t0 + t1) + t2 for each sum).
+    """
+    n = len(v) - 4
     v2, v3, v4, v5, v7, v11 = 2.0 * v, 3.0 * v, 4.0 * v, 5.0 * v, 7.0 * v, 11.0 * v
-    s = 13.0 / 12.0 * (v[:-2] - v2[1:-1] + v[2:]) ** 2
-    q0 = (v2[:-4] - v7[1:-3] + v11[2:-2]) / 6.0
-    q1 = (v5[2:-2] - v[1:-3] + v2[3:-1]) / 6.0
-    q2 = (v2[2:-2] + v5[3:-1] - v[4:]) / 6.0
-    b0 = s[:-2] + 0.25 * (v[:-4] - v4[1:-3] + v3[2:-2]) ** 2
-    b1 = s[1:-1] + 0.25 * (v[1:-3] - v[3:-1]) ** 2
-    b2 = s[2:] + 0.25 * (v3[2:-2] - v4[3:-1] + v[4:]) ** 2
-    a0 = _D0 / (_WENO_EPS + b0) ** 2
-    a1 = _D1 / (_WENO_EPS + b1) ** 2
-    a2 = _D2 / (_WENO_EPS + b2) ** 2
-    asum = a0 + a1 + a2
-    return (a0 / asum) * q0 + (a1 / asum) * q1 + (a2 / asum) * q2
+    s = v[:-2] - v2[1:-1]
+    s += v[2:]
+    s *= s
+    s *= 13.0 / 12.0
+    Q = np.empty((3, n))
+    np.subtract(v2[:-4], v7[1:-3], out=Q[0])
+    Q[0] += v11[2:-2]
+    np.subtract(v5[2:-2], v[1:-3], out=Q[1])
+    Q[1] += v2[3:-1]
+    np.add(v2[2:-2], v5[3:-1], out=Q[2])
+    Q[2] -= v[4:]
+    Q /= 6.0
+    B = np.empty((3, n))
+    np.subtract(v[:-4], v4[1:-3], out=B[0])
+    B[0] += v3[2:-2]
+    np.subtract(v[1:-3], v[3:-1], out=B[1])
+    np.subtract(v3[2:-2], v4[3:-1], out=B[2])
+    B[2] += v[4:]
+    B *= B
+    B *= 0.25
+    B += np.ndarray((3, n), s.dtype, s, strides=(s.itemsize, s.itemsize))  # rows s[:-2], s[1:-1], s[2:]
+    B += _WENO_EPS
+    B *= B
+    np.divide(_D, B, out=B)  # alpha_k = d_k / (eps + beta_k)^2
+    asum = B[0] + B[1]
+    asum += B[2]
+    B /= asum
+    B *= Q
+    out = B[0] + B[1]
+    out += B[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,32 +162,31 @@ _N_GHOST = 3
 
 def _ghost(v: np.ndarray, grid: Grid1D) -> np.ndarray:
     """v padded with three ghost cells per side along the last axis, as
-    set by grid.boundary: periodic wraps around (also when n_cells < 3),
-    outflow copies the edge cell."""
-    if grid.boundary == "periodic":
-        idx = np.arange(-_N_GHOST, v.shape[-1] + _N_GHOST)
-        return np.take(v, idx, axis=-1, mode="wrap")
-    left = np.repeat(v[..., :1], _N_GHOST, axis=-1)
-    right = np.repeat(v[..., -1:], _N_GHOST, axis=-1)
-    return np.concatenate([left, v, right], axis=-1)
+    set by grid.boundary, in one take: periodic wraps the indices around
+    (also when n_cells < 3), outflow clips them, which copies the edge
+    cell."""
+    idx = np.arange(-_N_GHOST, v.shape[-1] + _N_GHOST)
+    return np.take(v, idx, axis=-1, mode="wrap" if grid.boundary == "periodic" else "clip")
 
 
-def _weno5_divergence(fp: np.ndarray, dx: float, fm: np.ndarray | None = None) -> np.ndarray:
-    """-(F_{i+1/2} - F_{i-1/2})/dx per flux row, from ghost-padded split fluxes.
+def _weno5_divergence(rows: np.ndarray, dx: float, split: bool = False) -> np.ndarray:
+    """-(F_{i+1/2} - F_{i-1/2})/dx per flux row, from a contiguous buffer of
+    ghost-padded flux rows (a 1-D array is one row).
 
-    The faces i-1/2 (i = 0..n) take the left-biased WENO5 state of f+
-    and, when given, the mirrored right-biased state of f-: the
-    left-biased state of f- reversed along x.  The f+ rows and reversed
-    f- rows share one contiguous buffer, so the face kernel runs once per
-    call; a strided view drops the faces whose stencil straddles two rows.
+    The faces i-1/2 (i = 0..n) take the left-biased WENO5 state of each
+    row; the face kernel runs once over the whole buffer, and a strided
+    view drops the faces whose stencil straddles two rows.  With split,
+    the buffer holds the f+ rows and then the f- rows reversed along x,
+    so the left-biased state of a reversed f- row is the mirrored
+    right-biased state of f-, and each face adds the two.
     """
-    m = fp.shape[-1]
-    rows = fp.reshape(-1, m) if fm is None else np.concatenate([fp, fm[:, ::-1]])
+    m = rows.shape[-1]
+    k = rows.size // m
     flat = _weno5_faces(rows.reshape(-1))
-    face = np.ndarray((len(rows), m - 5), flat.dtype, flat, strides=(m * flat.itemsize, flat.itemsize))
-    if fm is not None:
-        face = face[: len(fp)] + face[len(fp) :, ::-1]
-    return -(face[:, 1:] - face[:, :-1]) / dx
+    face = np.ndarray((k, m - 5), flat.dtype, flat, strides=(m * flat.itemsize, flat.itemsize))
+    if split:
+        face = face[: k // 2] + face[k // 2 :, ::-1]
+    return (face[:, 1:] - face[:, :-1]) / -dx
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +201,7 @@ def advection_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
 def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """First-order upwind du/dt; forward Euler is TVD up to dt = dx."""
     ug = _ghost(u, grid)
-    return -(ug[_N_GHOST:-_N_GHOST] - ug[_N_GHOST - 1 : -_N_GHOST - 1]) / grid.dx
+    return (ug[_N_GHOST:-_N_GHOST] - ug[_N_GHOST - 1 : -_N_GHOST - 1]) / -grid.dx
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +215,32 @@ def _velocity_pressure(rho, mom, E):
 
 
 def euler_rhs(q_flat: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """du/dt of the flat (rho, mom, E) state under global Lax-Friedrichs
+    splitting, f+- = (F +- alpha q)/2 with alpha the largest |u| + c.
+
+    The ghost-padded flux F fills the first three rows of one (6, m)
+    buffer and F - alpha q, reversed along x, the last three; F + alpha q
+    is then formed in place and one halving of the whole buffer leaves f+
+    and the reversed f- rows that one face pass reads.
+    """
     qg = _ghost(q_flat.reshape(3, grid.n_cells), grid)
     rho, mom, E = qg
+    rows = np.empty((6, qg.shape[-1]))
+    F = rows[:3]
     # invalid states (rho or p <= 0) propagate NaN and fail the step
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         u, p = _velocity_pressure(rho, mom, E)
-        F = np.stack([mom, mom * u + p, (E + p) * u])
+        F[0] = mom
+        np.multiply(mom, u, out=F[1])
+        F[1] += p
+        np.add(E, p, out=F[2])
+        F[2] *= u
         alpha = float(np.max(np.abs(u) + np.sqrt(GAMMA_AIR * p / rho)))
-    fp = 0.5 * (F + alpha * qg)
-    fm = 0.5 * (F - alpha * qg)
-    return _weno5_divergence(fp, grid.dx, fm).reshape(-1)
+    aq = alpha * qg
+    np.subtract(F, aq, out=rows[3:, ::-1])
+    F += aq
+    rows *= 0.5
+    return _weno5_divergence(rows, grid.dx, split=True).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,17 @@ def test_stability_region_grid_rejects_a_nan_or_reversed_range(ranges):
         stability_region_grid(np.array([1.0, 1.0]), **ranges)
 
 
+@pytest.mark.parametrize("name, ranges", [
+    ("re", {"re_range": (-1e308, 1e308)}),
+    ("im", {"im_range": (-1.7e308, 0.5e308)}),
+])
+def test_stability_region_grid_rejects_a_range_wider_than_a_float(name, ranges):
+    # each bound is finite, but MAX - MIN overflows, and np.linspace used to
+    # sample that range as NaN with overflow warnings
+    with pytest.raises(ValueError, match=f"^{name} range .* MAX - MIN overflows"):
+        stability_region_grid(np.array([1.0, 1.0]), **ranges)
+
+
 # ---------------------------------------------------------------- summaries
 
 

@@ -85,6 +85,15 @@ def test_region_rejects_a_nan_or_reversed_range(capsys, flags):
     assert "finite MIN < MAX" in err
 
 
+@pytest.mark.parametrize("flag", ["--re", "--im"])
+def test_region_rejects_a_range_wider_than_a_float(capsys, flag):
+    # it used to exit 0 with NumPy overflow warnings and nan coordinates
+    code, lines, err = run_cli(capsys, "region", "ssp3,2-b1", "--nx", "2", "--ny", "2", flag, "-1e308", "1e308")
+    assert code == 1
+    assert lines == []
+    assert err == f"sspkit: error: {flag[2:]} range (-1e+308, 1e+308) is too wide: MAX - MIN overflows\n"
+
+
 @pytest.mark.parametrize("flag, plain, exponent", [
     ("--re", ("-10", "2"), ("-1e1", "2")),
     ("--im", ("-8", "8"), ("-8e0", "8")),

@@ -24,7 +24,7 @@ from sspkit.problems import (
     upwind_rhs,
     vdp_rhs,
 )
-from sspkit.problems import _ghost
+from sspkit import problems
 from sspkit.tableau import resolve
 
 from conftest import sine_average, weno5_face
@@ -187,8 +187,9 @@ def test_periodic_rhs_match_the_roll_formulas_bit_for_bit(n):
     assert np.array_equal(upwind_rhs(u, g), -(u - np.roll(u, 1)) / g.dx)
 
 
-# the five-argument face kernel and the two-pass flux difference that the
-# one-pass kernel replaced, kept as the references it must match bit for bit
+# the five-argument face kernel, the ghost-cell padding and the two-pass
+# flux difference that the one-pass kernel replaced, kept as the references
+# it must match bit for bit
 
 
 def _weno5_face(vm2, vm1, v0, vp1, vp2):
@@ -203,6 +204,14 @@ def _weno5_face(vm2, vm1, v0, vp1, vp2):
     a2 = 0.3 / (1e-6 + b2) ** 2
     asum = a0 + a1 + a2
     return (a0 / asum) * q0 + (a1 / asum) * q1 + (a2 / asum) * q2
+
+
+def _ghost(v, grid):
+    if grid.boundary == "periodic":
+        return np.take(v, np.arange(-3, v.shape[-1] + 3), axis=-1, mode="wrap")
+    left = np.repeat(v[..., :1], 3, axis=-1)
+    right = np.repeat(v[..., -1:], 3, axis=-1)
+    return np.concatenate([left, v, right], axis=-1)
 
 
 def _two_pass_divergence(fp, dx, fm=None):
@@ -222,6 +231,26 @@ def _two_pass_euler_rhs(q_flat, grid):
     return _two_pass_divergence(0.5 * (F + alpha * qg), grid.dx, 0.5 * (F - alpha * qg)).reshape(-1)
 
 
+def _upwind_rhs(u, grid):
+    ug = _ghost(u, grid)
+    return -(ug[3:-3] - ug[2:-4]) / grid.dx
+
+
+def _assert_same_bytes(a, b):
+    # bit for bit where neither side is NaN (np.array_equal would let -0.0
+    # stand for +0.0), and NaN in the same places
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _assert_rhs_match_the_references(q, g):
+    u = q[: g.n_cells]
+    _assert_same_bytes(advection_rhs(u, g), _two_pass_divergence(_ghost(u, g), g.dx))
+    _assert_same_bytes(upwind_rhs(u, g), _upwind_rhs(u, g))
+    _assert_same_bytes(euler_rhs(q, g), _two_pass_euler_rhs(q, g))
+
+
 def _sixteen_decades(rng, shape):
     return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
@@ -232,26 +261,41 @@ def test_one_pass_weno5_matches_the_two_pass_kernel_bit_for_bit(n, boundary):
     g = Grid1D(n, -1.0, 1.0, boundary)
     rng = np.random.default_rng(1000 * n + len(boundary))
     with np.errstate(all="ignore"):
+        # raw signed values over 16 decades of scale, mostly invalid and
+        # NaN-producing as Euler states
         for scale in (1e-8, 1.0, 1e8):
-            u = scale * rng.standard_normal(n)
-            assert np.array_equal(advection_rhs(u, g), _two_pass_divergence(_ghost(u, g), g.dx))
-        u = _sixteen_decades(rng, n)
-        assert np.array_equal(advection_rhs(u, g), _two_pass_divergence(_ghost(u, g), g.dx))
-        # valid states (rho, p > 0) over 16 decades of scale, then raw
-        # signed values over 16 decades, mostly invalid and NaN-producing
+            _assert_rhs_match_the_references(scale * rng.standard_normal(3 * n), g)
+        _assert_rhs_match_the_references(_sixteen_decades(rng, 3 * n), g)
+        # valid Euler states (rho, p > 0) over 16 decades of scale
         for scale in (1e-8, 1.0, 1e8):
             rho = scale * rng.uniform(0.1, 2.0, n)
             mom = rho * rng.standard_normal(n)
             E = 0.5 * mom**2 / rho + scale * rng.uniform(0.1, 2.0, n)
-            q = np.concatenate([rho, mom, E])
-            assert np.array_equal(euler_rhs(q, g), _two_pass_euler_rhs(q, g))
-        q = _sixteen_decades(rng, 3 * n)
-        assert np.array_equal(euler_rhs(q, g), _two_pass_euler_rhs(q, g), equal_nan=True)
+            _assert_rhs_match_the_references(np.concatenate([rho, mom, E]), g)
+        # signed zeros, infinities and states whose squares overflow
+        for _ in range(4):
+            _assert_rhs_match_the_references(rng.choice([0.0, -0.0], 3 * n), g)
+            _assert_rhs_match_the_references(rng.choice([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], 3 * n), g)
+            _assert_rhs_match_the_references(1e300 * rng.standard_normal(3 * n), g)
+            _assert_rhs_match_the_references(np.where(rng.random(3 * n) < 0.3, -0.0, 1e300), g)
     # in float64 array arithmetic, as every right-hand side evaluates it
     # (Python floats square through libm pow, which can differ from x*x
     # in the last bit)
     for v in _sixteen_decades(rng, (20, 5)):
         assert weno5_face(v) == _weno5_face(*v[:, None])[0]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+def test_each_weno5_rhs_makes_one_face_pass_over_all_its_rows(monkeypatch, boundary):
+    calls = []
+    kernel = problems._weno5_faces
+    monkeypatch.setattr(problems, "_weno5_faces", lambda v: calls.append(v.size) or kernel(v))
+    g = Grid1D(20, 0.0, 1.0, boundary)
+    q = sod_initial(g)
+    advection_rhs(q[:20], g)
+    assert calls == [26]  # 20 cells and 3 ghost cells per side
+    euler_rhs(q, g)
+    assert calls == [26, 6 * 26]  # the f+ and f- rows of rho, mom and E
 
 
 def test_upwind_euler_step_is_total_variation_stable_at_the_cfl_limit():
