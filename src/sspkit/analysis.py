@@ -555,7 +555,10 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     Raises ValueError unless each range is finite with MIN < MAX and a
     finite width MAX - MIN, which the uniform spacing needs.  Z is
     allocated first, so a lattice too large to hold raises MemoryError
-    before any axis is sampled.
+    before any axis is sampled.  A point whose |psi| is not finite reads
+    inf, without a NumPy warning: with finite coefficients and a finite z
+    the only source is overflow, which in complex arithmetic can also
+    leave NaN parts.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
@@ -568,7 +571,9 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)
     X, Y = np.meshgrid(re, im)
-    np.abs(polyval(X + 1j * Y, coeffs), out=Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.abs(polyval(X + 1j * Y, coeffs), out=Z)
+    Z[~np.isfinite(Z)] = np.inf
     return re, im, Z
 
 

@@ -4,6 +4,10 @@ fixed-step driver for convergence studies.
 
 The solution is always advanced with the higher-order weights b (local
 extrapolation); the embedded weights enter only through the error estimate.
+The fixed-step driver and adaptive runs on states of more than
+``_SMALL_STATE`` components step with ``rk_step`` (and norm with
+``error_norm``); an adaptive run on an ODE-sized state takes each attempt
+in one pass of ``_small_attempt``, with the same result to the bit.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ __all__ = [
 ]
 
 MAX_ATTEMPTS = 10_000_000
-# largest state error_norm forms in Python floats: on a 2-CPU x86-64 VM
-# that path took 1.0-4.2 µs from 1 to 16 components, NumPy 5.7-6.9 µs at
-# any size
+# largest state integrate_adaptive attempts with _small_attempt: on a
+# 2-CPU x86-64 VM an ssp2,2-b2 attempt on u' = -u took 5-9 µs from 1 to 16
+# components against 11-12 µs for rk_step + error_norm, about even at 24
+# and slower from 32
 _SMALL_STATE = 16
 
 
@@ -123,29 +128,62 @@ def error_norm(
 ) -> float:
     """Max norm of (u_next - u_hat)/sc, sc = atol + max(|u_n|,|u_next|)*rtol.
 
-    The three states share one shape.  A 1-D state of 1 to
-    ``_SMALL_STATE`` components is normed in Python floats, where NumPy's
-    dispatch costs more than the arithmetic; any other state takes the
-    NumPy expression.  Both paths do the same IEEE operations per
-    component and propagate a NaN as ``np.maximum`` and ``ndarray.max``
-    do, so they agree to the bit.  A zero scale, which needs atol <= 0,
-    also takes the NumPy path.
+    The three states share one shape.  A NaN in any of them propagates,
+    as ``np.maximum`` and ``ndarray.max`` do; a zero scale, which needs
+    atol <= 0, gives inf for a defect and NaN for none.
     """
-    if u_n.ndim == 1 and 0 < u_n.size <= _SMALL_STATE:
-        err = -math.inf
-        try:
-            for x, y, z in zip(u_n.tolist(), u_next.tolist(), u_hat.tolist()):
-                a, b = abs(x), abs(y)
-                r = abs(y - z) / (atol + (a if a > b or a != a else b) * rtol)
-                if r != r:
-                    return r
-                if r > err:
-                    err = r
-            return err
-        except ZeroDivisionError:
-            pass
     sc = atol + np.maximum(np.abs(u_n), np.abs(u_next)) * rtol
     return float((np.abs(u_next - u_hat) / sc).max())
+
+
+def _small_attempt(
+    tab: EmbeddedTableau,
+    f: Callable,
+    n: int,
+    atol: float,
+    rtol: float,
+) -> Callable[[float, np.ndarray, float], tuple[np.ndarray, float]]:
+    """``attempt(t, u, h) -> (u_next, err)`` for states of n components,
+    the same to the bit as ``rk_step`` followed by ``error_norm`` (the
+    sign and payload of a NaN aside).
+
+    One (s, n) stage buffer and its views ``k[:i]`` are built here, once
+    per run; an attempt overwrites them and returns neither.  The stage
+    sums stay ``u + rows[i].dot(k[:i]) * h`` and both solutions stay
+    ``ndarray.dot`` products: OpenBLAS's matrix-vector kernel fuses the
+    multiply-add, so a sequential Python sum would change the last bit of
+    most products.  The two solutions ``u + x * h`` and the norm are then
+    formed in one pass over Python floats, with the IEEE operations of the
+    NumPy expressions (abs, max, ``*``, ``+``, ``-``, ``/``).  A NaN in
+    u makes u_next NaN there, so the ratio is NaN whichever scale is
+    taken, and a NaN ratio is kept, as ``ndarray.max`` keeps it (Python's
+    ``max`` would drop it).  The scale is never zero, since
+    ``integrate_adaptive`` requires atol > 0.  Only u_next becomes an
+    array.
+    """
+    c, rows = tab._stage_c, tab._stage_rows
+    b, b_tilde = tab.b, tab.b_tilde
+    k = np.empty((tab.s, n))
+    c0 = c[0]
+    stages = tuple((i, c[i], rows[i], k[:i]) for i in range(1, tab.s))
+
+    def attempt(t: float, u: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+        k[0] = f(t + c0 * h, u)
+        for i, c_i, row, head in stages:
+            k[i] = f(t + c_i * h, u + row.dot(head) * h)
+        u_next = []
+        err = -math.inf
+        for a, x, y in zip(u.tolist(), b.dot(k).tolist(), b_tilde.dot(k).tolist()):
+            x = a + x * h
+            y = a + y * h
+            u_next.append(x)
+            a, m = abs(a), abs(x)
+            r = abs(x - y) / (atol + (a if a > m else m) * rtol)
+            if r > err or r != r:
+                err = r
+        return np.array(u_next), err
+
+    return attempt
 
 
 def _rms(v: np.ndarray, sc: np.ndarray) -> float:
@@ -156,13 +194,16 @@ def _rms(v: np.ndarray, sc: np.ndarray) -> float:
 
 def _initial_state(problem: OdeSystem) -> np.ndarray:
     """A float copy of problem.u0; ValueError unless the time span
-    (t0, T) is finite with t0 < T and u0 is 1-D."""
+    (t0, T) is finite with t0 < T and u0 is 1-D with at least one
+    component."""
     t0, T = problem.t_span
     if not -math.inf < t0 < T < math.inf:
         raise ValueError(f"t_span must be finite with t0 < T, got {problem.t_span}")
     u = np.asarray(problem.u0, dtype=float).copy()
     if u.ndim != 1:
         raise ValueError(f"u0 must be a 1-D array, got shape {u.shape}")
+    if u.size == 0:
+        raise ValueError("u0 must have at least one component, got an empty array")
     return u
 
 
@@ -211,7 +252,7 @@ def integrate_adaptive(
     atol: float,
     rtol: float,
 ) -> IntegrationResult:
-    """Accept/reject loop: a step stands iff error_norm <= 1.
+    """Accept/reject loop: a step stands iff its error norm is <= 1.
 
     The run reads only ``controller.kind``: it steps with a fresh
     ``ControllerState`` of that kind and leaves the caller's object as it
@@ -221,8 +262,12 @@ def integrate_adaptive(
     to land on T exactly (not a rejection).  ``n_fev`` counts every call
     of ``problem.f``: s per attempted step plus the two of
     ``initial_step``.
-    Raises ValueError unless atol > 0 and rtol >= 0 are both finite, the
-    time span is finite with t0 < T and u0 is 1-D, StiffnessError on step
+    A state of at most ``_SMALL_STATE`` components is stepped by one
+    ``_small_attempt`` kernel built for the run, a larger one by
+    ``rk_step`` and ``error_norm``; both give the same bits.
+    Raises ValueError, before any call of f, unless atol > 0 and
+    rtol >= 0 are both finite, the time span is finite with t0 < T and u0
+    is 1-D with at least one component; StiffnessError on step
     underflow (a NaN step included) and BudgetError past ``MAX_ATTEMPTS``
     attempted steps, the module constant as it reads when the run starts.
     """
@@ -237,6 +282,13 @@ def integrate_adaptive(
     cfl = problem.cfl_hint(u) if problem.cfl_hint is not None else None
     dt = initial_step(f, t, u, tab.p, atol, rtol, cfl)
     max_attempts = MAX_ATTEMPTS
+
+    if u.size <= _SMALL_STATE:
+        attempt = _small_attempt(tab, f, u.size, atol, rtol)
+    else:
+        def attempt(t, u, h):
+            u_next, u_hat = rk_step(tab, f, t, u, h)
+            return u_next, error_norm(u, u_next, u_hat, atol, rtol)
 
     ctl = ControllerState(controller.kind)
     step_log: list[tuple[float, float, float, bool]] = []
@@ -260,8 +312,7 @@ def integrate_adaptive(
             )
         truncated = dt >= T - t
         dt_try = T - t if truncated else dt
-        u_next, u_hat = rk_step(tab, f, t, u, dt_try)
-        err = error_norm(u, u_next, u_hat, atol, rtol)
+        u_next, err = attempt(t, u, dt_try)
         accepted = err <= 1.0
         step_log.append((t, dt_try, err, accepted))
         # the estimate tracks the embedded solution's local error, so the
@@ -298,9 +349,9 @@ def integrate_fixed(
     shortened to land on T.  callback(t, u) fires at t0 and after every
     step (total-variation monitoring and the like).  Raises ValueError,
     before any call of f or callback, unless the time span is finite with
-    t0 < T, u0 is 1-D and dt > 0 is finite with a step count (T - t0)/dt
-    of at most ``MAX_ATTEMPTS``, the module constant as it reads when the
-    run starts."""
+    t0 < T, u0 is 1-D with at least one component and dt > 0 is finite
+    with a step count (T - t0)/dt of at most ``MAX_ATTEMPTS``, the module
+    constant as it reads when the run starts."""
     t0, T = problem.t_span
     u = _initial_state(problem)
     if not (0.0 < dt < math.inf and (T - t0) / dt < math.inf):

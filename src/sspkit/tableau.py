@@ -13,9 +13,10 @@ one parser of ids and the one public way to a catalog tableau: it reads
 its own stage count, and builds each id once per process.  Derived
 tableaux are ``dataclasses.replace`` copies.  Nothing that follows from
 the pair is passed in; it is derived once, when the tableau is built:
-the abscissae c = A e, the stage count s, the stage data ``rk_step``
-reads (c as Python floats and the rows A[i, :i]), and p_tilde, which is
-p - 1 whenever embedded weights are present.
+the abscissae c = A e, the stage count s, the stage data that
+``rk_step`` and the adaptive attempt kernel of ``integrator`` read (c as
+Python floats and the rows A[i, :i]), and p_tilde, which is p - 1
+whenever embedded weights are present.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class EmbeddedTableau:
     order ``p_tilde = p - 1`` (None without ``b_tilde``).  The arrays are
     frozen copies of the ones passed in.  Construction derives c, the
     stage count ``s = len(b)``, p_tilde and the private stage data of
-    ``rk_step``: c as Python floats and the read-only views A[i, :i].
+    ``rk_step`` and ``integrator._small_attempt``: c as Python floats and
+    the read-only views A[i, :i].
     ``replace`` derives them again, so they never fall out of step.
     Steps are advanced with ``b`` and the difference between the two
     stage combinations drives the error estimate (local extrapolation).

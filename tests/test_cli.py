@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,23 @@ def test_region_rejects_a_range_wider_than_a_float(capsys, flag):
     assert code == 1
     assert lines == []
     assert err == f"sspkit: error: {flag[2:]} range (-1e+308, 1e+308) is too wide: MAX - MIN overflows\n"
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("ssp3,2-b1", ("--re", "-1e300", "1e300")),
+    ("ssp3,2-b1", ("--re", "-1e300", "1e300", "--im", "-1e300", "1e300")),
+    ("ssp10,4-b3", ("--re", "-1e300", "1e300", "--im", "-1e300", "1e300")),
+])
+def test_region_overflow_reads_inf_without_a_warning(capsys, method, flags):
+    # |psi| overflows at |z| ~ 1e300; it used to print NumPy's "overflow"
+    # and "invalid value" warnings, and a degree-10 psi wrote nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, lines, err = run_cli(capsys, "region", method, "--nx", "3", "--ny", "3", *flags)
+    assert (code, err, caught) == (0, "", [])
+    values = [row.split(",")[2] for row in lines[2:]]
+    assert len(values) == 9 and "nan" not in values
+    assert values[0] == "inf" and all(v == "inf" or math.isfinite(float(v)) for v in values)
 
 
 @pytest.mark.parametrize("flag, plain, exponent", [

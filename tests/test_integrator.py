@@ -1,5 +1,6 @@
 """Tests for the stepping kernel, step-size selection, and the two drivers."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -186,33 +187,68 @@ def _with_specials(rng, u, share):
     return u
 
 
+def _bits(v):
+    # the bytes of a float array with every NaN made the same: signed zeros
+    # count, the sign and payload of a NaN do not
+    v = np.array(v, dtype=float)
+    v[np.isnan(v)] = np.nan
+    return v.tobytes()
+
+
+def _stage_feed(stages, seen):
+    # a right-hand side that records the stage states it is given and
+    # returns the next of the given stage values
+    def f(t, u):
+        seen.append(np.array(u, copy=True))
+        return stages[len(seen) - 1]
+    return f
+
+
 @pytest.mark.parametrize("n", range(1, 2 * integrator._SMALL_STATE + 1))
 def test_error_norm_matches_the_numpy_form_bit_for_bit(n):
-    # both sides of the size cut, against the NumPy expression, on states
-    # over sixteen decades with none to half of their components special;
-    # every third trial has rtol = 0.  NaN counts as equal to NaN.
+    # the attempt kernel against rk_step and the NumPy norm, and error_norm
+    # against that norm, on both sides of the size cut: states and stage
+    # values over sixteen decades with none to half of their components
+    # special; every third trial has rtol = 0.  Values are compared by
+    # their bytes, except that NaN counts as equal to NaN.
     rng = np.random.default_rng(n)
     for trial in range(400):
+        tab = resolve(("ssp2,2-b2", "ssp10,4-b3", "dp54")[trial % 3])
         share = (0.0, 0.05, 0.2, 0.5)[trial % 4]
         u_n = _with_specials(rng, _magnitudes(rng, n), share)
-        u_next = _with_specials(rng, u_n + _magnitudes(rng, n) * 1e-6, share)
-        u_hat = _with_specials(rng, u_next + _magnitudes(rng, n) * 1e-9, share)
+        stages = _with_specials(rng, _magnitudes(rng, (tab.s, n)).ravel(), share).reshape(tab.s, n)
+        h = float(10.0 ** rng.uniform(-4.0, 0.0))
         atol, rtol = (float(x) for x in 10.0 ** rng.uniform(-12.0, -2.0, size=2))
         if trial % 3 == 0:
             rtol = 0.0
+        seen = {"kernel": [], "ref": []}
         with np.errstate(all="ignore"):
+            u_next, u_hat = rk_step(tab, _stage_feed(stages, seen["ref"]), 0.5, u_n, h)
             want = _np_max_error_norm(u_n, u_next, u_hat, atol, rtol)
-            got = error_norm(u_n, u_next, u_hat, atol, rtol)
-        assert type(got) is float
-        assert got == want or (np.isnan(got) and np.isnan(want)), (u_n, u_next, u_hat, atol, rtol)
+            attempt = integrator._small_attempt(tab, _stage_feed(stages, seen["kernel"]), n, atol, rtol)
+            got_u, got = attempt(0.5, u_n, h)
+            norm = error_norm(u_n, u_next, u_hat, atol, rtol)
+        case = (tab.id, u_n, stages, h, atol, rtol)
+        assert list(map(_bits, seen["kernel"])) == list(map(_bits, seen["ref"])), case
+        assert got_u.dtype == u_next.dtype and _bits(got_u) == _bits(u_next), case
+        for value in (got, norm):
+            assert type(value) is float
+            assert value == want or (np.isnan(value) and np.isnan(want)), case
 
 
 def test_error_norm_with_a_zero_scale_takes_the_numpy_form():
-    # atol = rtol = 0 divides by zero: inf for a defect, NaN for none
+    # atol = rtol = 0 divides by zero in error_norm: inf for a defect, NaN
+    # for none.  integrate_adaptive refuses atol <= 0, so the kernel's
+    # smallest scale is atol itself: a zero state is normed against it.
     z = np.zeros(2)
     with np.errstate(all="ignore"):
         assert error_norm(z, np.array([1.0, 2.0]), z, 0.0, 0.0) == np.inf
         assert np.isnan(error_norm(z, z, z, 0.0, 0.0))
+    stages = np.array([[0.0, 0.0], [0.0, -1e-3]])
+    u_next, err = integrator._small_attempt(TAB22, _stage_feed(stages, []), 2, 1e-6, 0.0)(0.0, z, 0.1)
+    # u_next = 0.05 k2 and u_hat = 0.025 k2, so the defect is 2.5e-5 in the second component
+    assert u_next.tolist() == [0.0, 0.1 * 0.5 * -1e-3]
+    assert err == abs(0.1 * 0.5 * -1e-3 - 0.1 * 0.25 * -1e-3) / 1e-6
 
 
 # ------------------------------------------------------------- initial step
@@ -286,6 +322,96 @@ def test_adaptive_run_is_reproducible():
     r2 = integrate_adaptive(decay_problem(), TAB22, make_controller("pid"), 1e-6, 1e-6)
     assert r1.step_log == r2.step_log
     assert np.array_equal(r1.u, r2.u)
+
+
+def _reference_adaptive(problem, tab, kind, atol, rtol, step_log):
+    # integrate_adaptive's loop as it stood before the attempt kernel:
+    # rk_step and the NumPy norm at every state size
+    f = problem.f
+    t0, T = problem.t_span
+    u = np.array(problem.u0, dtype=float)
+    t = float(t0)
+    dt = initial_step(f, t, u, tab.p, atol, rtol)
+    ctl = make_controller(kind)
+    n_acc = n_rej = 0
+    min_step = 100.0 * float(np.finfo(float).eps)
+    t_scale = max(abs(t0), abs(T), 1.0)
+    while t < T:
+        if not dt >= min_step * max(abs(t), t_scale):
+            raise StiffnessError(
+                f"step size {dt:.3e} underflowed at t = {t:.6g} ({n_acc} accepted, {n_rej} rejected)")
+        truncated = dt >= T - t
+        dt_try = T - t if truncated else dt
+        u_next, u_hat = rk_step(tab, f, t, u, dt_try)
+        err = _np_max_error_norm(u, u_next, u_hat, atol, rtol)
+        accepted = err <= 1.0
+        step_log.append((t, dt_try, err, accepted))
+        beta = ctl.propose_factor(err, tab.p_tilde)
+        if accepted:
+            ctl.on_accept(err)
+            t = T if truncated else t + dt_try
+            u = u_next
+            n_acc += 1
+        else:
+            ctl.on_reject()
+            n_rej += 1
+        dt = ctl.clamp(dt_try, beta)
+    return u, n_acc, n_rej
+
+
+def _kernel_cases():
+    # (n, name, u0, T, tol, f) per state size: a coupled cubic system,
+    # u' = -u|u| from a state holding +0 and -0, and u' = u^2, which blows
+    # up before t = 2 (at a loose tolerance, which needs fewer steps there)
+    for n in range(1, integrator._SMALL_STATE + 2):
+        rng = np.random.default_rng(1000 + n)
+        M = rng.normal(size=(n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+        cubic = lambda t, u, M=M: M.dot(u) - u * u * u + 0.1 * np.cos(3.0 * t)
+        u0 = rng.uniform(-2.0, 2.0, size=n)
+        signed = u0.copy()
+        signed[0::3] = 0.0
+        signed[1::3] = -0.0
+        yield n, "cubic", u0, 2.0, 1e-4, cubic
+        yield n, "signed-zeros", signed, 1.0, 1e-4, lambda t, u: -u * np.abs(u)
+        yield n, "blow-up", rng.uniform(0.5, 1.0, size=n), 3.0, 1e-2, lambda t, u: u * u
+
+
+@pytest.mark.parametrize("method", ["ssp2,2-b2", "ssp10,4-b3", "dp54"])
+def test_adaptive_runs_match_the_step_and_norm_loop_bit_for_bit(method):
+    # every attempt's stage states, the step log, the end state and the
+    # counts (or the same exception after the same attempts) against the
+    # loop built from rk_step and the NumPy norm; n = _SMALL_STATE + 1
+    # takes that loop itself
+    tab = resolve(method)
+    for (n, name, u0, T, tol, f), kind in zip(_kernel_cases(), itertools.cycle(sorted(GAINS))):
+        seen = {"new": [], "ref": []}
+
+        def recorder(key, f=f):
+            def g(t, u):
+                seen[key].append((t, _bits(u)))
+                return f(t, u)
+            return g
+
+        outcome = {}
+        for key in ("new", "ref"):
+            prob = OdeSystem(f=recorder(key), t_span=(0.0, T), u0=u0)
+            log = []   # a raising run has no step log; its f calls are compared
+            with np.errstate(all="ignore"):
+                try:
+                    if key == "new":
+                        res = integrate_adaptive(prob, tab, make_controller(kind), tol, tol)
+                        log = res.step_log
+                        result = (res.u, res.n_accepted, res.n_rejected, res.n_fev)
+                    else:
+                        u, n_acc, n_rej = _reference_adaptive(prob, tab, kind, tol, tol, log)
+                        result = (u, n_acc, n_rej, tab.s * (n_acc + n_rej) + 2)
+                    outcome[key] = ("ok", _bits(result[0]), result[1:], repr(log))
+                except StiffnessError as exc:
+                    outcome[key] = ("StiffnessError", str(exc))
+        case = (method, n, name, kind)
+        assert seen["new"] == seen["ref"], case
+        assert outcome["new"] == outcome["ref"], case
+        assert outcome["new"][0] == ("StiffnessError" if name == "blow-up" else "ok"), case
 
 
 @pytest.mark.parametrize("kind", sorted(GAINS))
@@ -451,6 +577,20 @@ def test_a_state_that_is_not_1d_is_rejected_before_any_rhs_call():
         integrate_adaptive(prob, tab, make_controller("pid"), 1e-6, 1e-6)
     with pytest.raises(ValueError, match=r"u0 must be a 1-D array, got shape \(3, 4\)"):
         integrate_fixed(prob, tab, 0.1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("driver", ["adaptive", "fixed"])
+def test_an_empty_state_is_rejected_before_any_rhs_call(driver):
+    # the adaptive driver used to warn "Mean of empty slice" and die in a
+    # zero-size maximum, while the fixed one returned []
+    calls = []
+    prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([]))
+    with pytest.raises(ValueError, match="u0 must have at least one component, got an empty array"):
+        if driver == "adaptive":
+            integrate_adaptive(prob, TAB22, make_controller("pid"), 1e-6, 1e-6)
+        else:
+            integrate_fixed(prob, TAB22, 0.1, callback=lambda t, u: calls.append(t))
     assert calls == []
 
 
