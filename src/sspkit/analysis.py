@@ -19,10 +19,30 @@ The SSP coefficient, the disk radius and R_psi are suprema of a
 monotone feasibility test, all found by the one bisection ``_bisect_sup``.
 The two axis radii end where the axis, cut at the roots of its boundary
 polynomials, first leaves |psi| <= 1 (``_first_exit``).
+
+Two bounded per-process memos (``functools.lru_cache``, ``_MEMO_SIZE``
+entries each) keep repeated analysis from recomputing what the bytes of
+its input already fix; the catalog's 32 pairs share 15 stage matrices and
+15 advancing methods:
+
+* ``_engine(A)`` holds one ``OrderConditions`` per stage matrix, keyed on
+  the shape and ``A.tobytes()``.  Its arrays are read-only, so sharing it
+  is safe.  ``classify_order``, ``is_non_defective``, ``error_measures``,
+  ``order_condition_residuals`` and the weight search's cost all take
+  their engine from it.
+* ``analyze_method`` takes the advancing side of a report -- p, the SSP
+  coefficient and the four radii of psi -- from ``_advancing``, keyed on
+  the bytes of (A, b).  It returns immutable values, and each call still
+  builds a fresh report; the embedded side is computed per pair.
+
+A hit is exact: a miss builds from the key's own bytes, so a hit returns
+what the same functions gave on the same floats.  Bytes are stricter than
+values: -0.0 against 0.0, or another NaN payload, only misses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -57,6 +77,7 @@ _BISECT_TOL = 1e-6    # bracket width of the SSP-coefficient and disk-radius bis
 _AM_BISECT_TOL = 1e-8 # bracket width of the absolute-monotonicity bisection
 _MOD_SLACK = 1e-12    # |psi| <= 1 + slack (+ rounding) in the three modulus radii
 _AM_FLOOR = 1e-12     # shifted coefficients down to -floor count as nonnegative
+_MEMO_SIZE = 64       # entries of each per-process memo: engines, advancing reports
 
 
 @dataclass(frozen=True)
@@ -141,7 +162,8 @@ class OrderConditions:
     is the set deciding non-defectiveness at order q, as
     ``(names, V, rhs)`` for the conditions ``V @ w = rhs``: the composite
     arrangement through order 4, and the trees themselves at order 5,
-    which has no displayed arrangement.
+    which has no displayed arrangement.  Every array is read-only, so
+    one engine can serve every caller (``_engine``).
     """
 
     def __init__(self, A):
@@ -150,15 +172,17 @@ class OrderConditions:
         self.names, self.phi, self.g, self.conditions = {}, {}, {}, {}
         for q in range(1, 6):
             trees = [t for t in TREES if t.order == q]
-            self.names[q] = [t.name for t in trees]
+            self.names[q] = tuple(t.name for t in trees)
             self.phi[q] = np.array([t.phi(A, c) for t in trees])
             self.g[q] = np.array([1.0 / t.gamma for t in trees])
             comp = [cd for cd in CONDITIONS if cd.order == q]
             if comp:
                 C = np.array([cd.coef for cd in comp])
-                self.conditions[q] = ([cd.name for cd in comp], C @ self.phi[q], C @ self.g[q])
+                self.conditions[q] = (tuple(cd.name for cd in comp), C @ self.phi[q], C @ self.g[q])
             else:
                 self.conditions[q] = (self.names[q], self.phi[q], self.g[q])
+            for arr in (self.phi[q], self.g[q], *self.conditions[q][1:]):
+                arr.setflags(write=False)
 
     def tau(self, w, q: int) -> np.ndarray:
         """Residuals of the trees of order q."""
@@ -207,6 +231,18 @@ class OrderConditions:
         return NonDefectiveReport(ok=ok, residuals=residuals, exempt=exempt)
 
 
+def _engine(A) -> OrderConditions:
+    """The shared engine of the stage matrix A, built once per distinct
+    shape and bytes (see the module docstring)."""
+    A = np.asarray(A, dtype=float)
+    return _engine_of(A.shape, A.tobytes())
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _engine_of(shape, data) -> OrderConditions:
+    return OrderConditions(np.frombuffer(data).reshape(shape))
+
+
 def _pair_norms(a2, ainf, tau_emb, diff) -> tuple[float, ...]:
     """Norms of the leading truncation errors of a pair, as Python floats:
     (A2, Ainf, A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
@@ -240,7 +276,7 @@ def order_condition_residuals(A, w, q_max: int = 4) -> dict[str, float]:
     if not 1 <= q_max <= 5:
         raise ValueError("q_max must be between 1 and 5")
     A, w = _as_arrays(A, w)
-    oc = OrderConditions(A)
+    oc = _engine(A)
     out = {}
     for q in range(1, q_max + 1):
         out.update(zip(oc.names[q], oc.tau(w, q).tolist()))
@@ -253,7 +289,7 @@ def order_condition_residuals(A, w, q_max: int = 4) -> dict[str, float]:
 def classify_order(A, w) -> int:
     """Largest q <= 5 with every residual of order <= q within ORDER_TOL (0 if none)."""
     A, w = _as_arrays(A, w)
-    return OrderConditions(A).classify(w)
+    return _engine(A).classify(w)
 
 
 def is_non_defective(t) -> NonDefectiveReport:
@@ -265,7 +301,7 @@ def is_non_defective(t) -> NonDefectiveReport:
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
-    return OrderConditions(t.A).non_defective(t.b_tilde, t.p)
+    return _engine(t.A).non_defective(t.b_tilde, t.p)
 
 
 def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
@@ -388,10 +424,10 @@ def _first_exit(coeffs, crossings, point, cap: float) -> float:
     below inside.
     """
     re = np.real(crossings)
-    cuts = np.unique(np.concatenate(([0.0, cap], re[(re > 0.0) & (re < cap)])))
+    cuts = sorted({0.0, cap, *re[(re > 0.0) & (re < cap)].tolist()})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if not _bounded_by_one(coeffs, point(0.5 * (lo + hi))):
-            return float(lo)
+            return lo
     return cap
 
 
@@ -540,7 +576,7 @@ def error_measures(t) -> ErrorMeasures:
     p = t.p
     if p > 4:
         raise ValueError("error measures need trees to order p+1 <= 5")
-    oc = OrderConditions(t.A)
+    oc = _engine(t.A)
     tau_main = oc.tau(t.b, p + 1)
     norms = _pair_norms(*_norms(tau_main), oc.tau(t.b_tilde, p), oc.tau(t.b_tilde, p + 1) - tau_main)
     d = max(np.max(np.abs(t.A)), np.max(np.abs(t.b)), np.max(np.abs(t.b_tilde)), np.max(np.abs(t.c)))
@@ -577,6 +613,15 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     return re, im, Z
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _advancing(shape, a_data, b_data) -> tuple[int, float, StabilityRadii]:
+    """(p, SSP coefficient, radii of psi) of the advancing method whose A
+    and b have these bytes, through the module's public names."""
+    A, b = np.frombuffer(a_data).reshape(shape), np.frombuffer(b_data)
+    return (classify_order(A, b), ssp_coefficient_arrays(A, b),
+            stability_radii(stability_polynomial(A, b)))
+
+
 def analyze_method(t) -> dict:
     """Full coefficient report of a pair, as emitted by the analyze command.
 
@@ -584,17 +629,19 @@ def analyze_method(t) -> dict:
     claims.  The radii and error measures appear under their field names
     in ``StabilityRadii`` and ``ErrorMeasures``.  Error measures are only
     defined for advancing order <= 4 and require embedded weights; missing
-    entries are None.
+    entries are None.  The advancing side is analyzed once per distinct
+    (A, b) in a process (``_advancing``).
     """
-    p = classify_order(t.A, t.b)
+    A, b = _as_arrays(t.A, t.b)
+    p, ssp_main, radii = _advancing(A.shape, A.tobytes(), b.tobytes())
     embedded = t.b_tilde is not None
     report = {
         "id": t.id,
         "p": p,
         "p_tilde": classify_order(t.A, t.b_tilde) if embedded else None,
-        "ssp_main": ssp_coefficient_arrays(t.A, t.b),
+        "ssp_main": ssp_main,
         "ssp_embedded": ssp_coefficient_arrays(t.A, t.b_tilde) if embedded else None,
-        **asdict(stability_radii(stability_polynomial(t.A, t.b))),
+        **asdict(radii),
     }
     if embedded and p <= 4:
         report.update(asdict(error_measures(t)))

@@ -204,7 +204,7 @@ def _pair_cost(A, b):
     order p - 1 needs a condition, and the cost trees to p + 1.  The norms
     of the advancing residuals are formed once, and the products are
     ``ndarray.dot``, the BLAS product that ``@`` reaches."""
-    oc = analysis.OrderConditions(A)
+    oc = analysis._engine(A)
     p = oc.classify(b)
     if not 2 <= p <= 4:
         raise ValueError(f"the weight search needs an advancing method of order 2..4, got order {p}")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import Polynomial
 
+from sspkit import analysis
 from sspkit.analysis import (
     TREES,
     _bounded_by_one,
@@ -481,6 +482,71 @@ def test_report_keys_are_the_result_field_names(catalog_reports):
             assert {k: rep[k] for k in em_keys} == asdict(error_measures(t)), i
         else:
             assert all(rep[k] is None for k in em_keys), i
+
+
+def _clear_memos():
+    analysis._engine_of.cache_clear()
+    analysis._advancing.cache_clear()
+
+
+def _hex(report: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+
+def test_memoized_reports_equal_cold_per_pair_reports_bit_for_bit():
+    # a hit must return what a cold memo computes, in any order; floats are
+    # compared by their hex digits, so every last bit and signed zero counts.
+    # The embedded methods share A with their pair but not b.
+    tabs = {i: resolve(i) for i in [*catalog_ids(), "ssp3,3", "ssp3,3-w"]}
+    tabs.update({f"{i} embedded": embedded_method(tabs[i]) for i in ("ssp2,2-b2", "ssp4,3-b2", "ssp10,4-b3")})
+    cold = {}
+    for i, t in tabs.items():
+        _clear_memos()
+        cold[i] = _hex(analyze_method(t))
+    _clear_memos()
+    ids = list(tabs)
+    rng = np.random.default_rng(25)
+    for _ in ("cold", "warm"):
+        for k in rng.permutation(len(ids)):
+            assert _hex(analyze_method(tabs[ids[k]])) == cold[ids[k]], ids[k]
+
+
+def test_the_catalog_builds_one_engine_and_one_radii_search_per_method(monkeypatch):
+    # the 32 pairs share 15 stage matrices and 15 advancing methods (A, b)
+    tabs = [resolve(i) for i in catalog_ids()]
+    counts = {"engines": 0, "radii": 0}
+    build, radii = analysis.OrderConditions, analysis.stability_radii
+
+    def counted_build(A):
+        counts["engines"] += 1
+        return build(A)
+
+    def counted_radii(coeffs):
+        counts["radii"] += 1
+        return radii(coeffs)
+
+    monkeypatch.setattr(analysis, "OrderConditions", counted_build)
+    monkeypatch.setattr(analysis, "stability_radii", counted_radii)
+    _clear_memos()
+    for t in tabs:
+        analyze_method(t)
+    assert counts == {"engines": 15, "radii": 15}
+
+
+def test_a_shared_engine_is_read_only_and_keyed_on_bytes():
+    A = resolve("ssp4,3-b1").A
+    oc = analysis._engine(A)
+    assert analysis._engine(A.copy()) is oc
+    for q in range(1, 6):
+        for arr in (oc.phi[q], oc.g[q], *oc.conditions[q][1:]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+    # -0.0 == 0.0, but its bytes differ: only a miss, with the same values
+    signed = A.copy()
+    signed[0, 1] = -0.0
+    other = analysis._engine(signed)
+    assert other is not oc
+    assert all(np.array_equal(other.phi[q], oc.phi[q]) for q in range(1, 6))
 
 
 def test_reports_match_the_benchmark_expectations(catalog_reports):

@@ -491,6 +491,21 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_analysis_leaves_numpy_ma_unimported():
+    # the first np.unique of a process imports numpy.ma (about 13 ms); the
+    # axis radii cut their axes without it
+    script = """
+import sys
+import sspkit
+for i in sspkit.catalog_ids():
+    sspkit.analyze_method(sspkit.resolve(i))
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_package_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_header_records_command_and_seed(capsys):
     _, lines, _ = run_cli(capsys, "analyze", "ssp2,2-b2", "--seed", "3")
     assert "cmd=analyze" in lines[0]
