@@ -26,10 +26,10 @@ its input already fix; the catalog's 32 pairs share 15 stage matrices and
 15 advancing methods:
 
 * ``_engine(A)`` holds one ``OrderConditions`` per stage matrix, keyed on
-  the shape and ``A.tobytes()``.  Its arrays are read-only, so sharing it
-  is safe.  ``classify_order``, ``is_non_defective``, ``error_measures``,
-  ``order_condition_residuals`` and the weight search's cost all take
-  their engine from it.
+  the shape and ``A.tobytes()``.  Its arrays are read-only and its vacuous
+  sets frozen, so sharing it is safe.  ``classify_order``,
+  ``is_non_defective``, ``error_measures``, ``order_condition_residuals``
+  and the weight search's cost all take their engine from it.
 * ``analyze_method`` takes the advancing side of a report -- p, the SSP
   coefficient and the four radii of psi -- from ``_advancing``, keyed on
   the bytes of (A, b).  It returns immutable values, and each call still
@@ -75,8 +75,9 @@ ORDER_TOL = 1e-10     # largest order-condition residual that counts as satisfie
 _FEAS_TOL = 1e-10     # componentwise slack in the SSP feasibility conditions
 _BISECT_TOL = 1e-6    # bracket width of the SSP-coefficient and disk-radius bisections
 _AM_BISECT_TOL = 1e-8 # bracket width of the absolute-monotonicity bisection
-_MOD_SLACK = 1e-12    # |psi| <= 1 + slack (+ rounding) in the three modulus radii
-_AM_FLOOR = 1e-12     # shifted coefficients down to -floor count as nonnegative
+_MOD_SLACK = 1e-12    # |psi| <= 1 + slack + 8 eps sum|a_k||z|^k (rounding) in the three modulus radii
+_AM_FLOOR = 1e-12     # a shifted coefficient down to -max(floor, 4 eps x its rounding) counts as >= 0
+_TRIM_TOL = 1e-13     # terms of |psi(iy)|^2 - 1 below this share of the largest are roundoff
 _MEMO_SIZE = 64       # entries of each per-process memo: engines, advancing reports
 
 
@@ -163,13 +164,15 @@ class OrderConditions:
     ``(names, V, rhs)`` for the conditions ``V @ w = rhs``: the composite
     arrangement through order 4, and the trees themselves at order 5,
     which has no displayed arrangement.  Every array is read-only, so
-    one engine can serve every caller (``_engine``).
+    one engine can serve every caller (``_engine``).  ``vacuous`` keeps its
+    frozensets in a dict on the instance, which dies with the engine; a
+    cache on the method would keep alive the engines ``_engine`` evicts.
     """
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         c = A.sum(axis=1)
-        self.names, self.phi, self.g, self.conditions = {}, {}, {}, {}
+        self.names, self.phi, self.g, self.conditions, self._vacuous = {}, {}, {}, {}, {}
         for q in range(1, 6):
             trees = [t for t in TREES if t.order == q]
             self.names[q] = tuple(t.name for t in trees)
@@ -202,29 +205,35 @@ class OrderConditions:
             p = q
         return p
 
-    def vacuous(self, order: int) -> set[str]:
+    def vacuous(self, order: int) -> frozenset[str]:
         """Names of the order-``order`` conditions implied by the lower orders.
 
         A condition w @ v = rhs is vacuous when v lies in the span of the
         lower-order tree functionals and the same combination of their
         right-hand sides reproduces rhs: every weight vector of order
-        ``order - 1`` then satisfies it, so it cannot be violated.
+        ``order - 1`` then satisfies it, so it cannot be violated.  Order 1
+        has no lower orders, so none of its conditions is vacuous; an order
+        outside 1..5 raises ValueError.
         """
-        M, rho = self.up_to(order - 1)
-        M = M.T
-        names = set()
-        for name, v, rhs in zip(*self.conditions[order]):
-            x, *_ = np.linalg.lstsq(M, v, rcond=None)
-            span_ok = np.max(np.abs(M @ x - v)) <= ORDER_TOL * max(1.0, np.max(np.abs(v)))
-            rhs_ok = abs(x @ rho - rhs) <= ORDER_TOL
-            if span_ok and rhs_ok:
-                names.add(name)
-        return names
+        if order not in self._vacuous:
+            if order not in self.conditions:
+                raise ValueError(f"order {order!r} is outside the engine's range 1..5")
+            names = set()
+            if order > 1:
+                M, rho = self.up_to(order - 1)
+                M = M.T
+                for name, v, rhs in zip(*self.conditions[order]):
+                    x, *_ = np.linalg.lstsq(M, v, rcond=None)
+                    span_ok = np.max(np.abs(M @ x - v)) <= ORDER_TOL * max(1.0, np.max(np.abs(v)))
+                    if span_ok and abs(x @ rho - rhs) <= ORDER_TOL:
+                        names.add(name)
+            self._vacuous[order] = frozenset(names)
+        return self._vacuous[order]
 
-    def non_defective(self, w, order: int, exempt=None) -> NonDefectiveReport:
+    def non_defective(self, w, order: int) -> NonDefectiveReport:
         """Whether w violates (beyond ORDER_TOL) every order-``order``
-        condition not in ``exempt`` (default: the vacuous ones)."""
-        exempt = frozenset(self.vacuous(order) if exempt is None else exempt)
+        condition that is not vacuous."""
+        exempt = self.vacuous(order)
         names, V, rhs = self.conditions[order]
         residuals = dict(zip(names, (V @ w - rhs).tolist()))
         ok = not any(name not in exempt and abs(r) <= ORDER_TOL for name, r in residuals.items())
@@ -295,9 +304,8 @@ def classify_order(A, w) -> int:
 def is_non_defective(t) -> NonDefectiveReport:
     """Check that the embedded weights violate every order-p condition.
 
-    ``p`` is the order of the advancing method.  The structurally vacuous
-    conditions (those implied by the lower-order conditions for this A,
-    which no weight vector can violate) are exempt.
+    ``p`` is the order of the advancing method.  The conditions that no
+    weight vector can violate (``OrderConditions.vacuous``) are exempt.
     """
     if t.b_tilde is None:
         raise ValueError(f"{t.id} has no embedded weights")
@@ -459,7 +467,7 @@ def imag_axis_inclusion(coeffs) -> float:
     q = sq[::2].copy()                        # odd powers cancel; u = y^2
     q[0] -= 1.0
     scale = max(1.0, np.max(np.abs(q)))
-    nz = np.nonzero(np.abs(q) > 1e-13 * scale)[0]
+    nz = np.nonzero(np.abs(q) > _TRIM_TOL * scale)[0]
     if len(nz) and q[nz[0]] > 0:
         return 0.0
     crossings = np.sqrt(polyroots(q[nz[0]:] if len(nz) else q).astype(complex))

@@ -69,6 +69,12 @@ def _emit(args, lines, path=None) -> None:
         sys.stdout.write(text)
 
 
+def _json(doc: dict) -> str:
+    """``doc`` as one line of strict (RFC 8259) JSON: a non-finite float is null."""
+    return json.dumps({k: None if isinstance(v, float) and not np.isfinite(v) else v
+                       for k, v in doc.items()}, allow_nan=False, default=np.ndarray.tolist)
+
+
 def _check_writable(path) -> None:
     """Refuse an output path that cannot be written, before any work."""
     parent = os.path.dirname(os.path.abspath(path))
@@ -83,7 +89,7 @@ def _check_writable(path) -> None:
 def _cmd_analyze(args) -> int:
     rep = analyze_method(resolve(args.method, seed=args.seed))
     if args.json:
-        _emit(args, [json.dumps(rep)])
+        _emit(args, [_json(rep)])
     else:
         width = max(len(k) for k in rep)
         _emit(args, [f"{k:<{width}}  {v}" for k, v in rep.items()])
@@ -136,7 +142,7 @@ def _cmd_integrate(args) -> int:
         u_ref = reference_endpoint(args.problem, n_cells=args.n_cells)
         summary["l2_error"] = float(np.linalg.norm(res.u - u_ref))
     if args.json:
-        _emit(args, [json.dumps(summary)])
+        _emit(args, [_json(summary)])
     else:
         _emit(args, [f"{k}: {v}" for k, v in summary.items()])
     return 0
@@ -171,10 +177,7 @@ def _cmd_optimize(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    doc = {"method": base.id, **asdict(optimize_embedded(spec))}
-    if doc["w"] is not None:
-        doc["w"] = doc["w"].tolist()
-    _emit(args, [json.dumps(doc)])
+    _emit(args, [_json({"method": base.id, **asdict(optimize_embedded(spec))})])
     return 0
 
 

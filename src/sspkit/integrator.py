@@ -97,8 +97,7 @@ def rk_step(
     The two solutions share the s stage evaluations; u_hat is None when
     the tableau carries no embedded weights.  u_n is a 1-D array and is
     only read.  Each stage sum and each solution is one row-vector
-    product, ``A[i, :i].dot(k[:i]) * dt`` and ``b.dot(k) * dt``, on the
-    rows and abscissae the tableau derived when it was built.
+    product, ``A[i, :i].dot(k[:i]) * dt`` and ``b.dot(k) * dt``.
     ``ndarray.dot`` reaches the BLAS matrix-vector kernel that
     ``np.tensordot`` calls, so the result is the same to the bit; on a
     2-CPU x86-64 VM a product costs 0.40-0.45 µs for 2 components and
@@ -108,11 +107,11 @@ def rk_step(
     matrix-matrix kernel, whose summation order changes the last bit of
     most results.
     """
-    c, rows = tab._stage_c, tab._stage_rows
+    A, c = tab.A, tab.c.tolist()
     k = np.empty((tab.s,) + u_n.shape)
     k[0] = f(t_n + c[0] * dt, u_n)
     for i in range(1, tab.s):
-        k[i] = f(t_n + c[i] * dt, u_n + rows[i].dot(k[:i]) * dt)
+        k[i] = f(t_n + c[i] * dt, u_n + A[i, :i].dot(k[:i]) * dt)
     u_next = u_n + tab.b.dot(k) * dt
     if tab.b_tilde is None:
         return u_next, None
@@ -147,9 +146,10 @@ def _small_attempt(
     the same to the bit as ``rk_step`` followed by ``error_norm`` (the
     sign and payload of a NaN aside).
 
-    One (s, n) stage buffer and its views ``k[:i]`` are built here, once
-    per run; an attempt overwrites them and returns neither.  The stage
-    sums stay ``u + rows[i].dot(k[:i]) * h`` and both solutions stay
+    One (s, n) stage buffer and its views ``k[:i]``, the rows A[i, :i]
+    and the abscissae ``tab.c.tolist()`` are taken here, once per run; an
+    attempt overwrites the buffer and returns no part of it.  The stage
+    sums stay ``u + A[i, :i].dot(k[:i]) * h`` and both solutions stay
     ``ndarray.dot`` products: OpenBLAS's matrix-vector kernel fuses the
     multiply-add, so a sequential Python sum would change the last bit of
     most products.  The two solutions ``u + x * h`` and the norm are then
@@ -161,11 +161,11 @@ def _small_attempt(
     ``integrate_adaptive`` requires atol > 0.  Only u_next becomes an
     array.
     """
-    c, rows = tab._stage_c, tab._stage_rows
+    A, c = tab.A, tab.c.tolist()
     b, b_tilde = tab.b, tab.b_tilde
     k = np.empty((tab.s, n))
     c0 = c[0]
-    stages = tuple((i, c[i], rows[i], k[:i]) for i in range(1, tab.s))
+    stages = tuple((i, c[i], A[i, :i], k[:i]) for i in range(1, tab.s))
 
     def attempt(t: float, u: np.ndarray, h: float) -> tuple[np.ndarray, float]:
         k[0] = f(t + c0 * h, u)

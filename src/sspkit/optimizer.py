@@ -258,7 +258,6 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     rank = int(np.sum(sv > tol_sv))
     N = Vt[rank:].T                     # s x k, orthonormal columns
 
-    exempt = oc.vacuous(p)
     n_eval = 0
 
     def cost(y: np.ndarray) -> float:
@@ -296,7 +295,7 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
         obj = f_max(w)
         if not math.isfinite(obj):
             continue
-        if not oc.non_defective(w, p, exempt).ok:
+        if not oc.non_defective(w, p).ok:
             continue
         if spec.require_ssp_at is not None and not ssp_feasible(A, w, spec.require_ssp_at):
             continue

@@ -11,12 +11,7 @@ w), ``bs32`` or ``dp54``; ids are case-insensitive.  ``resolve`` is the
 one parser of ids and the one public way to a catalog tableau: it reads
 (s, p, variant) once, runs the private builder of order p, which checks
 its own stage count, and builds each id once per process.  Derived
-tableaux are ``dataclasses.replace`` copies.  Nothing that follows from
-the pair is passed in; it is derived once, when the tableau is built:
-the abscissae c = A e, the stage count s, the stage data that
-``rk_step`` and the adaptive attempt kernel of ``integrator`` read (c as
-Python floats and the rows A[i, :i]), and p_tilde, which is p - 1
-whenever embedded weights are present.
+tableaux are ``dataclasses.replace`` copies.
 """
 
 from __future__ import annotations
@@ -46,10 +41,8 @@ class EmbeddedTableau:
     embedded weights ``b_tilde`` share the stage coefficients A and have
     order ``p_tilde = p - 1`` (None without ``b_tilde``).  The arrays are
     frozen copies of the ones passed in.  Construction derives c, the
-    stage count ``s = len(b)``, p_tilde and the private stage data of
-    ``rk_step`` and ``integrator._small_attempt``: c as Python floats and
-    the read-only views A[i, :i].
-    ``replace`` derives them again, so they never fall out of step.
+    stage count ``s = len(b)`` and p_tilde; ``replace`` derives them
+    again, so they never fall out of step.
     Steps are advanced with ``b`` and the difference between the two
     stage combinations drives the error estimate (local extrapolation).
     ``ssp_claimed`` records the known SSP coefficient of the advancing
@@ -72,8 +65,6 @@ class EmbeddedTableau:
     b_tilde: np.ndarray | None = None
     p_tilde: int | None = field(init=False)
     ssp_claimed: float | None = None
-    _stage_c: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _stage_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def reject(defect):
@@ -113,8 +104,6 @@ class EmbeddedTableau:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "p_tilde", None if self.b_tilde is None else self.p - 1)
-        object.__setattr__(self, "_stage_c", tuple(c.tolist()))
-        object.__setattr__(self, "_stage_rows", tuple(self.A[i, :i] for i in range(s)))
 
 
 _ID_RE = re.compile(r"^ssp(\d+),(\d+)(?:-(b\d+|w))?$")

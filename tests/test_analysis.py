@@ -128,6 +128,24 @@ def test_vacuous_conditions_for_ten_stage_fourth_order():
     assert OrderConditions(t22.A).vacuous(2) == set()
 
 
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_the_engine_checks_the_order_of_a_vacuous_set(order):
+    # order 1 has no lower orders, so nothing is vacuous and q1 decides;
+    # outside 1..5 the engine names the order and its range
+    t = resolve("ssp4,3-b1")
+    oc = OrderConditions(t.A)
+    if order == 1:
+        rep = oc.non_defective(t.b, 1)
+        assert oc.vacuous(1) == rep.exempt == frozenset()
+        # weights summing to 1 meet q1; half of them violate it
+        assert not rep.ok and rep.residuals == {"q1": pytest.approx(0.0, abs=1e-15)}
+        assert oc.non_defective(0.5 * t.b, 1).ok
+        return
+    for call in (lambda: oc.vacuous(order), lambda: oc.non_defective(t.b, order)):
+        with pytest.raises(ValueError, match=rf"order {order} is outside .*1\.\.5"):
+            call()
+
+
 def test_non_defectiveness_catalog_flags():
     for mid in catalog_ids():
         t = resolve(mid)
@@ -512,10 +530,13 @@ def test_memoized_reports_equal_cold_per_pair_reports_bit_for_bit():
 
 
 def test_the_catalog_builds_one_engine_and_one_radii_search_per_method(monkeypatch):
-    # the 32 pairs share 15 stage matrices and 15 advancing methods (A, b)
+    # the 32 pairs share 15 stage matrices and 15 advancing methods (A, b),
+    # and 15 (A, p): each engine computes its vacuous set once, calling
+    # up_to once and lstsq once per order-p condition
     tabs = [resolve(i) for i in catalog_ids()]
-    counts = {"engines": 0, "radii": 0}
+    counts = {"engines": 0, "radii": 0, "vacuous": 0, "lstsq": 0}
     build, radii = analysis.OrderConditions, analysis.stability_radii
+    up_to, lstsq = build.up_to, np.linalg.lstsq
 
     def counted_build(A):
         counts["engines"] += 1
@@ -525,12 +546,25 @@ def test_the_catalog_builds_one_engine_and_one_radii_search_per_method(monkeypat
         counts["radii"] += 1
         return radii(coeffs)
 
+    def counted_up_to(self, q):
+        counts["vacuous"] += 1
+        return up_to(self, q)
+
+    def counted_lstsq(*args, **kwargs):
+        counts["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
     monkeypatch.setattr(analysis, "OrderConditions", counted_build)
     monkeypatch.setattr(analysis, "stability_radii", counted_radii)
+    monkeypatch.setattr(build, "up_to", counted_up_to)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     _clear_memos()
     for t in tabs:
         analyze_method(t)
-    assert counts == {"engines": 15, "radii": 15}
+    assert counts == {"engines": 15, "radii": 15, "vacuous": 15, "lstsq": 30}
+    oc = analysis._engine(resolve("ssp10,4-b3").A)
+    assert oc.vacuous(4) is oc.vacuous(4) == frozenset({"q4c"})
+    assert counts["vacuous"] == 15
 
 
 def test_a_shared_engine_is_read_only_and_keyed_on_bytes():

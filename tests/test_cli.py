@@ -325,9 +325,13 @@ def test_optimize_reports_no_solution_under_an_unreachable_screen(capsys):
     code, lines, _ = run_cli(capsys, "optimize", "ssp9,3", "--require-ssp", "6",
                              "--seeds", "3", "--budget", "3000")
     assert code == 0  # the report itself succeeded
-    doc = json.loads(lines[1])
+
+    def strict(name):
+        raise AssertionError(f"{name} is not JSON (RFC 8259)")
+
+    doc = json.loads(lines[1], parse_constant=strict)
     assert doc["status"] == "no-solution"
-    assert doc["w"] is None
+    assert doc["w"] is None and doc["objective"] is None
     assert "ssp_screen" not in doc and "seed" not in doc
     assert "require_ssp=6.0" in lines[0] and "seed=0" in lines[0]
 

@@ -152,6 +152,7 @@ REMOVED_KEYWORDS = {
     "OrderConditions.classify": lambda: _OC.classify(_T.b, tol=1e-10),
     "OrderConditions.vacuous": lambda: _OC.vacuous(3, tol=1e-10),
     "OrderConditions.non_defective": lambda: _OC.non_defective(_T.b_tilde, 3, tol=1e-10),
+    "OrderConditions.non_defective(exempt=)": lambda: _OC.non_defective(_T.b_tilde, 3, exempt=frozenset()),
     "classify_order": lambda: analysis.classify_order(_T.A, _T.b, tol=1e-10),
     "is_non_defective": lambda: analysis.is_non_defective(_T, tol=1e-10),
     "ssp_coefficient_arrays": lambda: analysis.ssp_coefficient_arrays(_T.A, _T.b, tol=1e-6),
@@ -180,6 +181,12 @@ REMOVED_KEYWORDS = {
 def test_the_removed_keywords_are_refused(name):
     with pytest.raises(TypeError):
         REMOVED_KEYWORDS[name]()
+
+
+def test_a_tableau_holds_its_pair_and_what_follows_from_it():
+    # the integrator derives its own stage layout from A and c
+    assert {f.name for f in fields(tableau.EmbeddedTableau)} == {
+        "id", "A", "b", "c", "s", "p", "b_tilde", "p_tilde", "ssp_claimed"}
 
 
 def test_each_tolerance_has_one_name():

@@ -151,8 +151,8 @@ def test_step_never_writes_into_the_callers_state(n):
 
 
 def test_step_reads_the_stage_rows_of_a_replaced_tableau():
-    # the rows A[i, :i] are derived when a tableau is built, so a copy with
-    # the same id and another A must step with its own: k2 = 1 + 0.5 * 0.1
+    # the rows A[i, :i] are read from the tableau that is stepped, so a copy
+    # with the same id and another A steps with its own: k2 = 1 + 0.5 * 0.1
     half = replace(TAB22, A=[[0.0, 0.0], [0.5, 0.0]])
     for tab, want in ((TAB22, 1.105), (half, 1.1025), (TAB22, 1.105)):
         u_next, _ = rk_step(tab, lambda t, u: u, 0.0, np.array([1.0]), 0.1)
