@@ -187,12 +187,19 @@ class OrderConditions:
             for arr in (self.phi[q], self.g[q], *self.conditions[q][1:]):
                 arr.setflags(write=False)
 
+    def _check_order(self, q: int) -> None:
+        if q not in self.phi:
+            raise ValueError(f"order {q!r} is outside the engine's range 1..5")
+
     def tau(self, w, q: int) -> np.ndarray:
-        """Residuals of the trees of order q."""
+        """Residuals of the trees of order q; ValueError outside 1..5."""
+        self._check_order(q)
         return self.phi[q] @ w - self.g[q]
 
     def up_to(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """(M, rhs) with one row M @ w = rhs per tree of order <= q."""
+        """(M, rhs) with one row M @ w = rhs per tree of order <= q;
+        ValueError outside 1..5."""
+        self._check_order(q)
         orders = range(1, q + 1)
         return np.concatenate([self.phi[k] for k in orders]), np.concatenate([self.g[k] for k in orders])
 
@@ -216,8 +223,7 @@ class OrderConditions:
         outside 1..5 raises ValueError.
         """
         if order not in self._vacuous:
-            if order not in self.conditions:
-                raise ValueError(f"order {order!r} is outside the engine's range 1..5")
+            self._check_order(order)
             names = set()
             if order > 1:
                 M, rho = self.up_to(order - 1)

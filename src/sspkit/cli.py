@@ -122,7 +122,8 @@ def _cmd_integrate(args) -> int:
     prob = make_problem(args.problem, n_cells=args.n_cells)
     atol = args.atol if args.atol is not None else args.tol
     rtol = args.rtol if args.rtol is not None else args.tol
-    res = integrate_adaptive(prob, tab, make_controller(args.controller), atol, rtol)
+    res = integrate_adaptive(prob, tab, make_controller(args.controller), atol, rtol,
+                             log=bool(args.trace))
     if args.trace:
         rows = [
             f"{t:.12g},{dt:.12g},{err:.12g},{int(acc)}"

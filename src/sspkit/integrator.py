@@ -13,7 +13,7 @@ in one pass of ``_small_attempt``, with the same result to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -78,7 +78,8 @@ class IntegrationResult:
     n_accepted: int
     n_rejected: int
     n_fev: int
-    step_log: list = field(default_factory=list)  # (t, dt, err, accepted)
+    # (t, dt, err, accepted) per attempt; None unless the run asked for it
+    step_log: list | None = None
 
     @property
     def n_attempts(self) -> int:
@@ -141,10 +142,10 @@ def _small_attempt(
     n: int,
     atol: float,
     rtol: float,
-) -> Callable[[float, np.ndarray, float], tuple[np.ndarray, float]]:
+) -> Callable[[float, np.ndarray, float], tuple[list, float]]:
     """``attempt(t, u, h) -> (u_next, err)`` for states of n components,
     the same to the bit as ``rk_step`` followed by ``error_norm`` (the
-    sign and payload of a NaN aside).
+    sign and payload of a NaN aside), with u_next a list of Python floats.
 
     One (s, n) stage buffer and its views ``k[:i]``, the rows A[i, :i]
     and the abscissae ``tab.c.tolist()`` are taken here, once per run; an
@@ -158,8 +159,8 @@ def _small_attempt(
     u makes u_next NaN there, so the ratio is NaN whichever scale is
     taken, and a NaN ratio is kept, as ``ndarray.max`` keeps it (Python's
     ``max`` would drop it).  The scale is never zero, since
-    ``integrate_adaptive`` requires atol > 0.  Only u_next becomes an
-    array.
+    ``integrate_adaptive`` requires atol > 0.  u_next stays a list, so
+    the caller builds an array only for a step that stands.
     """
     A, c = tab.A, tab.c.tolist()
     b, b_tilde = tab.b, tab.b_tilde
@@ -167,7 +168,7 @@ def _small_attempt(
     c0 = c[0]
     stages = tuple((i, c[i], A[i, :i], k[:i]) for i in range(1, tab.s))
 
-    def attempt(t: float, u: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    def attempt(t: float, u: np.ndarray, h: float) -> tuple[list, float]:
         k[0] = f(t + c0 * h, u)
         for i, c_i, row, head in stages:
             k[i] = f(t + c_i * h, u + row.dot(head) * h)
@@ -181,7 +182,7 @@ def _small_attempt(
             r = abs(x - y) / (atol + (a if a > m else m) * rtol)
             if r > err or r != r:
                 err = r
-        return np.array(u_next), err
+        return u_next, err
 
     return attempt
 
@@ -251,6 +252,8 @@ def integrate_adaptive(
     controller: ControllerState,
     atol: float,
     rtol: float,
+    *,
+    log: bool = False,
 ) -> IntegrationResult:
     """Accept/reject loop: a step stands iff its error norm is <= 1.
 
@@ -264,7 +267,15 @@ def integrate_adaptive(
     ``initial_step``.
     A state of at most ``_SMALL_STATE`` components is stepped by one
     ``_small_attempt`` kernel built for the run, a larger one by
-    ``rk_step`` and ``error_norm``; both give the same bits.
+    ``rk_step`` and ``error_norm``; both give the same bits, and only an
+    accepted step's state becomes an array.
+    With ``log=True`` the result's ``step_log`` lists
+    ``(t, dt, err, accepted)`` for every attempt; otherwise no log is
+    built and ``step_log`` is None.
+    The step underflows when it falls below ``100 * eps * max(|t0|, |T|,
+    1)``, a floor fixed for the run (t stays in [t0, T) at the check).
+    The controller's four methods are bound once per run and called once
+    per attempt, as its class defines them when the run starts.
     Raises ValueError, before any call of f, unless atol > 0 and
     rtol >= 0 are both finite, the time span is finite with t0 < T and u0
     is 1-D with at least one component; StiffnessError on step
@@ -291,17 +302,18 @@ def integrate_adaptive(
             return u_next, error_norm(u, u_next, u_hat, atol, rtol)
 
     ctl = ControllerState(controller.kind)
-    step_log: list[tuple[float, float, float, bool]] = []
+    propose, clamp = ctl.propose_factor, ctl.clamp
+    on_accept, on_reject = ctl.on_accept, ctl.on_reject
+    step_log: list[tuple[float, float, float, bool]] | None = [] if log else None
     n_acc = 0
     n_rej = 0
-    min_step = 100.0 * float(np.finfo(float).eps)
-    t_scale = max(abs(t0), abs(T), 1.0)
+    # t stays in [t0, T) at the check, so |t| never raises the underflow floor
+    dt_floor = 100.0 * float(np.finfo(float).eps) * max(abs(t0), abs(T), 1.0)
     p_tilde = tab.p_tilde
 
     while t < T:
-        # |T| enters the underflow scale so the check is meaningful at t = 0;
         # written as "not >=" so that a NaN step fails it too
-        if not dt >= min_step * max(abs(t), t_scale):
+        if not dt >= dt_floor:
             raise StiffnessError(
                 f"step size {dt:.3e} underflowed at t = {t:.6g} "
                 f"({n_acc} accepted, {n_rej} rejected)"
@@ -314,19 +326,20 @@ def integrate_adaptive(
         dt_try = T - t if truncated else dt
         u_next, err = attempt(t, u, dt_try)
         accepted = err <= 1.0
-        step_log.append((t, dt_try, err, accepted))
+        if log:
+            step_log.append((t, dt_try, err, accepted))
         # the estimate tracks the embedded solution's local error, so the
         # controller exponents normalize by the embedded order
-        beta = ctl.propose_factor(err, p_tilde)
+        beta = propose(err, p_tilde)
         if accepted:
-            ctl.on_accept(err)
+            on_accept(err)
             t = T if truncated else t + dt_try
-            u = u_next
+            u = np.asarray(u_next)
             n_acc += 1
         else:
-            ctl.on_reject()
+            on_reject()
             n_rej += 1
-        dt = ctl.clamp(dt_try, beta)
+        dt = clamp(dt_try, beta)
 
     return IntegrationResult(
         t=t,

@@ -146,6 +146,20 @@ def test_the_engine_checks_the_order_of_a_vacuous_set(order):
             call()
 
 
+@pytest.mark.parametrize("method", ["tau", "up_to"])
+@pytest.mark.parametrize("order", [0, 6])
+def test_every_order_indexed_method_checks_the_order(method, order):
+    # tau and up_to name the order and the range as vacuous does, not a
+    # bare KeyError or NumPy's empty-concatenate message
+    t = resolve("ssp4,3-b1")
+    oc = OrderConditions(t.A)
+    call = (lambda: oc.tau(t.b, order)) if method == "tau" else (lambda: oc.up_to(order))
+    with pytest.raises(ValueError, match=rf"^order {order} is outside the engine's range 1\.\.5$"):
+        call()
+    assert oc.tau(t.b, 5).shape == (len(oc.names[5]),)
+    assert oc.up_to(5)[0].shape == (sum(len(oc.names[q]) for q in range(1, 6)), t.s)
+
+
 def test_non_defectiveness_catalog_flags():
     for mid in catalog_ids():
         t = resolve(mid)

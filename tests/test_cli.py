@@ -16,7 +16,10 @@ import sspkit
 from sspkit import bench
 from sspkit.analysis import analyze_method
 from sspkit.cli import main
+from sspkit.problems import make_problem
 from sspkit.tableau import resolve
+
+from conftest import reference_adaptive
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +188,20 @@ def test_integrate_trace_lists_every_attempt(tmp_path, capsys):
     assert len(body) == 2 + doc["steps"]
     accepted_flags = [int(r.split(",")[3]) for r in body[2:]]
     assert sum(accepted_flags) == doc["accepted"]
+
+
+@pytest.mark.parametrize("kind", ["i", "gustafsson"])
+def test_integrate_trace_rows_are_the_reference_loop_log(tmp_path, capsys, kind):
+    # --trace asks the run for its step log; every row is the reference
+    # loop's attempt, formatted as the CLI writes it
+    trace = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, "integrate", "--method", "ssp2,2-b2", "--problem", "brusselator",
+                         "--tol", "1e-4", "--controller", kind, "--skip-error", "--trace", str(trace))
+    assert code == 0
+    log = []
+    reference_adaptive(make_problem("brusselator"), resolve("ssp2,2-b2"), kind, 1e-4, 1e-4, log)
+    want = [f"{t:.12g},{dt:.12g},{err:.12g},{int(acc)}" for t, dt, err, acc in log]
+    assert trace.read_text().splitlines()[2:] == want
 
 
 def test_integrate_error_uses_the_requested_grid(capsys):

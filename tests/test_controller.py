@@ -1,5 +1,8 @@
 """Tests for the asymptotic step-size controllers."""
 
+import math
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,8 @@ from sspkit.controller import ERR_FLOOR, FAC, FACMAX, FACMIN, GAINS, ControllerS
 from sspkit.integrator import integrate_adaptive
 from sspkit.problems import make_problem
 from sspkit.tableau import resolve
+
+from conftest import FrozenController
 
 KINDS = sorted(GAINS)
 
@@ -190,3 +195,81 @@ def test_error_exactly_on_tolerance_gives_the_safety_factor(kind):
     st_ = make_controller(kind)
     st_.on_accept(1.0)
     assert st_.clamp(1.0, st_.propose_factor(1.0, 2)) == pytest.approx(0.9)
+
+
+# ------------------------------------------------- against the full formulas
+# FrozenController forms every exponent and history power on each call;
+# ControllerState caches them.  Every factor, step and history value must
+# be the same float, a NaN counting as equal to a NaN.
+
+SPECIAL_ERRS = [0.0, -0.0, ERR_FLOOR, 5e-324, 2.2e-308, 1e-320, 1.0, math.inf, math.nan]
+any_errs = st.one_of(st.sampled_from(SPECIAL_ERRS), st.floats(min_value=0.0), errs)
+orders = st.integers(min_value=1, max_value=4)
+steps = st.floats(min_value=1e-12, max_value=1e3)
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) is float and a.hex() == b.hex()
+
+
+def _history(ctl):
+    return ctl.err_n, ctl.err_nm1, ctl.first_step, ctl.just_rejected
+
+
+def _assert_same_state(new, old):
+    for a, b in zip(_history(new), _history(old)):
+        assert a == b or _same(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(attempts=st.lists(st.tuples(any_errs, orders, st.booleans(), steps), max_size=40))
+def test_cached_controller_matches_the_full_formulas_bit_for_bit(kind, attempts):
+    # the adaptive loop's calls, with p changing between attempts and a
+    # random verdict in place of err <= 1, so any history can arise
+    new, old = make_controller(kind), FrozenController(kind)
+    for err, p, accepted, dt in attempts:
+        beta = new.propose_factor(err, p)
+        assert _same(beta, old.propose_factor(err, p)), (err, p)
+        for ctl in (new, old):
+            if accepted:
+                ctl.on_accept(err)
+            else:
+                ctl.on_reject()
+        _assert_same_state(new, old)
+        assert _same(new.clamp(dt, beta), old.clamp(dt, beta)), (dt, beta)
+
+
+calls = st.one_of(
+    st.tuples(st.just("propose"), any_errs, orders),
+    st.tuples(st.just("accept"), any_errs),
+    st.tuples(st.just("reject")),
+    st.tuples(st.just("clamp"), steps, st.one_of(st.floats(), st.sampled_from([0.0, FACMIN / FAC, FACMAX / FAC]))),
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(seq=st.lists(calls, max_size=40))
+def test_cached_controller_matches_in_any_call_order(kind, seq):
+    # history accepted before the first proposal, repeated proposals at
+    # one order, and clamps of any factor, NaN and infinities included
+    new, old = make_controller(kind), FrozenController(kind)
+    for name, *args in seq:
+        if name == "propose":
+            assert _same(new.propose_factor(*args), old.propose_factor(*args)), args
+        elif name == "clamp":
+            assert _same(new.clamp(*args), old.clamp(*args)), args
+        else:
+            getattr(new, f"on_{name}")(*args)
+            getattr(old, f"on_{name}")(*args)
+        _assert_same_state(new, old)
+
+
+def test_the_caches_are_no_part_of_the_state():
+    # equality, repr and the fields see the history alone, so a controller
+    # that has proposed equals a fresh one with the same history
+    used = make_controller("pid")
+    used.propose_factor(1e-3, 2)
+    assert used == make_controller("pid")
+    assert repr(used) == repr(make_controller("pid"))
+    assert [f.name for f in fields(ControllerState)] == [
+        "kind", "k1", "k2", "k3", "err_n", "err_nm1", "first_step", "just_rejected"]

@@ -22,7 +22,7 @@ from sspkit.analysis import ssp_coefficient_arrays
 from sspkit.problems import make_problem, total_variation, upwind_advection
 from sspkit.tableau import catalog_ids, resolve
 
-from conftest import ssp_ids
+from conftest import np_max_error_norm, reference_adaptive, ssp_ids
 
 TAB22 = resolve("ssp2,2-b2")
 
@@ -78,11 +78,6 @@ def _tensordot_rk_step(tab, f, t_n, u_n, dt):
     return u_next, u_hat
 
 
-def _np_max_error_norm(u_n, u_next, u_hat, atol, rtol):
-    sc = atol + np.maximum(np.abs(u_n), np.abs(u_next)) * rtol
-    return float(np.max(np.abs(u_next - u_hat) / sc))
-
-
 def _magnitudes(rng, shape):
     return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
 
@@ -118,7 +113,7 @@ def test_step_and_norm_match_the_tensordot_reference_bit_for_bit(method, n):
                 continue
             assert np.array_equal(got[1], want[1])
             atol, rtol = 10.0 ** rng.uniform(-12.0, -2.0, size=2)
-            assert error_norm(u_n, *got, atol, rtol) == _np_max_error_norm(u_n, *want, atol, rtol)
+            assert error_norm(u_n, *got, atol, rtol) == np_max_error_norm(u_n, *want, atol, rtol)
 
 
 def test_the_estimate_ratio_of_two_embeddings_tends_to_their_leading_terms():
@@ -224,12 +219,14 @@ def test_error_norm_matches_the_numpy_form_bit_for_bit(n):
         seen = {"kernel": [], "ref": []}
         with np.errstate(all="ignore"):
             u_next, u_hat = rk_step(tab, _stage_feed(stages, seen["ref"]), 0.5, u_n, h)
-            want = _np_max_error_norm(u_n, u_next, u_hat, atol, rtol)
+            want = np_max_error_norm(u_n, u_next, u_hat, atol, rtol)
             attempt = integrator._small_attempt(tab, _stage_feed(stages, seen["kernel"]), n, atol, rtol)
             got_u, got = attempt(0.5, u_n, h)
             norm = error_norm(u_n, u_next, u_hat, atol, rtol)
         case = (tab.id, u_n, stages, h, atol, rtol)
         assert list(map(_bits, seen["kernel"])) == list(map(_bits, seen["ref"])), case
+        # the kernel hands back a list; the loop makes an array of an accepted one
+        got_u = np.asarray(got_u)
         assert got_u.dtype == u_next.dtype and _bits(got_u) == _bits(u_next), case
         for value in (got, norm):
             assert type(value) is float
@@ -247,7 +244,7 @@ def test_error_norm_with_a_zero_scale_takes_the_numpy_form():
     stages = np.array([[0.0, 0.0], [0.0, -1e-3]])
     u_next, err = integrator._small_attempt(TAB22, _stage_feed(stages, []), 2, 1e-6, 0.0)(0.0, z, 0.1)
     # u_next = 0.05 k2 and u_hat = 0.025 k2, so the defect is 2.5e-5 in the second component
-    assert u_next.tolist() == [0.0, 0.1 * 0.5 * -1e-3]
+    assert u_next == [0.0, 0.1 * 0.5 * -1e-3]
     assert err == abs(0.1 * 0.5 * -1e-3 - 0.1 * 0.25 * -1e-3) / 1e-6
 
 
@@ -285,7 +282,7 @@ def test_adaptive_requires_embedded_weights():
 
 
 def test_adaptive_decay_reaches_the_final_time_exactly():
-    res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 1e-6)
+    res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 1e-6, log=True)
     assert res.t == 1.0
     assert res.u[0] == pytest.approx(np.exp(-1.0), abs=1e-4)
     acc_dts = [dt for (_, dt, _, ok) in res.step_log if ok]
@@ -293,7 +290,7 @@ def test_adaptive_decay_reaches_the_final_time_exactly():
 
 
 def test_adaptive_bookkeeping_is_consistent():
-    res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 1e-6)
+    res = integrate_adaptive(decay_problem(), TAB22, make_controller("pi"), 1e-6, 1e-6, log=True)
     # s per attempt plus the two initial_step calls
     assert res.n_fev == TAB22.s * (res.n_accepted + res.n_rejected) + 2
     assert len(res.step_log) == res.n_attempts
@@ -318,45 +315,26 @@ def test_adaptive_work_count_is_every_rhs_call():
 
 
 def test_adaptive_run_is_reproducible():
-    r1 = integrate_adaptive(decay_problem(), TAB22, make_controller("pid"), 1e-6, 1e-6)
-    r2 = integrate_adaptive(decay_problem(), TAB22, make_controller("pid"), 1e-6, 1e-6)
+    r1 = integrate_adaptive(decay_problem(), TAB22, make_controller("pid"), 1e-6, 1e-6, log=True)
+    r2 = integrate_adaptive(decay_problem(), TAB22, make_controller("pid"), 1e-6, 1e-6, log=True)
     assert r1.step_log == r2.step_log
     assert np.array_equal(r1.u, r2.u)
 
 
-def _reference_adaptive(problem, tab, kind, atol, rtol, step_log):
-    # integrate_adaptive's loop as it stood before the attempt kernel:
-    # rk_step and the NumPy norm at every state size
-    f = problem.f
-    t0, T = problem.t_span
-    u = np.array(problem.u0, dtype=float)
-    t = float(t0)
-    dt = initial_step(f, t, u, tab.p, atol, rtol)
-    ctl = make_controller(kind)
-    n_acc = n_rej = 0
-    min_step = 100.0 * float(np.finfo(float).eps)
-    t_scale = max(abs(t0), abs(T), 1.0)
-    while t < T:
-        if not dt >= min_step * max(abs(t), t_scale):
-            raise StiffnessError(
-                f"step size {dt:.3e} underflowed at t = {t:.6g} ({n_acc} accepted, {n_rej} rejected)")
-        truncated = dt >= T - t
-        dt_try = T - t if truncated else dt
-        u_next, u_hat = rk_step(tab, f, t, u, dt_try)
-        err = _np_max_error_norm(u, u_next, u_hat, atol, rtol)
-        accepted = err <= 1.0
-        step_log.append((t, dt_try, err, accepted))
-        beta = ctl.propose_factor(err, tab.p_tilde)
-        if accepted:
-            ctl.on_accept(err)
-            t = T if truncated else t + dt_try
-            u = u_next
-            n_acc += 1
-        else:
-            ctl.on_reject()
-            n_rej += 1
-        dt = ctl.clamp(dt_try, beta)
-    return u, n_acc, n_rej
+@pytest.mark.parametrize("kind", sorted(GAINS))
+def test_a_run_records_its_step_log_only_on_request(kind):
+    # "not recorded" is None, never an empty list that reads as "no
+    # attempts"; asking for the log changes no attempt, count or state
+    prob, tab = make_problem("vdp"), resolve("ssp2,2-b2")
+    quiet = integrate_adaptive(prob, tab, make_controller(kind), 1e-5, 1e-5)
+    logged = integrate_adaptive(prob, tab, make_controller(kind), 1e-5, 1e-5, log=True)
+    assert quiet.step_log is None
+    assert (quiet.n_accepted, quiet.n_rejected, quiet.n_fev) == (logged.n_accepted, logged.n_rejected, logged.n_fev)
+    assert quiet.u.tobytes() == logged.u.tobytes()
+    want = []
+    u, n_acc, n_rej = reference_adaptive(prob, tab, kind, 1e-5, 1e-5, want)
+    assert logged.step_log == want
+    assert len(want) == n_acc + n_rej == logged.n_attempts and u.tobytes() == logged.u.tobytes()
 
 
 def _kernel_cases():
@@ -399,11 +377,11 @@ def test_adaptive_runs_match_the_step_and_norm_loop_bit_for_bit(method):
             with np.errstate(all="ignore"):
                 try:
                     if key == "new":
-                        res = integrate_adaptive(prob, tab, make_controller(kind), tol, tol)
+                        res = integrate_adaptive(prob, tab, make_controller(kind), tol, tol, log=True)
                         log = res.step_log
                         result = (res.u, res.n_accepted, res.n_rejected, res.n_fev)
                     else:
-                        u, n_acc, n_rej = _reference_adaptive(prob, tab, kind, tol, tol, log)
+                        u, n_acc, n_rej = reference_adaptive(prob, tab, kind, tol, tol, log)
                         result = (u, n_acc, n_rej, tab.s * (n_acc + n_rej) + 2)
                     outcome[key] = ("ok", _bits(result[0]), result[1:], repr(log))
                 except StiffnessError as exc:
@@ -444,7 +422,7 @@ def test_adaptive_ssp_steps_within_the_bound_never_raise_total_variation(tol):
         tab = resolve(mid)
         prob = upwind_advection(200)
         bound = ssp_coefficient_arrays(tab.A, tab.b) * prob.grid.dx
-        res = integrate_adaptive(prob, tab, make_controller("pid"), tol, tol)
+        res = integrate_adaptive(prob, tab, make_controller("pid"), tol, tol, log=True)
         u = np.array(prob.u0, dtype=float)
         for t, dt, _, accepted in res.step_log:
             if accepted:
@@ -467,7 +445,7 @@ def test_adaptive_zero_field_never_rejects_and_preserves_the_state():
 def test_adaptive_consults_the_problem_step_bound():
     prob = OdeSystem(f=lambda t, u: -u, t_span=(0.0, 1.0), u0=np.array([1.0]),
                      cfl_hint=lambda u: 1e-3)
-    res = integrate_adaptive(prob, TAB22, make_controller("i"), 1e-6, 1e-6)
+    res = integrate_adaptive(prob, TAB22, make_controller("i"), 1e-6, 1e-6, log=True)
     assert res.step_log[0][1] <= 1e-3
 
 
