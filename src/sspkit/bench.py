@@ -18,7 +18,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -159,6 +158,9 @@ def run_bench(plan: BenchPlan) -> list[WorkPrecisionRow]:
     ]
     n_jobs = min(plan.n_jobs, os.cpu_count() or 1)
     if n_jobs > 1:
+        # imported here: every other run would pay for the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             rows = list(pool.map(run_single, *zip(*tasks)))
     else:

@@ -6,20 +6,28 @@ of the four benchmark problems.
 PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
 the three conserved fields into one vector).  The boundary comes from
-``Grid1D.boundary`` through one ghost-cell helper (a single ``np.take``),
-and both WENO5 right-hand sides share one flux-difference kernel, which
-makes one face pass per call over a contiguous buffer of flux rows.  The
-kernel works on (3, n) row blocks in place, so a face pass costs a
-fixed 37 NumPy calls whatever the buffer's length; each value still sees
-the IEEE operations of the term-by-term formula in their order.  The
-physical constants never vary: gamma, the WENO5 CFL number and the van
-der Pol epsilon are the module constants below.
+``Grid1D.boundary`` through one ghost-index rule, which every PDE
+right-hand side applies with one ``np.take``, and both WENO5 right-hand
+sides share one flux-difference kernel, which makes one face pass per
+call over a contiguous buffer of flux rows.  The kernel works on (3, n)
+row blocks, so a face pass costs a fixed 34 ufunc calls whatever the
+buffer's length; each value still sees the IEEE operations of the
+term-by-term formula in their order.  A WENO5 right-hand side binds the
+kernel to buffers sized for one grid, with every view it reads, when it
+is built: the f of a ``make_problem`` problem is built once with the
+problem and refills its buffers on each call (so one call at a time),
+while ``advection_rhs`` and ``euler_rhs`` build theirs per call.  Every
+call returns a new array.  The physical constants never vary: gamma, the
+WENO5 CFL number and the van der Pol epsilon are the module constants
+below.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +62,11 @@ class Grid1D:
     boundary: str = "periodic"  # or "outflow"
 
     def __post_init__(self):
+        # a bool or a float would size the arrays by its truncation while dx
+        # divides by the value itself
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be at least 1, got {self.n_cells}")
         if not self.x_min < self.x_max:
@@ -107,51 +120,73 @@ _WENO_EPS = 1e-6
 _D = np.array([[0.1], [0.6], [0.3]])  # ideal weights d0, d1, d2 as a column
 
 
-def _weno5_faces(v: np.ndarray) -> np.ndarray:
-    """Left-biased WENO5 values at the right faces of v[2:-2], one per full
-    five-cell stencil of the 1-D array v.
+def _face_pass(v: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    """The WENO5 face kernel bound to the 1-D buffer v: each call of the
+    returned function writes into out the left-biased WENO5 values at the
+    right faces of v[2:-2], one per full five-cell stencil of v.
 
     The stencil multiples and the term 13/12 (v[j-1] - 2v[j] + v[j+1])^2,
     which beta0, beta1 and beta2 read at j-1, j and j+1, are formed once
-    over the whole array.  The candidates q0..q2 are the rows of one
+    over the whole buffer.  The candidates q0..q2 are the rows of one
     (3, n) buffer Q and the smoothness indicators, then the weights, the
-    rows of another, B, so each later step is one in-place operation over
-    a whole block.  Every element sees the IEEE operations of the textbook
-    formula in its order (x*x for x**2, (t0 + t1) + t2 for each sum).
+    rows of another, B, so each later step is one operation over a whole
+    block.  Every element sees the IEEE operations of the textbook formula
+    in its order (x*x for x**2, (t0 + t1) + t2 for each sum).  The buffers
+    and every view a pass reads are made here, once, so a pass is 34 ufunc
+    calls with ``out=`` and allocates nothing.
     """
-    n = len(v) - 4
-    v2, v3, v4, v5, v7, v11 = 2.0 * v, 3.0 * v, 4.0 * v, 5.0 * v, 7.0 * v, 11.0 * v
-    s = v[:-2] - v2[1:-1]
-    s += v[2:]
-    s *= s
-    s *= 13.0 / 12.0
+    n = v.size - 4
+    v2, v3, v4, v5, v7, v11 = np.empty((6, v.size))
+    s = np.empty(v.size - 2)
+    s_rows = np.ndarray((3, n), s.dtype, s, strides=(s.itemsize, s.itemsize))  # s[:-2], s[1:-1], s[2:]
     Q = np.empty((3, n))
-    np.subtract(v2[:-4], v7[1:-3], out=Q[0])
-    Q[0] += v11[2:-2]
-    np.subtract(v5[2:-2], v[1:-3], out=Q[1])
-    Q[1] += v2[3:-1]
-    np.add(v2[2:-2], v5[3:-1], out=Q[2])
-    Q[2] -= v[4:]
-    Q /= 6.0
     B = np.empty((3, n))
-    np.subtract(v[:-4], v4[1:-3], out=B[0])
-    B[0] += v3[2:-2]
-    np.subtract(v[1:-3], v[3:-1], out=B[1])
-    np.subtract(v3[2:-2], v4[3:-1], out=B[2])
-    B[2] += v[4:]
-    B *= B
-    B *= 0.25
-    B += np.ndarray((3, n), s.dtype, s, strides=(s.itemsize, s.itemsize))  # rows s[:-2], s[1:-1], s[2:]
-    B += _WENO_EPS
-    B *= B
-    np.divide(_D, B, out=B)  # alpha_k = d_k / (eps + beta_k)^2
-    asum = B[0] + B[1]
-    asum += B[2]
-    B /= asum
-    B *= Q
-    out = B[0] + B[1]
-    out += B[2]
-    return out
+    q0, q1, q2 = Q
+    b0, b1, b2 = B
+    asum = np.empty(n)
+    # x_j is x[j : j + n]: stencil cell j of every face
+    v_0, v_1, v_3, v_4 = v[:-4], v[1:-3], v[3:-1], v[4:]
+    v2_0, v2_2, v2_3, v3_2, v4_1, v4_3 = v2[:-4], v2[2:-2], v2[3:-1], v3[2:-2], v4[1:-3], v4[3:-1]
+    v5_2, v5_3, v7_1, v11_2 = v5[2:-2], v5[3:-1], v7[1:-3], v11[2:-2]
+    v_lo, v2_mid, v_hi = v[:-2], v2[1:-1], v[2:]
+
+    def run() -> None:
+        np.multiply(2.0, v, out=v2)
+        np.multiply(3.0, v, out=v3)
+        np.multiply(4.0, v, out=v4)
+        np.multiply(5.0, v, out=v5)
+        np.multiply(7.0, v, out=v7)
+        np.multiply(11.0, v, out=v11)
+        np.subtract(v_lo, v2_mid, out=s)
+        np.add(s, v_hi, out=s)
+        np.multiply(s, s, out=s)
+        np.multiply(s, 13.0 / 12.0, out=s)
+        np.subtract(v2_0, v7_1, out=q0)
+        np.add(q0, v11_2, out=q0)
+        np.subtract(v5_2, v_1, out=q1)
+        np.add(q1, v2_3, out=q1)
+        np.add(v2_2, v5_3, out=q2)
+        np.subtract(q2, v_4, out=q2)
+        np.divide(Q, 6.0, out=Q)
+        np.subtract(v_0, v4_1, out=b0)
+        np.add(b0, v3_2, out=b0)
+        np.subtract(v_1, v_3, out=b1)
+        np.subtract(v3_2, v4_3, out=b2)
+        np.add(b2, v_4, out=b2)
+        np.multiply(B, B, out=B)
+        np.multiply(B, 0.25, out=B)
+        np.add(B, s_rows, out=B)
+        np.add(B, _WENO_EPS, out=B)
+        np.multiply(B, B, out=B)
+        np.divide(_D, B, out=B)  # alpha_k = d_k / (eps + beta_k)^2
+        np.add(b0, b1, out=asum)
+        np.add(asum, b2, out=asum)
+        np.divide(B, asum, out=B)
+        np.multiply(B, Q, out=B)
+        np.add(b0, b1, out=out)
+        np.add(out, b2, out=out)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -160,47 +195,84 @@ def _weno5_faces(v: np.ndarray) -> np.ndarray:
 _N_GHOST = 3
 
 
-def _ghost(v: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """v padded with three ghost cells per side along the last axis, as
-    set by grid.boundary, in one take: periodic wraps the indices around
-    (also when n_cells < 3), outflow clips them, which copies the edge
-    cell."""
-    idx = np.arange(-_N_GHOST, v.shape[-1] + _N_GHOST)
-    return np.take(v, idx, axis=-1, mode="wrap" if grid.boundary == "periodic" else "clip")
+def _ghost_index(grid: Grid1D) -> np.ndarray:
+    """The cell each of the n_cells + 6 ghost-padded cells copies, as set
+    by grid.boundary: periodic wraps the indices around (also when
+    n_cells < 3), outflow clips them, which copies the edge cell."""
+    idx = np.arange(-_N_GHOST, grid.n_cells + _N_GHOST)
+    return idx % grid.n_cells if grid.boundary == "periodic" else np.clip(idx, 0, grid.n_cells - 1)
 
 
-def _weno5_divergence(rows: np.ndarray, dx: float, split: bool = False) -> np.ndarray:
-    """-(F_{i+1/2} - F_{i-1/2})/dx per flux row, from a contiguous buffer of
-    ghost-padded flux rows (a 1-D array is one row).
+def _state(q, size: int) -> np.ndarray:
+    """q as a float array of ``size`` values; ValueError otherwise."""
+    q = np.asarray(q, dtype=float)
+    if q.size != size:
+        raise ValueError(f"the grid holds {size} state values, got {q.size}")
+    return q
+
+
+def _weno5_divergence(rows: np.ndarray, dx: float, split: bool = False) -> Callable[[], np.ndarray]:
+    """A function that returns -(F_{i+1/2} - F_{i-1/2})/dx per flux row,
+    as a new flat array, from what the (k, m) buffer ``rows`` of
+    ghost-padded flux rows holds when it is called.
 
     The faces i-1/2 (i = 0..n) take the left-biased WENO5 state of each
-    row; the face kernel runs once over the whole buffer, and a strided
-    view drops the faces whose stencil straddles two rows.  With split,
-    the buffer holds the f+ rows and then the f- rows reversed along x,
-    so the left-biased state of a reversed f- row is the mirrored
-    right-biased state of f-, and each face adds the two.
+    row; the face kernel makes one pass over the whole buffer, and a
+    strided view drops the faces whose stencil straddles two rows.  With
+    split, the buffer holds the f+ rows and then the f- rows reversed
+    along x, so the left-biased state of a reversed f- row is the
+    mirrored right-biased state of f-, and each face adds the two.
     """
-    m = rows.shape[-1]
-    k = rows.size // m
-    flat = _weno5_faces(rows.reshape(-1))
+    k, m = rows.shape
+    flat = np.empty(rows.size - 4)
+    faces = _face_pass(rows.reshape(-1), flat)
     face = np.ndarray((k, m - 5), flat.dtype, flat, strides=(m * flat.itemsize, flat.itemsize))
     if split:
-        face = face[: k // 2] + face[k // 2 :, ::-1]
-    return (face[:, 1:] - face[:, :-1]) / -dx
+        k //= 2
+        plus, minus_rev = face[:k], face[k:, ::-1]
+        face = np.empty((k, m - 5))
+    hi, lo = face[:, 1:], face[:, :-1]
+    diff = np.empty((k, m - 6))
+    diff_flat = diff.reshape(-1)
+    neg_dx = -dx
+
+    def divergence() -> np.ndarray:
+        faces()
+        if split:
+            np.add(plus, minus_rev, out=face)
+        np.subtract(hi, lo, out=diff)
+        return diff_flat / neg_dx
+
+    return divergence
 
 
 # ---------------------------------------------------------------------------
 # advection semi-discretizations
 
 
+def _advection_rhs(grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
+    """advection_rhs on grid as a function of u alone, which fills buffers
+    of its own on each call: one call at a time."""
+    index = _ghost_index(grid)
+    ug = np.empty((1, index.size))
+    divergence = _weno5_divergence(ug, grid.dx)
+    n = grid.n_cells
+
+    def rhs(u: np.ndarray) -> np.ndarray:
+        np.take(_state(u, n), index, out=ug[0], mode="clip")
+        return divergence()
+
+    return rhs
+
+
 def advection_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """WENO5 upwind du/dt for u_t + u_x = 0 (wave speed +1)."""
-    return _weno5_divergence(_ghost(u, grid), grid.dx).reshape(-1)
+    return _advection_rhs(grid)(u)
 
 
 def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """First-order upwind du/dt; forward Euler is TVD up to dt = dx."""
-    ug = _ghost(u, grid)
+    ug = np.take(_state(u, grid.n_cells), _ghost_index(grid))
     return (ug[_N_GHOST:-_N_GHOST] - ug[_N_GHOST - 1 : -_N_GHOST - 1]) / -grid.dx
 
 
@@ -208,39 +280,73 @@ def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
 # 1-D Euler with global Lax-Friedrichs splitting and componentwise WENO5
 
 
-def _velocity_pressure(rho, mom, E):
-    """Velocity u = mom/rho and pressure p = (gamma - 1)(E - mom*u/2)."""
-    u = mom / rho
-    return u, (GAMMA_AIR - 1.0) * (E - 0.5 * mom * u)
+def _velocity_pressure(rho, mom, E, u=None, p=None):
+    """Velocity u = mom/rho and pressure p = (gamma - 1)(E - mom*u/2),
+    written into the arrays u and p when they are given."""
+    u = np.divide(mom, rho, out=u)
+    p = np.multiply(0.5, mom, out=p)
+    np.multiply(p, u, out=p)
+    np.subtract(E, p, out=p)
+    np.multiply(GAMMA_AIR - 1.0, p, out=p)
+    return u, p
 
 
-def euler_rhs(q_flat: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """du/dt of the flat (rho, mom, E) state under global Lax-Friedrichs
-    splitting, f+- = (F +- alpha q)/2 with alpha the largest |u| + c.
+def _max_speed(rho, u, p, speed=None, c=None) -> float:
+    """Largest |u| + c, c = sqrt(gamma p / rho) the sound speed, using the
+    arrays speed and c as work space when they are given."""
+    c = np.multiply(GAMMA_AIR, p, out=c)
+    np.divide(c, rho, out=c)
+    np.sqrt(c, out=c)
+    speed = np.abs(u, out=speed)
+    np.add(speed, c, out=speed)
+    return float(speed.max())
+
+
+def _euler_rhs(grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
+    """euler_rhs on grid as a function of the flat state alone, which fills
+    buffers of its own on each call: one call at a time.
 
     The ghost-padded flux F fills the first three rows of one (6, m)
     buffer and F - alpha q, reversed along x, the last three; F + alpha q
     is then formed in place and one halving of the whole buffer leaves f+
     and the reversed f- rows that one face pass reads.
     """
-    qg = _ghost(q_flat.reshape(3, grid.n_cells), grid)
+    n = grid.n_cells
+    index = _ghost_index(grid) + n * np.arange(3)[:, None]  # (rho, mom, E) rows of the flat state
+    m = index.shape[1]
+    qg = np.empty((3, m))
+    aq = np.empty((3, m))
     rho, mom, E = qg
-    rows = np.empty((6, qg.shape[-1]))
-    F = rows[:3]
-    # invalid states (rho or p <= 0) propagate NaN and fail the step
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        u, p = _velocity_pressure(rho, mom, E)
-        F[0] = mom
-        np.multiply(mom, u, out=F[1])
-        F[1] += p
-        np.add(E, p, out=F[2])
-        F[2] *= u
-        alpha = float(np.max(np.abs(u) + np.sqrt(GAMMA_AIR * p / rho)))
-    aq = alpha * qg
-    np.subtract(F, aq, out=rows[3:, ::-1])
-    F += aq
-    rows *= 0.5
-    return _weno5_divergence(rows, grid.dx, split=True).reshape(-1)
+    u, p, speed, c = np.empty((4, m))
+    rows = np.empty((6, m))
+    F, minus_rev = rows[:3], rows[3:, ::-1]
+    F0, F1, F2 = F
+    divergence = _weno5_divergence(rows, grid.dx, split=True)
+
+    def rhs(q_flat: np.ndarray) -> np.ndarray:
+        np.take(_state(q_flat, 3 * n), index, out=qg, mode="clip")
+        # invalid states (rho or p <= 0) propagate NaN and fail the step
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            _velocity_pressure(rho, mom, E, u, p)
+            np.copyto(F0, mom)
+            np.multiply(mom, u, out=F1)
+            np.add(F1, p, out=F1)
+            np.add(E, p, out=F2)
+            np.multiply(F2, u, out=F2)
+            alpha = _max_speed(rho, u, p, speed, c)
+        np.multiply(alpha, qg, out=aq)
+        np.subtract(F, aq, out=minus_rev)
+        np.add(F, aq, out=F)
+        np.multiply(rows, 0.5, out=rows)
+        return divergence()
+
+    return rhs
+
+
+def euler_rhs(q_flat: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """du/dt of the flat (rho, mom, E) state under global Lax-Friedrichs
+    splitting, f+- = (F +- alpha q)/2 with alpha the largest |u| + c."""
+    return _euler_rhs(grid)(q_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +361,7 @@ def total_variation(u: np.ndarray) -> float:
 def euler_max_speed(q_flat: np.ndarray) -> float:
     """Largest |u| + c over the cells of a flat (rho, mom, E) state."""
     rho, mom, E = np.asarray(q_flat, dtype=float).reshape(3, -1)
-    u, p = _velocity_pressure(rho, mom, E)
-    return float(np.max(np.abs(u) + np.sqrt(GAMMA_AIR * p / rho)))
+    return _max_speed(rho, *_velocity_pressure(rho, mom, E))
 
 
 def cfl_step(grid: Grid1D, c_max: float, nu: float) -> float:
@@ -305,8 +410,9 @@ def _brusselator(n_cells: int) -> OdeSystem:
 
 def _advection(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
+    rhs = _advection_rhs(grid)
     return OdeSystem(
-        f=lambda t, u: advection_rhs(u, grid),
+        f=lambda t, u: rhs(u),
         t_span=(0.0, 0.2),
         u0=square_wave_average(grid),
         cfl_hint=lambda u: cfl_step(grid, 1.0, CFL_DEFAULT),
@@ -337,8 +443,9 @@ def sod_initial(grid: Grid1D) -> np.ndarray:
 
 def _euler(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, 0.0, 1.0, "outflow")
+    rhs = _euler_rhs(grid)
     return OdeSystem(
-        f=lambda t, q: euler_rhs(q, grid),
+        f=lambda t, q: rhs(q),
         t_span=(0.0, 0.2),
         u0=sod_initial(grid),
         cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q), CFL_DEFAULT),
@@ -353,7 +460,14 @@ PROBLEM_IDS = tuple(_BUILDERS)
 
 def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:
     """The benchmark problem ``problem_id`` (read case-insensitively), on
-    ``n_cells`` cells for the two PDEs; ValueError for an unknown id."""
+    ``n_cells`` cells for the two PDEs; ValueError for an unknown id.
+
+    The f of an advection or euler problem refills buffers that the
+    problem owns, so it must not run in two threads at once; a
+    ``dataclasses.replace`` copy shares them with its original.  sspkit's
+    own commands and ``run_bench`` build a problem per run, and
+    ``run_bench`` runs in parallel in processes.
+    """
     build = _BUILDERS.get(problem_id.lower())
     if build is None:
         raise ValueError(f"unknown problem id {problem_id!r}")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, settings
 from sspkit.analysis import _norms, _pair_norms
 from sspkit.controller import ERR_FLOOR, FAC, FACMAX, FACMIN, GAINS
 from sspkit.integrator import StiffnessError, initial_step, rk_step
-from sspkit.problems import _weno5_faces
+from sspkit.problems import _face_pass
 from sspkit.tableau import catalog_ids, resolve
 
 settings.register_profile(
@@ -152,7 +152,9 @@ def sine_average(grid) -> np.ndarray:
 def weno5_face(v) -> float:
     """Left-biased WENO5 value v_{i+1/2} from the five cell averages
     (v_{i-2}, ..., v_{i+2}): the face kernel on one stencil."""
-    return float(_weno5_faces(np.asarray(v, dtype=float))[0])
+    face = np.empty(1)
+    _face_pass(np.array(v, dtype=float), face)()
+    return float(face[0])
 
 
 # one verdict line per acceptance criterion, echoed after the run so the

@@ -1,5 +1,6 @@
 """Tests for the work-precision sweep and its CSV rendering."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -98,7 +99,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, n_jobs, cpus, work
         def map(self, fn, *iterables):
             return [fn(*args) for args in zip(*iterables)]
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(bench, "reference_endpoint", lambda pid: np.zeros(2))
     plan = BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), tolerances=(1e-2,), n_jobs=n_jobs)

@@ -527,6 +527,21 @@ print("numpy.ma" in sys.modules)
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_a_single_job_bench_leaves_the_process_pool_unimported():
+    # concurrent.futures.process costs about 20 ms to import, and only a bench
+    # with n_jobs > 1 starts a pool
+    script = """
+import sys
+import sspkit
+print("concurrent.futures.process" in sys.modules)
+sspkit.run_bench(sspkit.BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), tolerances=(1e-2,)))
+print("concurrent.futures.process" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_package_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["False", "False"]
+
+
 def test_header_records_command_and_seed(capsys):
     _, lines, _ = run_cli(capsys, "analyze", "ssp2,2-b2", "--seed", "3")
     assert "cmd=analyze" in lines[0]

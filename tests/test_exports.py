@@ -38,8 +38,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sspkit").glob("*.py"))
 HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 # exported for users though nothing in the package calls them: the
-# README's total-variation (TVD) check kit
-BUILDING_BLOCKS = ["problems.total_variation", "problems.upwind_advection"]
+# README's total-variation (TVD) check kit, and the one-call WENO5
+# right-hand sides, which build their buffers per call and so stay
+# reentrant where each problem's f reuses its own
+BUILDING_BLOCKS = ["problems.advection_rhs", "problems.euler_rhs", "problems.total_variation",
+                   "problems.upwind_advection"]
 # defaulted parameters that no call in the package or the benchmark harness
 # sets, each with the reason it stays (the TVD kit is the README's
 # total-variation check)

@@ -1,5 +1,6 @@
 """Tests for the ODE/PDE test systems and their discrete operators."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_degenerate_grids_are_rejected():
         Grid1D(10, 0.0, np.nan)
     with pytest.raises(ValueError):
         Grid1D(10, 0.0, 1.0, boundary="reflecting")
+    # a float or a bool used to size the arrays by its truncation while dx
+    # divided by the value itself
+    for bad in (2.5, 3.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"n_cells must be an integer, got {bad!r}")):
+            Grid1D(bad, 0.0, 1.0)
+    with pytest.raises(ValueError, match="n_cells must be an integer, got 2.5"):
+        make_problem("advection", n_cells=2.5)
+    g = Grid1D(np.int64(4), 0.0, 1.0)
+    assert type(g.n_cells) is int and g == Grid1D(4, 0.0, 1.0)
+    assert make_problem("euler", n_cells=np.int32(4)).f(0.0, sod_initial(g)).size == 12
 
 
 # --------------------------------------------------------------- ODE systems
@@ -285,11 +296,78 @@ def test_one_pass_weno5_matches_the_two_pass_kernel_bit_for_bit(n, boundary):
         assert weno5_face(v) == _weno5_face(*v[:, None])[0]
 
 
+def _reference_states(rng, n):
+    # the state families of the reference check above, 3n values each
+    for scale in (1e-8, 1.0, 1e8):
+        yield scale * rng.standard_normal(3 * n)
+    yield _sixteen_decades(rng, 3 * n)
+    for scale in (1e-8, 1.0, 1e8):
+        rho = scale * rng.uniform(0.1, 2.0, n)
+        mom = rho * rng.standard_normal(n)
+        E = 0.5 * mom**2 / rho + scale * rng.uniform(0.1, 2.0, n)
+        yield np.concatenate([rho, mom, E])
+    for _ in range(4):
+        yield rng.choice([0.0, -0.0], 3 * n)
+        yield rng.choice([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], 3 * n)
+        yield 1e300 * rng.standard_normal(3 * n)
+        yield np.where(rng.random(3 * n) < 0.3, -0.0, 1e300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 200])
+def test_each_problem_f_matches_the_two_pass_kernel_bit_for_bit(n):
+    # the path the integrators call: one problem per id, whose f refills its
+    # own buffers from state to state, on the problem's grid and boundary
+    adv = make_problem("advection", n_cells=n)
+    eul = make_problem("euler", n_cells=n)
+    rng = np.random.default_rng(7000 + n)
+    with np.errstate(all="ignore"):
+        for q in _reference_states(rng, n):
+            u = q[:n]
+            _assert_same_bytes(adv.f(0.0, u), _two_pass_divergence(_ghost(u, adv.grid), adv.grid.dx))
+            _assert_same_bytes(eul.f(0.0, q), _two_pass_euler_rhs(q, eul.grid))
+
+
+@pytest.mark.parametrize("pid", ["advection", "euler"])
+def test_a_problem_f_reuses_its_buffers_but_never_its_results(pid):
+    p = make_problem(pid, n_cells=20)
+    rng = np.random.default_rng(11)
+    a = p.u0 * rng.uniform(0.5, 1.5, p.u0.size)
+    b = p.u0[::-1] * rng.uniform(0.5, 1.5, p.u0.size)
+    first = p.f(0.0, a)
+    kept = first.tobytes()
+    second = p.f(0.0, b)
+    again = p.f(0.0, a)
+    assert first.tobytes() == kept  # the later calls left the first result alone
+    assert again.tobytes() == kept == make_problem(pid, n_cells=20).f(0.0, a).tobytes()
+    assert second.tobytes() == make_problem(pid, n_cells=20).f(0.0, b).tobytes()
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, again)
+    # a replaced copy shares f and so its buffers
+    copy = replace(p, u0=b)
+    assert copy.f is p.f
+    assert copy.f(0.0, b).tobytes() == second.tobytes()
+    assert copy.f(0.0, a).tobytes() == kept
+
+
+def test_weno5_rhs_refuse_a_state_of_another_size():
+    g = Grid1D(4, 0.0, 1.0, "outflow")
+    for call in (lambda: advection_rhs(np.ones(5), g), lambda: upwind_rhs(np.ones(3), g),
+                 lambda: euler_rhs(np.ones(11), g), lambda: make_problem("euler", n_cells=4).f(0.0, np.ones(4))):
+        with pytest.raises(ValueError, match="the grid holds (4|12) state values, got"):
+            call()
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
 def test_each_weno5_rhs_makes_one_face_pass_over_all_its_rows(monkeypatch, boundary):
+    # each right-hand side binds the face kernel to its buffer once and
+    # runs the bound pass; count the values of every pass that runs
     calls = []
-    kernel = problems._weno5_faces
-    monkeypatch.setattr(problems, "_weno5_faces", lambda v: calls.append(v.size) or kernel(v))
+    kernel = problems._face_pass
+
+    def counting(v, out):
+        run = kernel(v, out)
+        return lambda: calls.append(v.size) or run()
+
+    monkeypatch.setattr(problems, "_face_pass", counting)
     g = Grid1D(20, 0.0, 1.0, boundary)
     q = sod_initial(g)
     advection_rhs(q[:20], g)
