@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -188,7 +189,7 @@ class OrderConditions:
                 arr.setflags(write=False)
 
     def _check_order(self, q: int) -> None:
-        if q not in self.phi:
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q not in self.phi:
             raise ValueError(f"order {q!r} is outside the engine's range 1..5")
 
     def tau(self, w, q: int) -> np.ndarray:
@@ -222,8 +223,8 @@ class OrderConditions:
         has no lower orders, so none of its conditions is vacuous; an order
         outside 1..5 raises ValueError.
         """
+        self._check_order(order)
         if order not in self._vacuous:
-            self._check_order(order)
             names = set()
             if order > 1:
                 M, rho = self.up_to(order - 1)
@@ -288,8 +289,8 @@ def order_condition_residuals(A, w, q_max: int = 4) -> dict[str, float]:
     ``w @ phi(t) - 1/gamma(t)`` and, for orders <= 4, condition keys carry
     the composite forms ``w @ v - rhs``.
     """
-    if not 1 <= q_max <= 5:
-        raise ValueError("q_max must be between 1 and 5")
+    if isinstance(q_max, bool) or not isinstance(q_max, numbers.Integral) or not 1 <= q_max <= 5:
+        raise ValueError(f"q_max must be an integer between 1 and 5, got {q_max!r}")
     A, w = _as_arrays(A, w)
     oc = _engine(A)
     out = {}
@@ -610,8 +611,9 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     the only source is overflow, which in complex arithmetic can also
     leave NaN parts.
     """
-    if nx < 2 or ny < 2:
-        raise ValueError("grid needs at least 2 points per axis")
+    for name, v in (("nx", nx), ("ny", ny)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 2:
+            raise ValueError(f"{name} must be an integer of at least 2, got {v!r}")
     if not all(-math.inf < lo < hi < math.inf for lo, hi in (re_range, im_range)):
         raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
     for name, (lo, hi) in (("re", re_range), ("im", im_range)):

@@ -48,12 +48,13 @@ class BenchPlan:
     """A sweep of methods x problems x tolerances, checked when built.
 
     Each axis is nonempty, every tolerance finite and positive and the
-    ladder strictly decreasing, ``n_jobs`` an integer of at least 1, and
-    every id known to its owner (``make_problem``, ``make_controller``,
-    ``resolve``, with embedded weights).  Each id is stored as its owner
-    spells it (``.name``, ``.kind``, ``.id``) and a method or problem
-    listed twice is refused.  A plan that misses any of these raises
-    ValueError here, before any reference solve."""
+    ladder strictly decreasing, ``n_jobs`` an integer of at least 1 and
+    ``seed`` one of at least 0 (a bool is neither), and every id known to
+    its owner (``make_problem``, ``make_controller``, ``resolve``, with
+    embedded weights).  Each id is stored as its owner spells it
+    (``.name``, ``.kind``, ``.id``) and a method or problem listed twice
+    is refused.  A plan that misses any of these raises ValueError here,
+    before any reference solve."""
 
     methods: tuple[str, ...]
     problems: tuple[str, ...]
@@ -70,10 +71,12 @@ class BenchPlan:
             raise ValueError(f"tolerances must be finite and positive, got {bad}")
         if any(b >= a for a, b in zip(self.tolerances, self.tolerances[1:])):
             raise ValueError("tolerances must be strictly decreasing")
-        if not isinstance(self.n_jobs, numbers.Integral):
+        if isinstance(self.n_jobs, bool) or not isinstance(self.n_jobs, numbers.Integral):
             raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be at least 1, got {self.n_jobs}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "problems", tuple(make_problem(p).name for p in self.problems))
         object.__setattr__(self, "controller", make_controller(self.controller).kind)
         # memoized: each row's own lookup is a cache hit

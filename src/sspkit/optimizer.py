@@ -55,9 +55,9 @@ class OptimizationSpec:
             raise ValueError(f"require_ssp_at must be finite and nonnegative, got {r}")
         for name in ("seeds", "budget"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and v >= 1):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Integral) and v >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {v!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -74,12 +74,12 @@ class OptimizationResult:
 def ssp_feasible(A, w, r: float) -> bool:
     """Componentwise SSP conditions of (A, w) at fixed coefficient r.
 
-    The test behind ``analysis.ssp_coefficient_arrays``, at one r: a
-    negative coefficient, a singular I + rK or a violated condition makes
-    the point infeasible.
+    The test behind ``analysis.ssp_coefficient_arrays``, at one finite
+    r >= 0: a negative coefficient, a singular I + rK or a violated
+    condition makes the point infeasible.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"r must be finite and nonnegative, got {r}")
     K = analysis._bordered(A, w)
     return K is not None and analysis._ssp_feasible(K, r)
 

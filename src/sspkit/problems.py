@@ -5,21 +5,17 @@ of the four benchmark problems.
 
 PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
-the three conserved fields into one vector).  The boundary comes from
-``Grid1D.boundary`` through one ghost-index rule, which every PDE
-right-hand side applies with one ``np.take``, and both WENO5 right-hand
+the three conserved fields into one vector).  Each has one form, built
+once per grid: ``advection_rhs(grid)``, ``euler_rhs(grid)`` and
+``upwind_rhs(grid)`` return f(t, u), which is the f of the problem on
+that grid.  The boundary comes from ``Grid1D.boundary`` through one
+ghost-index rule, applied with one ``np.take``.  Both WENO5 right-hand
 sides share one flux-difference kernel, which makes one face pass per
-call over a contiguous buffer of flux rows.  The kernel works on (3, n)
-row blocks, so a face pass costs a fixed 34 ufunc calls whatever the
-buffer's length; each value still sees the IEEE operations of the
-term-by-term formula in their order.  A WENO5 right-hand side binds the
-kernel to buffers sized for one grid, with every view it reads, when it
-is built: the f of a ``make_problem`` problem is built once with the
-problem and refills its buffers on each call (so one call at a time),
-while ``advection_rhs`` and ``euler_rhs`` build theirs per call.  Every
-call returns a new array.  The physical constants never vary: gamma, the
-WENO5 CFL number and the van der Pol epsilon are the module constants
-below.
+call over a contiguous buffer of flux rows (``_face_pass``).  A WENO5 f
+owns that buffer and every view it reads, and refills them on each call,
+so one f runs in one thread at a time; every call returns a new array.
+The physical constants never vary: gamma, the WENO5 CFL number and the
+van der Pol epsilon are the module constants below.
 """
 
 from __future__ import annotations
@@ -250,30 +246,32 @@ def _weno5_divergence(rows: np.ndarray, dx: float, split: bool = False) -> Calla
 # advection semi-discretizations
 
 
-def _advection_rhs(grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
-    """advection_rhs on grid as a function of u alone, which fills buffers
-    of its own on each call: one call at a time."""
+def advection_rhs(grid: Grid1D) -> Callable[[float, np.ndarray], np.ndarray]:
+    """WENO5 upwind du/dt = f(t, u) on grid for u_t + u_x = 0 (wave speed
+    +1); f refills buffers of its own on each call."""
     index = _ghost_index(grid)
     ug = np.empty((1, index.size))
     divergence = _weno5_divergence(ug, grid.dx)
     n = grid.n_cells
 
-    def rhs(u: np.ndarray) -> np.ndarray:
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
         np.take(_state(u, n), index, out=ug[0], mode="clip")
         return divergence()
 
     return rhs
 
 
-def advection_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """WENO5 upwind du/dt for u_t + u_x = 0 (wave speed +1)."""
-    return _advection_rhs(grid)(u)
+def upwind_rhs(grid: Grid1D) -> Callable[[float, np.ndarray], np.ndarray]:
+    """First-order upwind du/dt = f(t, u) on grid; forward Euler is TVD up
+    to dt = dx."""
+    index = _ghost_index(grid)
+    n, dx = grid.n_cells, grid.dx
 
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        ug = np.take(_state(u, n), index)
+        return (ug[_N_GHOST:-_N_GHOST] - ug[_N_GHOST - 1 : -_N_GHOST - 1]) / -dx
 
-def upwind_rhs(u: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """First-order upwind du/dt; forward Euler is TVD up to dt = dx."""
-    ug = np.take(_state(u, grid.n_cells), _ghost_index(grid))
-    return (ug[_N_GHOST:-_N_GHOST] - ug[_N_GHOST - 1 : -_N_GHOST - 1]) / -grid.dx
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +300,10 @@ def _max_speed(rho, u, p, speed=None, c=None) -> float:
     return float(speed.max())
 
 
-def _euler_rhs(grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
-    """euler_rhs on grid as a function of the flat state alone, which fills
-    buffers of its own on each call: one call at a time.
+def euler_rhs(grid: Grid1D) -> Callable[[float, np.ndarray], np.ndarray]:
+    """du/dt = f(t, q) on grid of the flat (rho, mom, E) state q under global
+    Lax-Friedrichs splitting, f+- = (F +- alpha q)/2 with alpha the largest
+    |u| + c; f refills buffers of its own on each call.
 
     The ghost-padded flux F fills the first three rows of one (6, m)
     buffer and F - alpha q, reversed along x, the last three; F + alpha q
@@ -323,7 +322,7 @@ def _euler_rhs(grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
     F0, F1, F2 = F
     divergence = _weno5_divergence(rows, grid.dx, split=True)
 
-    def rhs(q_flat: np.ndarray) -> np.ndarray:
+    def rhs(t: float, q_flat: np.ndarray) -> np.ndarray:
         np.take(_state(q_flat, 3 * n), index, out=qg, mode="clip")
         # invalid states (rho or p <= 0) propagate NaN and fail the step
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -343,12 +342,6 @@ def _euler_rhs(grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
     return rhs
 
 
-def euler_rhs(q_flat: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """du/dt of the flat (rho, mom, E) state under global Lax-Friedrichs
-    splitting, f+- = (F +- alpha q)/2 with alpha the largest |u| + c."""
-    return _euler_rhs(grid)(q_flat)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -365,9 +358,9 @@ def euler_max_speed(q_flat: np.ndarray) -> float:
 
 
 def cfl_step(grid: Grid1D, c_max: float, nu: float) -> float:
-    """dt = nu*dx/c_max; a quiescent field (c_max = 0) returns inf."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    """dt = nu*dx/c_max for a finite nu > 0; a quiescent field (c_max = 0) returns inf."""
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     if c_max <= 0:
         return math.inf
     return nu * grid.dx / c_max
@@ -410,9 +403,8 @@ def _brusselator(n_cells: int) -> OdeSystem:
 
 def _advection(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
-    rhs = _advection_rhs(grid)
     return OdeSystem(
-        f=lambda t, u: rhs(u),
+        f=advection_rhs(grid),
         t_span=(0.0, 0.2),
         u0=square_wave_average(grid),
         cfl_hint=lambda u: cfl_step(grid, 1.0, CFL_DEFAULT),
@@ -424,7 +416,7 @@ def _advection(n_cells: int) -> OdeSystem:
 def upwind_advection(n_cells: int = 200) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
     return OdeSystem(
-        f=lambda t, u: upwind_rhs(u, grid),
+        f=upwind_rhs(grid),
         t_span=(0.0, 0.2),
         u0=square_wave_average(grid),
         cfl_hint=lambda u: cfl_step(grid, 1.0, 1.0),
@@ -443,9 +435,8 @@ def sod_initial(grid: Grid1D) -> np.ndarray:
 
 def _euler(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, 0.0, 1.0, "outflow")
-    rhs = _euler_rhs(grid)
     return OdeSystem(
-        f=lambda t, q: rhs(q),
+        f=euler_rhs(grid),
         t_span=(0.0, 0.2),
         u0=sod_initial(grid),
         cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q), CFL_DEFAULT),
@@ -462,10 +453,10 @@ def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:
     """The benchmark problem ``problem_id`` (read case-insensitively), on
     ``n_cells`` cells for the two PDEs; ValueError for an unknown id.
 
-    The f of an advection or euler problem refills buffers that the
-    problem owns, so it must not run in two threads at once; a
-    ``dataclasses.replace`` copy shares them with its original.  sspkit's
-    own commands and ``run_bench`` build a problem per run, and
+    The f of an advection or euler problem is ``advection_rhs(grid)`` or
+    ``euler_rhs(grid)``, which refills buffers of its own: it must not run
+    in two threads at once, and a ``dataclasses.replace`` copy shares it.
+    sspkit's own commands and ``run_bench`` build a problem per run, and
     ``run_bench`` runs in parallel in processes.
     """
     build = _BUILDERS.get(problem_id.lower())

@@ -17,6 +17,7 @@ tableaux are ``dataclasses.replace`` copies.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -89,7 +90,7 @@ class EmbeddedTableau:
         if len(upper):
             i, j = upper[0]
             reject(f"A must be strictly lower triangular (explicit), but A[{i}, {j}] = {float(self.A[i, j])!r}")
-        if not isinstance(self.p, (int, np.integer)):
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral):
             reject(f"order p must be an integer, got {self.p!r}")
         if self.p < (1 if self.b_tilde is None else 2):
             reject(f"order p must be at least 1, and 2 with embedded weights of order p - 1, got {self.p}")

@@ -49,6 +49,12 @@ def test_plan_rejects_fewer_than_one_job():
             BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), n_jobs=n)
 
 
+def test_plan_rejects_a_negative_seed_without_a_searched_method():
+    # resolve reads the seed only for a -w method; the plan checks it for every plan
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), seed=-1)
+
+
 def test_plan_reads_problem_ids_and_controller_kinds_in_any_case():
     # read as make_problem and make_controller read them, stored as their owners spell them
     plan = BenchPlan(methods=("SSP2,2-B2",), problems=("VdP", "EULER"), controller="PID")

@@ -38,11 +38,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sspkit").glob("*.py"))
 HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 # exported for users though nothing in the package calls them: the
-# README's total-variation (TVD) check kit, and the one-call WENO5
-# right-hand sides, which build their buffers per call and so stay
-# reentrant where each problem's f reuses its own
-BUILDING_BLOCKS = ["problems.advection_rhs", "problems.euler_rhs", "problems.total_variation",
-                   "problems.upwind_advection"]
+# README's total-variation (TVD) check kit
+BUILDING_BLOCKS = ["problems.total_variation", "problems.upwind_advection"]
+# exported names that the benchmark harness reads only by string, to span
+# them, and that no code calls, each with the reason it stays
+SPANNED_ONLY = {
+    "optimizer.objective": "the search's cost of one embedded weight vector, for users to evaluate",
+}
 # defaulted parameters that no call in the package or the benchmark harness
 # sets, each with the reason it stays (the TVD kit is the README's
 # total-variation check)
@@ -75,21 +77,33 @@ def test_the_removed_accessors_are_not_exported():
             assert name not in getattr(mod, "__all__", ()), f"{mod.__name__}.__all__ has {name}"
 
 
+def _loads(path):
+    """The "<module>.<name>" of each module binding that the file at path
+    loads: a bare name in the module itself or imported from the module
+    by ``from`` import, or ``<module>.<name>``.  An attribute of another
+    object that shares the name is none, nor is a store or a lookup by
+    string."""
+    tree = ast.parse(path.read_text())
+    owner = {a.asname or a.name: node.module.rpartition(".")[2]
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+             for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield f"{owner.get(node.id, path.stem)}.{node.id}"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name)):
+            yield f"{node.value.id}.{node.attr}"
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
-    # a use is a Name or an Attribute node in the package or the benchmark
-    # harness; a def or class line, an __all__ entry, a docstring and the
-    # package's own re-exports in __init__.py are none
+    # a use is a load of the name's own binding in the package or the
+    # benchmark harness; a def or class line, an __all__ entry, a
+    # docstring and the package's own re-exports in __init__.py are none
     files = [f for f in PACKAGE if f.name != "__init__.py"]
-    used = set()
-    for f in files + HARNESS:
-        for node in ast.walk(ast.parse(f.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unused = [f"{f.stem}.{name}" for f in files
-              for name in importlib.import_module(f"sspkit.{f.stem}").__all__ if name not in used]
-    assert sorted(unused) == BUILDING_BLOCKS
+    used = {name for f in files + HARNESS for name in _loads(f)}
+    exported = [f"{f.stem}.{name}" for f in files for name in importlib.import_module(f"sspkit.{f.stem}").__all__]
+    unused = [name for name in exported if name not in used]
+    assert sorted(unused) == sorted(BUILDING_BLOCKS + list(SPANNED_ONLY))
 
 
 def _public_defs(tree):
@@ -177,6 +191,10 @@ REMOVED_KEYWORDS = {
     "max_attempts": lambda: integrator.integrate_adaptive(_VDP, _T, _PID, 1e-3, 1e-3, max_attempts=3),
     "profile": lambda: problems.make_problem("advection", 8, profile="sine"),
     "t_final": lambda: problems.make_problem("euler", 8, t_final=0.1),
+    # a PDE right-hand side is built once per grid and called as f(t, u)
+    "advection_rhs(u, grid)": lambda: problems.advection_rhs(np.zeros(8), _GRID),
+    "euler_rhs(q, grid)": lambda: problems.euler_rhs(np.zeros(24), _GRID),
+    "upwind_rhs(u, grid)": lambda: problems.upwind_rhs(np.zeros(8), _GRID),
 }
 
 
@@ -184,6 +202,45 @@ REMOVED_KEYWORDS = {
 def test_the_removed_keywords_are_refused(name):
     with pytest.raises(TypeError):
         REMOVED_KEYWORDS[name]()
+
+
+# every integer argument refuses a bool and anything that is not an
+# integer, naming the parameter and the value, as Grid1D refuses n_cells
+_PLAN = dict(methods=("ssp2,2-b2",), problems=("vdp",), tolerances=(1e-2,))
+INTEGER_ARGUMENTS = {
+    "BenchPlan(n_jobs)": (lambda v: bench.BenchPlan(**_PLAN, n_jobs=v), "n_jobs must be an integer, got {}"),
+    "BenchPlan(seed)": (lambda v: bench.BenchPlan(**_PLAN, seed=v),
+                        "seed must be a non-negative integer, got {}"),
+    "OptimizationSpec(seeds)": (lambda v: optimizer.OptimizationSpec(_T, seeds=v),
+                                "seeds must be an integer of at least 1, got {}"),
+    "OptimizationSpec(budget)": (lambda v: optimizer.OptimizationSpec(_T, budget=v),
+                                 "budget must be an integer of at least 1, got {}"),
+    "OptimizationSpec(seed)": (lambda v: optimizer.OptimizationSpec(_T, seed=v),
+                               "seed must be a non-negative integer, got {}"),
+    "EmbeddedTableau(p)": (lambda v: tableau.EmbeddedTableau(id="x", A=_T.A, b=_T.b, p=v),
+                           "tableau 'x': order p must be an integer, got {}"),
+    "stability_region_grid(nx)": (lambda v: analysis.stability_region_grid(_PSI, nx=v),
+                                  "nx must be an integer of at least 2, got {}"),
+    "stability_region_grid(ny)": (lambda v: analysis.stability_region_grid(_PSI, ny=v),
+                                  "ny must be an integer of at least 2, got {}"),
+    "order_condition_residuals(q_max)": (lambda v: analysis.order_condition_residuals(_T.A, _T.b, q_max=v),
+                                         "q_max must be an integer between 1 and 5, got {}"),
+    "OrderConditions.tau(w, q)": (lambda v: _OC.tau(_T.b, v), "order {} is outside the engine's range 1..5"),
+    "OrderConditions.up_to(q)": (lambda v: _OC.up_to(v), "order {} is outside the engine's range 1..5"),
+    # after a call at order 1, whose cached set True would find
+    "OrderConditions.vacuous(order)": (lambda v: (_OC.vacuous(1), _OC.vacuous(v)),
+                                       "order {} is outside the engine's range 1..5"),
+    "Grid1D(n_cells)": (lambda v: problems.Grid1D(v, 0.0, 1.0), "n_cells must be an integer, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_each_integer_argument_refuses_a_bool_or_a_float(name, value):
+    call, message = INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == message.format(repr(value))
 
 
 def test_a_tableau_holds_its_pair_and_what_follows_from_it():

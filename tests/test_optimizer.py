@@ -47,6 +47,13 @@ def test_negative_r_is_rejected():
         ssp_feasible(A22, B22, -1.0)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+def test_a_non_finite_r_is_rejected_as_require_ssp_at_is(r):
+    # inf used to warn from NumPy and read infeasible, nan read infeasible silently
+    with pytest.raises(ValueError, match=rf"^r must be finite and nonnegative, got {r}$"):
+        ssp_feasible(A22, B22, r)
+
+
 def test_screen_matches_claimed_coefficient_for_nine_stage_second_order():
     t = resolve("ssp9,2-b1")
     assert ssp_feasible(t.A, t.b, 8.0)

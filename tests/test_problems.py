@@ -168,19 +168,19 @@ def test_weights_avoid_a_downstream_discontinuity():
 
 
 def test_advection_rhs_vanishes_on_constants():
-    assert np.max(np.abs(advection_rhs(np.full(100, 2.5), GRID))) == 0.0
+    assert np.max(np.abs(advection_rhs(GRID)(0.0, np.full(100, 2.5)))) == 0.0
 
 
 def test_advection_rhs_telescopes_to_zero_total():
     u = np.sin(3.0 * GRID.centers) + 0.3
-    assert abs(np.sum(advection_rhs(u, GRID))) < 1e-12
+    assert abs(np.sum(advection_rhs(GRID)(0.0, u))) < 1e-12
 
 
 def test_advection_rhs_matches_the_exact_flux_difference_on_a_sine():
     u = sine_average(GRID)
     xe = GRID.edges
     exact = -(np.sin(np.pi * xe[1:]) - np.sin(np.pi * xe[:-1])) / GRID.dx
-    assert np.max(np.abs(advection_rhs(u, GRID) - exact)) < 1e-5
+    assert np.max(np.abs(advection_rhs(GRID)(0.0, u) - exact)) < 1e-5
 
 
 def _roll_advection_rhs(u, grid):
@@ -194,8 +194,8 @@ def _roll_advection_rhs(u, grid):
 def test_periodic_rhs_match_the_roll_formulas_bit_for_bit(n):
     g = Grid1D(n, -1.0, 1.0)
     u = np.random.default_rng(n).standard_normal(n)
-    assert np.array_equal(advection_rhs(u, g), _roll_advection_rhs(u, g))
-    assert np.array_equal(upwind_rhs(u, g), -(u - np.roll(u, 1)) / g.dx)
+    assert np.array_equal(advection_rhs(g)(0.0, u), _roll_advection_rhs(u, g))
+    assert np.array_equal(upwind_rhs(g)(0.0, u), -(u - np.roll(u, 1)) / g.dx)
 
 
 # the five-argument face kernel, the ghost-cell padding and the two-pass
@@ -257,9 +257,9 @@ def _assert_same_bytes(a, b):
 
 def _assert_rhs_match_the_references(q, g):
     u = q[: g.n_cells]
-    _assert_same_bytes(advection_rhs(u, g), _two_pass_divergence(_ghost(u, g), g.dx))
-    _assert_same_bytes(upwind_rhs(u, g), _upwind_rhs(u, g))
-    _assert_same_bytes(euler_rhs(q, g), _two_pass_euler_rhs(q, g))
+    _assert_same_bytes(advection_rhs(g)(0.0, u), _two_pass_divergence(_ghost(u, g), g.dx))
+    _assert_same_bytes(upwind_rhs(g)(0.0, u), _upwind_rhs(u, g))
+    _assert_same_bytes(euler_rhs(g)(0.0, q), _two_pass_euler_rhs(q, g))
 
 
 def _sixteen_decades(rng, shape):
@@ -319,12 +319,14 @@ def test_each_problem_f_matches_the_two_pass_kernel_bit_for_bit(n):
     # own buffers from state to state, on the problem's grid and boundary
     adv = make_problem("advection", n_cells=n)
     eul = make_problem("euler", n_cells=n)
+    up = upwind_advection(n)
     rng = np.random.default_rng(7000 + n)
     with np.errstate(all="ignore"):
         for q in _reference_states(rng, n):
             u = q[:n]
             _assert_same_bytes(adv.f(0.0, u), _two_pass_divergence(_ghost(u, adv.grid), adv.grid.dx))
             _assert_same_bytes(eul.f(0.0, q), _two_pass_euler_rhs(q, eul.grid))
+            _assert_same_bytes(up.f(0.0, u), _upwind_rhs(u, up.grid))
 
 
 @pytest.mark.parametrize("pid", ["advection", "euler"])
@@ -350,8 +352,8 @@ def test_a_problem_f_reuses_its_buffers_but_never_its_results(pid):
 
 def test_weno5_rhs_refuse_a_state_of_another_size():
     g = Grid1D(4, 0.0, 1.0, "outflow")
-    for call in (lambda: advection_rhs(np.ones(5), g), lambda: upwind_rhs(np.ones(3), g),
-                 lambda: euler_rhs(np.ones(11), g), lambda: make_problem("euler", n_cells=4).f(0.0, np.ones(4))):
+    for call in (lambda: advection_rhs(g)(0.0, np.ones(5)), lambda: upwind_rhs(g)(0.0, np.ones(3)),
+                 lambda: euler_rhs(g)(0.0, np.ones(11)), lambda: make_problem("euler", n_cells=4).f(0.0, np.ones(4))):
         with pytest.raises(ValueError, match="the grid holds (4|12) state values, got"):
             call()
 
@@ -370,23 +372,23 @@ def test_each_weno5_rhs_makes_one_face_pass_over_all_its_rows(monkeypatch, bound
     monkeypatch.setattr(problems, "_face_pass", counting)
     g = Grid1D(20, 0.0, 1.0, boundary)
     q = sod_initial(g)
-    advection_rhs(q[:20], g)
+    advection_rhs(g)(0.0, q[:20])
     assert calls == [26]  # 20 cells and 3 ghost cells per side
-    euler_rhs(q, g)
+    euler_rhs(g)(0.0, q)
     assert calls == [26, 6 * 26]  # the f+ and f- rows of rho, mom and E
 
 
 def test_upwind_euler_step_is_total_variation_stable_at_the_cfl_limit():
     u0 = square_wave_average(GRID)
     tv0 = total_variation(u0)
-    u1 = u0 + GRID.dx * upwind_rhs(u0, GRID)  # exact shift by one cell
+    u1 = u0 + GRID.dx * upwind_rhs(GRID)(0.0, u0)  # exact shift by one cell
     assert total_variation(u1) <= tv0 + 1e-12
 
 
 def test_upwind_euler_step_breaks_tvd_beyond_the_cfl_limit():
     u0 = square_wave_average(GRID)
     tv0 = total_variation(u0)
-    u2 = u0 + 1.5 * GRID.dx * upwind_rhs(u0, GRID)
+    u2 = u0 + 1.5 * GRID.dx * upwind_rhs(GRID)(0.0, u0)
     assert total_variation(u2) > tv0 + 0.1
 
 
@@ -406,13 +408,13 @@ def test_sod_initial_state_is_at_rest_with_the_documented_pressures():
 def test_euler_rhs_vanishes_on_a_uniform_stream():
     g = Grid1D(32, 0.0, 1.0, "outflow")
     q = np.concatenate([np.full(32, 1.2), np.full(32, 0.6), np.full(32, 2.0)])
-    assert np.max(np.abs(euler_rhs(q, g))) == 0.0
+    assert np.max(np.abs(euler_rhs(g)(0.0, q))) == 0.0
 
 
 def test_euler_rhs_conserves_mass_and_balances_momentum_at_rest():
     # closed momentum budget: the only forces are the boundary pressures
     g = Grid1D(100, 0.0, 1.0, "outflow")
-    r = euler_rhs(sod_initial(g), g).reshape(3, 100)
+    r = euler_rhs(g)(0.0, sod_initial(g)).reshape(3, 100)
     assert abs(np.sum(r[0]) * g.dx) < 1e-12
     assert np.sum(r[1]) * g.dx == pytest.approx(1.0 - 0.1, rel=1e-12)
 
@@ -424,7 +426,7 @@ def test_euler_rhs_telescopes_on_a_periodic_grid():
     rho = 1.0 + 0.5 * (x < 0.5)
     mom = 0.3 * np.sin(2.0 * np.pi * x)
     E = 2.0 + np.cos(2.0 * np.pi * x)
-    r = euler_rhs(np.concatenate([rho, mom, E]), g).reshape(3, 64)
+    r = euler_rhs(g)(0.0, np.concatenate([rho, mom, E])).reshape(3, 64)
     assert np.max(np.abs(r)) > 1.0
     assert np.max(np.abs(np.sum(r, axis=1) * g.dx)) < 1e-13
 
@@ -469,6 +471,10 @@ def test_cfl_step_formula_and_edge_cases():
     assert cfl_step(g, 0.0, 0.5) == np.inf
     with pytest.raises(ValueError):
         cfl_step(g, 1.0, 0.0)
+    # a NaN cap used to come back as NaN, which initial_step's min dropped
+    for nu in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match=rf"^nu must be finite and positive, got {nu}$"):
+            cfl_step(g, 1.0, nu)
 
 
 # ------------------------------------------------------------ initial profiles
@@ -516,11 +522,19 @@ def test_physical_constants_are_not_parameters():
     for call in (lambda: make_problem("vdp", eps=0.05), lambda: vdp_rhs(0.0, np.ones(2), eps=0.05),
                  lambda: make_problem("advection", nu=0.4), lambda: make_problem("euler", gamma=1.67),
                  lambda: make_problem("euler", nu=0.4), lambda: sod_initial(g, gamma=1.67),
-                 lambda: euler_rhs(sod_initial(g), g, gamma=1.67),
+                 lambda: euler_rhs(g, gamma=1.67),
                  lambda: euler_max_speed(sod_initial(g), gamma=1.67)):
         with pytest.raises(TypeError):
             call()
     assert make_problem("vdp").f is vdp_rhs and make_problem("brusselator").f is brusselator_rhs
+
+
+def test_each_pde_problem_f_is_its_builders_own_function():
+    # as an ODE problem's f is its module function, a PDE problem's f is
+    # the function its per-grid builder returns, with no adapter around it
+    assert make_problem("advection").f.__qualname__ == "advection_rhs.<locals>.rhs"
+    assert make_problem("euler").f.__qualname__ == "euler_rhs.<locals>.rhs"
+    assert upwind_advection(8).f.__qualname__ == "upwind_rhs.<locals>.rhs"
 
 
 def test_make_problem_dispatch():
