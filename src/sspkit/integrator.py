@@ -58,9 +58,9 @@ class OdeSystem:
     a 1-D array (the PDE problems flatten their fields).
 
     cfl_hint, when present, maps a state vector to a stability-motivated
-    step bound; it only caps the starting step, the error controller owns
-    the step afterwards.  grid is the finite-volume grid of a PDE problem
-    (None for an ODE).
+    step bound > 0 (inf for none); it only caps the starting step, the
+    error controller owns the step afterwards.  grid is the finite-volume
+    grid of a PDE problem (None for an ODE).
     """
 
     f: Callable[[float, np.ndarray], np.ndarray]
@@ -218,7 +218,10 @@ def initial_step(
     cfl_bound: float | None = None,
 ) -> float:
     """Starting step from the magnitudes of u0, f, and a Euler-probe
-    estimate of f', capped by the CFL bound when one is supplied."""
+    estimate of f', capped by the CFL bound when one is supplied; a bound
+    must be > 0, and inf caps nothing."""
+    if cfl_bound is not None and not cfl_bound > 0:
+        raise ValueError(f"cfl_bound must be > 0, got {cfl_bound}")
     u0 = np.asarray(u0, dtype=float)
     f0 = np.asarray(f(t0, u0), dtype=float)
     if not np.all(np.isfinite(f0)):
@@ -277,8 +280,9 @@ def integrate_adaptive(
     The controller's four methods are bound once per run and called once
     per attempt, as its class defines them when the run starts.
     Raises ValueError, before any call of f, unless atol > 0 and
-    rtol >= 0 are both finite, the time span is finite with t0 < T and u0
-    is 1-D with at least one component; StiffnessError on step
+    rtol >= 0 are both finite, the time span is finite with t0 < T, u0
+    is 1-D with at least one component and the ``cfl_hint`` bound, when
+    there is one, is > 0; StiffnessError on step
     underflow (a NaN step included) and BudgetError past ``MAX_ATTEMPTS``
     attempted steps, the module constant as it reads when the run starts.
     """

@@ -267,6 +267,26 @@ def test_initial_step_respects_a_cfl_bound():
     assert dt0 == pytest.approx(1e-8, abs=0)
 
 
+@pytest.mark.parametrize("bound", [-1.0, 0.0, np.nan])
+def test_initial_step_refuses_a_cfl_bound_that_is_not_positive(bound):
+    # -1.0 used to start the run with a step of -1.0, and NaN was dropped
+    calls = []
+
+    def f(t, u):
+        calls.append(t)
+        return -u
+
+    with pytest.raises(ValueError, match=rf"^cfl_bound must be > 0, got {bound}$"):
+        initial_step(f, 0.0, np.array([1.0]), 2, 1e-3, 1e-3, cfl_bound=bound)
+    assert calls == []
+
+
+def test_initial_step_reads_an_infinite_cfl_bound_as_no_cap():
+    # what cfl_step returns for a quiescent field
+    args = (lambda t, u: -u, 0.0, np.array([1.0]), 2, 1e-6, 1e-6)
+    assert initial_step(*args, cfl_bound=np.inf) == initial_step(*args)
+
+
 def test_initial_step_rejects_non_finite_rhs():
     with pytest.raises(StiffnessError):
         initial_step(lambda t, u: np.array([np.nan]), 0.0, np.array([1.0]), 2, 1e-6, 1e-6)
@@ -447,6 +467,19 @@ def test_adaptive_consults_the_problem_step_bound():
                      cfl_hint=lambda u: 1e-3)
     res = integrate_adaptive(prob, TAB22, make_controller("i"), 1e-6, 1e-6, log=True)
     assert res.step_log[0][1] <= 1e-3
+
+
+def test_adaptive_refuses_a_problem_step_bound_that_is_not_positive():
+    calls = []
+
+    def f(t, u):
+        calls.append(t)
+        return -u
+
+    prob = OdeSystem(f=f, t_span=(0.0, 1.0), u0=np.array([1.0]), cfl_hint=lambda u: -1.0)
+    with pytest.raises(ValueError, match=r"^cfl_bound must be > 0, got -1.0$"):
+        integrate_adaptive(prob, TAB22, make_controller("i"), 1e-6, 1e-6)
+    assert calls == []
 
 
 def test_adaptive_budget_exhaustion_raises(monkeypatch):

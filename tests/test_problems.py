@@ -348,6 +348,19 @@ def test_a_problem_f_reuses_its_buffers_but_never_its_results(pid):
     assert copy.f is p.f
     assert copy.f(0.0, b).tobytes() == second.tobytes()
     assert copy.f(0.0, a).tobytes() == kept
+    # two grids of one id, called in turn, share no constant (each has its
+    # own -dx) and no buffer; the two-pass reference also catches a
+    # constant that every problem of the id would share
+    small = make_problem(pid, n_cells=7)
+    c = small.u0 * rng.uniform(0.5, 1.5, small.u0.size)
+    d = small.u0[::-1] * rng.uniform(0.5, 1.5, small.u0.size)
+    for prob, u in ((p, b), (small, c), (p, a), (small, d), (small, c), (p, b)):
+        got = prob.f(0.0, u)
+        assert got.tobytes() == make_problem(pid, n_cells=prob.grid.n_cells).f(0.0, u).tobytes()
+        if pid == "advection":
+            _assert_same_bytes(got, _two_pass_divergence(_ghost(u, prob.grid), prob.grid.dx))
+        else:
+            _assert_same_bytes(got, _two_pass_euler_rhs(u, prob.grid))
 
 
 def test_weno5_rhs_refuse_a_state_of_another_size():
@@ -442,6 +455,19 @@ def test_sod_tube_stays_bounded_and_valid():
     assert np.all(p >= 0.1 - 1e-3) and np.all(p <= 1.0 + 1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell", [(-0.5, 0.1, 1.0), (0.0, 0.0, 1.0), (0.0, 0.3, 1.0), (1.0, 0.0, -1.0)],
+                         ids=["rho<0", "rho=0", "rho=0,mom!=0", "p<0"])
+def test_euler_rhs_returns_nan_on_an_invalid_state_without_a_warning(cell):
+    # the f computes under np.errstate: an invalid state fails the step
+    # through NaN, not through a RuntimeWarning
+    g = Grid1D(20, 0.0, 1.0, "outflow")
+    q = sod_initial(g).reshape(3, 20)
+    q[:, 9] = cell
+    r = euler_rhs(g)(0.0, q.reshape(-1)).reshape(3, 20)
+    assert np.isnan(r[:, 8:11]).all()
+
+
 def test_euler_max_speed_at_the_sod_state():
     g = Grid1D(100, 0.0, 1.0, "outflow")
     assert euler_max_speed(sod_initial(g)) == pytest.approx(np.sqrt(1.4), rel=1e-14)
@@ -475,6 +501,9 @@ def test_cfl_step_formula_and_edge_cases():
     for nu in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match=rf"^nu must be finite and positive, got {nu}$"):
             cfl_step(g, 1.0, nu)
+    # a NaN speed, which euler_max_speed reads on an invalid state, too
+    with pytest.raises(ValueError, match=r"^c_max must not be NaN, got nan$"):
+        cfl_step(g, np.nan, 0.5)
 
 
 # ------------------------------------------------------------ initial profiles
