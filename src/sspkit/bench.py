@@ -47,14 +47,15 @@ REFERENCE_TOL = 1e-12
 class BenchPlan:
     """A sweep of methods x problems x tolerances, checked when built.
 
-    Each axis is nonempty, every tolerance finite and positive and the
-    ladder strictly decreasing, ``n_jobs`` an integer of at least 1 and
-    ``seed`` one of at least 0 (a bool is neither), and every id known to
+    Each axis is a nonempty tuple or list (a string is not one), every
+    tolerance a finite positive number and the ladder strictly
+    decreasing, ``n_jobs`` an integer of at least 1 and ``seed`` one of
+    at least 0 (a bool is none of these), and every id a string known to
     its owner (``make_problem``, ``make_controller``, ``resolve``, with
-    embedded weights).  Each id is stored as its owner spells it
-    (``.name``, ``.kind``, ``.id``) and a method or problem listed twice
-    is refused.  A plan that misses any of these raises ValueError here,
-    before any reference solve."""
+    embedded weights).  Each axis is stored as a tuple and each id as its
+    owner spells it (``.name``, ``.kind``, ``.id``); a method or problem
+    listed twice is refused.  A plan that misses any of these raises
+    ValueError here, before any reference solve."""
 
     methods: tuple[str, ...]
     problems: tuple[str, ...]
@@ -64,11 +65,17 @@ class BenchPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for axis in ("methods", "problems", "tolerances"):
+            value = getattr(self, axis)
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{axis} must be a tuple or list, got {value!r}")
+            object.__setattr__(self, axis, tuple(value))  # frozen once checked
         if not self.methods or not self.problems or not self.tolerances:
             raise ValueError("need at least one method, one problem and one tolerance")
-        bad = [tol for tol in self.tolerances if not (math.isfinite(tol) and tol > 0)]
+        bad = [t for t in self.tolerances if isinstance(t, bool)
+               or not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0)]
         if bad:
-            raise ValueError(f"tolerances must be finite and positive, got {bad}")
+            raise ValueError(f"tolerances must be finite positive numbers, got {bad}")
         if any(b >= a for a, b in zip(self.tolerances, self.tolerances[1:])):
             raise ValueError("tolerances must be strictly decreasing")
         if isinstance(self.n_jobs, bool) or not isinstance(self.n_jobs, numbers.Integral):

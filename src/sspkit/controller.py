@@ -124,5 +124,7 @@ class ControllerState:
 
 
 def make_controller(kind: str) -> ControllerState:
-    """Fresh controller of the given kind (case-insensitive)."""
+    """Fresh controller of the given kind (a string, case-insensitive)."""
+    if not isinstance(kind, str):
+        raise ValueError(f"controller kind must be a string, got {kind!r}")
     return ControllerState(kind.lower())

@@ -362,13 +362,14 @@ def integrate_fixed(
     *,
     callback: Callable[[float, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Uniform stepping with the advancing weights only; the last step is
-    shortened to land on T.  callback(t, u) fires at t0 and after every
-    step (total-variation monitoring and the like).  Raises ValueError,
-    before any call of f or callback, unless the time span is finite with
-    t0 < T, u0 is 1-D with at least one component and dt > 0 is finite
-    with a step count (T - t0)/dt of at most ``MAX_ATTEMPTS``, the module
-    constant as it reads when the run starts."""
+    """Uniform stepping with the advancing weights only; the last step ends
+    at T (shortened to it, or stretched by under 1e-9 dt when (T - t0)/dt
+    is that close above a whole number).  callback(t, u) fires at t0 and
+    after every step (total-variation monitoring and the like).  Raises
+    ValueError, before any call of f or callback, unless the time span is
+    finite with t0 < T, u0 is 1-D with at least one component and dt > 0
+    is finite with a step count (T - t0)/dt of at most ``MAX_ATTEMPTS``,
+    the module constant as it reads when the run starts."""
     t0, T = problem.t_span
     u = _initial_state(problem)
     if not (0.0 < dt < math.inf and (T - t0) / dt < math.inf):
@@ -382,8 +383,8 @@ def integrate_fixed(
     if callback is not None:
         callback(t0, u)
     t = float(t0)
-    for i in range(n_steps):
-        t_next = min(t0 + (i + 1) * dt, T)
+    for i in range(1, n_steps + 1):
+        t_next = T if i == n_steps else min(t0 + i * dt, T)
         u, _ = rk_step(tab, f, t, u, t_next - t)
         t = t_next
         if callback is not None:

@@ -1,7 +1,7 @@
 """Test systems: Van der Pol, Brusselator, WENO5 linear advection, WENO5
 1-D Euler (Sod shock tube), and a first-order upwind advection operator
 used by the TVD property checks.  ``make_problem`` is the one constructor
-of the four benchmark problems.
+of the four benchmark problems, and one set-up builds the three PDE ones.
 
 PDE right-hand sides are method-of-lines semi-discretizations over a
 finite-volume Grid1D; state vectors hold cell averages (Euler flattens
@@ -415,10 +415,19 @@ def square_wave_average(grid: Grid1D) -> np.ndarray:
     return np.clip((np.minimum(xr, 0.5) - np.maximum(xl, -0.5)) / grid.dx, 0.0, 1.0)
 
 
+def sod_initial(grid: Grid1D) -> np.ndarray:
+    x = grid.centers
+    rho = np.where(x < 0.5, 1.0, 0.125)
+    mom = np.zeros_like(x)
+    E = np.where(x < 0.5, 1.0, 0.1) / (GAMMA_AIR - 1.0)
+    return np.concatenate([rho, mom, E])
+
+
 # ---------------------------------------------------------------------------
 # problem factories: make_problem is the one public constructor of the four
-# benchmark problems; each private builder takes only n_cells, which the
-# two ODEs ignore
+# benchmark problems, whose builders take only n_cells (the ODEs ignore
+# it); _pde is the one set-up of every PDE problem, upwind_advection too,
+# so a PDE builder picks only grid, operator, profile, speed, nu and name
 
 
 def _vdp(n_cells: int) -> OdeSystem:
@@ -439,48 +448,25 @@ def _brusselator(n_cells: int) -> OdeSystem:
     )
 
 
+def _pde(grid: Grid1D, rhs, u0, max_speed, nu: float, name: str) -> OdeSystem:
+    return OdeSystem(f=rhs(grid), t_span=(0.0, 0.2), u0=u0(grid),
+                     cfl_hint=lambda u: cfl_step(grid, max_speed(u), nu), name=name, grid=grid)
+
+
 def _advection(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
-    return OdeSystem(
-        f=advection_rhs(grid),
-        t_span=(0.0, 0.2),
-        u0=square_wave_average(grid),
-        cfl_hint=lambda u: cfl_step(grid, 1.0, CFL_DEFAULT),
-        name="advection",
-        grid=grid,
-    )
+    return _pde(grid, advection_rhs, square_wave_average, lambda u: 1.0, CFL_DEFAULT, "advection")
 
 
 def upwind_advection(n_cells: int = 200) -> OdeSystem:
+    """advection's grid and square wave under upwind_rhs, TVD up to nu = 1."""
     grid = Grid1D(n_cells, -1.0, 1.0, "periodic")
-    return OdeSystem(
-        f=upwind_rhs(grid),
-        t_span=(0.0, 0.2),
-        u0=square_wave_average(grid),
-        cfl_hint=lambda u: cfl_step(grid, 1.0, 1.0),
-        name="upwind",
-        grid=grid,
-    )
-
-
-def sod_initial(grid: Grid1D) -> np.ndarray:
-    x = grid.centers
-    rho = np.where(x < 0.5, 1.0, 0.125)
-    mom = np.zeros_like(x)
-    E = np.where(x < 0.5, 1.0, 0.1) / (GAMMA_AIR - 1.0)
-    return np.concatenate([rho, mom, E])
+    return _pde(grid, upwind_rhs, square_wave_average, lambda u: 1.0, 1.0, "upwind")
 
 
 def _euler(n_cells: int) -> OdeSystem:
     grid = Grid1D(n_cells, 0.0, 1.0, "outflow")
-    return OdeSystem(
-        f=euler_rhs(grid),
-        t_span=(0.0, 0.2),
-        u0=sod_initial(grid),
-        cfl_hint=lambda q: cfl_step(grid, euler_max_speed(q), CFL_DEFAULT),
-        name="euler",
-        grid=grid,
-    )
+    return _pde(grid, euler_rhs, sod_initial, euler_max_speed, CFL_DEFAULT, "euler")
 
 
 _BUILDERS = {"vdp": _vdp, "brusselator": _brusselator, "advection": _advection, "euler": _euler}
@@ -488,15 +474,16 @@ PROBLEM_IDS = tuple(_BUILDERS)
 
 
 def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:
-    """The benchmark problem ``problem_id`` (read case-insensitively), on
-    ``n_cells`` cells for the two PDEs; ValueError for an unknown id.
-
-    The f of an advection or euler problem is ``advection_rhs(grid)`` or
-    ``euler_rhs(grid)``, which refills buffers of its own: it must not run
-    in two threads at once, and a ``dataclasses.replace`` copy shares it.
-    sspkit's own commands and ``run_bench`` build a problem per run, and
-    ``run_bench`` runs in parallel in processes.
+    """The benchmark problem ``problem_id`` (a string, read
+    case-insensitively), on ``n_cells`` cells for the two PDEs; ValueError
+    for an unknown id.  An advection or euler problem comes from ``_pde``:
+    its f is ``advection_rhs(grid)`` or ``euler_rhs(grid)``, which refills
+    buffers of its own, so it must not run in two threads at once (a
+    ``dataclasses.replace`` copy shares it); sspkit's commands and
+    ``run_bench`` build a problem per run, in processes when parallel.
     """
+    if not isinstance(problem_id, str):
+        raise ValueError(f"problem_id must be a string, got {problem_id!r}")
     build = _BUILDERS.get(problem_id.lower())
     if build is None:
         raise ValueError(f"unknown problem id {problem_id!r}")

@@ -269,6 +269,8 @@ def resolve(method: str, seed: int = 0) -> EmbeddedTableau:
     Every id (and seed, for ``w``) is built once per process and the same
     frozen object is returned on every later call, however it is spelled.
     """
+    if not isinstance(method, str):
+        raise ValueError(f"method id must be a string, got {method!r}")
     text = method.strip().lower()
     if text in _LITERATURE:
         return _literature(text)

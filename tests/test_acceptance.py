@@ -4,8 +4,8 @@ Each test measures its own wall time against the criterion's runtime
 budget and prints a single PASS/FAIL line with the governing numbers.
 Tolerances are stated inline and never adjusted to fit observed output;
 criteria that the implementation genuinely cannot meet fail loudly.
-Two further tests, with no verdict line, certify criterion 06's and
-criterion 11's misses.
+Three further tests, with no verdict line, certify criterion 06's and
+criterion 11's misses and the controller loops behind criteria 05 and 07.
 """
 
 import time
@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from sspkit import analysis
 from sspkit.bench import reference_endpoint
-from sspkit.controller import make_controller
+from sspkit.controller import GAINS, make_controller
 from sspkit.integrator import OdeSystem, integrate_adaptive, integrate_fixed
 from sspkit.optimizer import OptimizationSpec, optimize_embedded
 from sspkit.problems import make_problem, total_variation, upwind_advection, vdp_rhs
@@ -156,6 +156,14 @@ def test_criterion_05_vdp_controller_reproduction_bands(criterion):
     inside their clauses.  The code does what the README says: controller
     exponents are normalized by the embedded order of the pair.
 
+    That normalization sets the counts.  At p_tilde = 1 the estimate
+    scales as h^2 against exponents divided by 1, so the loop gain on
+    log dt is 2: I's loop has a pole at -1 and rings (750 of its 1598
+    attempts are rejections, alternating with acceptances), and PI's has
+    a pole at -1.14 and is unstable (104 rejections of 633).
+    test_criterion_05_controller_loops_at_an_embedded_order_of_one
+    asserts the poles and the ringing.
+
     Probes, each made outside the package, none of which lands all four
     counts in their bands:
 
@@ -195,6 +203,46 @@ def test_criterion_05_vdp_controller_reproduction_bands(criterion):
                      f"[1487,2478]/[953,1588]/[565,940]/[596,994]; pid rej="
                      f"{runs['pid'][1]}, pid l2={runs['pid'][2]:.3e}; "
                      f"failed={failed}; {elapsed:.1f}s < 10s")
+
+
+def test_criterion_05_controller_loops_at_an_embedded_order_of_one():
+    """Certificate for criteria 05 and 07: at p_tilde = 1, I rings and PI
+    is unstable.
+
+    The exponents are divided by p_tilde, while the estimate scales as
+    h^(p_tilde + 1), so where accuracy limits the step, log dt follows a
+    linear recursion of loop gain g = (p_tilde + 1)/p_tilde, which is 2
+    for ssp2,2-b2.  Its characteristic polynomial is
+    z^3 - (1 - g k1) z^2 - g k2 z + g k3 for I, PI and PID, and
+    z^2 - (1 - g (k1 - k2)) z + g k2 for the code's Gustafsson formula.
+    With GAINS, the largest pole magnitudes read I 1.000 (the pole -1),
+    PI 1.143, PID 0.887 and Gustafsson 0.732.
+
+    The runs agree.  On criterion 05's runs, the lag-1 autocorrelation of
+    successive changes of log dt over the step log reads I -0.998, PI
+    -0.914, PID -0.028 and Gustafsson +0.563.  The test asserts this
+    diagnosis, not a band.
+    """
+    tab = resolve("ssp2,2-b2")
+    g = (tab.p_tilde + 1) / tab.p_tilde
+    assert g == 2.0
+    poles = {}
+    for kind, (k1, k2, k3) in GAINS.items():
+        if kind == "gustafsson":
+            poles[kind] = np.roots([1.0, -(1.0 - g * (k1 - k2)), g * k2])
+        else:
+            poles[kind] = np.roots([1.0, -(1.0 - g * k1), -g * k2, g * k3])
+    largest = {kind: r[np.argmax(np.abs(r))] for kind, r in poles.items()}
+    assert largest["i"] == pytest.approx(-1.0, abs=1e-12)
+    assert abs(largest["pi"]) > 1.0
+    assert abs(largest["pid"]) < 1.0 and abs(largest["gustafsson"]) < 1.0
+    ring = {}
+    for kind in GAINS:
+        res = integrate_adaptive(make_problem("vdp"), tab, make_controller(kind), 1e-4, 1e-4, log=True)
+        d = np.diff(np.log([dt for _, dt, _, _ in res.step_log]))
+        ring[kind] = np.corrcoef(d[:-1], d[1:])[0, 1]
+    assert ring["i"] < -0.95 and ring["pi"] < -0.8
+    assert ring["pid"] > -0.5 and ring["gustafsson"] > -0.5
 
 
 def test_criterion_06_brusselator_reproduction_band(criterion):
@@ -274,6 +322,14 @@ def test_criterion_06_work_precision_curve_passes_beside_the_box():
 
 
 def test_criterion_07_controller_step_count_ordering(criterion):
+    """PID < PI < I in total attempts on criterion 05's vdp runs.
+
+    The ordering rests on the ringing that the criterion 05 certificate
+    asserts: at p_tilde = 1, I's loop has a pole at -1 and PI's one at
+    -1.14, so both spend attempts on alternating rejections.  With the
+    exponents divided by p_tilde + 1 instead, the loops are damped, I
+    takes 504 attempts, PI 555 and PID 561, and this ordering fails.
+    """
     t0 = time.perf_counter()
     totals = {kind: run_vdp("ssp2,2-b2", kind).n_attempts
               for kind in ("i", "pi", "pid")}

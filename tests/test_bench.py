@@ -55,6 +55,13 @@ def test_plan_rejects_a_negative_seed_without_a_searched_method():
         BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), seed=-1)
 
 
+def test_a_plan_built_from_lists_holds_tuples():
+    # a list would leave the checked ladder open to change and the plan unhashable
+    plan = BenchPlan(methods=["ssp2,2-b2"], problems=["vdp"], tolerances=[1e-2, 1e-3])
+    assert (plan.methods, plan.problems, plan.tolerances) == (("ssp2,2-b2",), ("vdp",), (1e-2, 1e-3))
+    assert hash(plan) == hash(BenchPlan(("ssp2,2-b2",), ("vdp",), (1e-2, 1e-3)))
+
+
 def test_plan_reads_problem_ids_and_controller_kinds_in_any_case():
     # read as make_problem and make_controller read them, stored as their owners spell them
     plan = BenchPlan(methods=("SSP2,2-B2",), problems=("VdP", "EULER"), controller="PID")

@@ -243,6 +243,40 @@ def test_each_integer_argument_refuses_a_bool_or_a_float(name, value):
     assert str(exc.value) == message.format(repr(value))
 
 
+# an id or a plan axis of the wrong type is a ValueError naming the
+# argument and the value, where using it would raise AttributeError or
+# TypeError, or read a string as a sequence of one-letter ids
+WRONG_TYPES = {
+    "resolve(int)": (lambda: tableau.resolve(5), "method id must be a string, got 5"),
+    "make_problem(None)": (lambda: problems.make_problem(None), "problem_id must be a string, got None"),
+    "make_controller(int)": (lambda: controller.make_controller(3), "controller kind must be a string, got 3"),
+    "BenchPlan(methods=str)": (lambda: bench.BenchPlan(methods="ssp2,2-b2", problems=("vdp",)),
+                               "methods must be a tuple or list, got 'ssp2,2-b2'"),
+    "BenchPlan(problems=str)": (lambda: bench.BenchPlan(methods=("ssp2,2-b2",), problems="vdp"),
+                                "problems must be a tuple or list, got 'vdp'"),
+    "BenchPlan(tolerances=float)": (lambda: bench.BenchPlan(**{**_PLAN, "tolerances": 1e-3}),
+                                    "tolerances must be a tuple or list, got 0.001"),
+    "BenchPlan(tolerances=(str,))": (lambda: bench.BenchPlan(**{**_PLAN, "tolerances": ("1e-3",)}),
+                                     "tolerances must be finite positive numbers, got ['1e-3']"),
+    "BenchPlan(tolerances=(bool,))": (lambda: bench.BenchPlan(**{**_PLAN, "tolerances": (True,)}),
+                                      "tolerances must be finite positive numbers, got [True]"),
+    "BenchPlan(methods=(int,))": (lambda: bench.BenchPlan(**{**_PLAN, "methods": (5,)}),
+                                  "method id must be a string, got 5"),
+    "BenchPlan(problems=(None,))": (lambda: bench.BenchPlan(**{**_PLAN, "problems": (None,)}),
+                                    "problem_id must be a string, got None"),
+    "BenchPlan(controller=int)": (lambda: bench.BenchPlan(**_PLAN, controller=3),
+                                  "controller kind must be a string, got 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_an_id_or_plan_axis_of_the_wrong_type_is_refused_by_name(name):
+    call, message = WRONG_TYPES[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_a_tableau_holds_its_pair_and_what_follows_from_it():
     # the integrator derives its own stage layout from A and c
     assert {f.name for f in fields(tableau.EmbeddedTableau)} == {

@@ -606,11 +606,16 @@ def test_an_empty_state_is_rejected_before_any_rhs_call(driver):
 
 
 def test_fixed_truncates_the_last_step_to_land_on_t_final():
-    ts = []
-    u_end = integrate_fixed(decay_problem(), TAB22, 0.3,
-                            callback=lambda t, u: ts.append(t))
-    assert ts == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
-    assert u_end[0] == pytest.approx(np.exp(-1.0), abs=1e-2)
+    # (T - t0)/dt = 3 + 5e-10 lies within the step count's 1e-9 allowance
+    # above 3: three steps, the last of them stretched onto T
+    h = 1 / (3 + 5e-10)
+    for dt, times in ((0.3, [0.0, 0.3, 0.6, 0.9, 1.0]), (h, [0.0, h, 2 * h, 1.0])):
+        ts = []
+        u_end = integrate_fixed(decay_problem(), TAB22, dt,
+                                callback=lambda t, u: ts.append(t))
+        assert ts == pytest.approx(times, abs=1e-12)
+        assert ts[-1] == 1.0
+        assert u_end[0] == pytest.approx(np.exp(-1.0), abs=1e-2)
 
 
 def test_fixed_callback_sees_the_initial_state_first():

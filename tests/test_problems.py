@@ -529,8 +529,18 @@ def test_advection_factory_profiles_and_cfl_hint():
     p = make_problem("advection", n_cells=200)
     assert p.u0.size == 200
     assert np.array_equal(p.u0, square_wave_average(p.grid))
-    assert p.t_span == (0.0, 0.2)
     assert p.cfl_hint(p.u0) == pytest.approx(0.5 * 0.01, rel=1e-14)
+    # every PDE set-up, exactly: horizon, grid, name and starting-step bound
+    setups = [
+        (p, (-1.0, 1.0, "periodic"), "advection", 1.0, 0.5),
+        (upwind_advection(n_cells=100), (-1.0, 1.0, "periodic"), "upwind", 1.0, 1.0),
+        (make_problem("euler", n_cells=200), (0.0, 1.0, "outflow"), "euler", None, 0.5),
+    ]
+    for q, bounds, name, c, nu in setups:
+        assert q.t_span == (0.0, 0.2) and q.name == name
+        assert (q.grid.x_min, q.grid.x_max, q.grid.boundary) == bounds
+        c = euler_max_speed(q.u0) if c is None else c
+        assert q.cfl_hint(q.u0) == cfl_step(q.grid, c, nu)
 
 
 def test_upwind_factory_allows_the_full_cfl_step():
