@@ -124,7 +124,8 @@ class ControllerState:
 
 
 def make_controller(kind: str) -> ControllerState:
-    """Fresh controller of the given kind (a string, case-insensitive)."""
+    """Fresh controller of the given kind (a string, read case-insensitively
+    after stripping surrounding whitespace)."""
     if not isinstance(kind, str):
         raise ValueError(f"controller kind must be a string, got {kind!r}")
-    return ControllerState(kind.lower())
+    return ControllerState(kind.strip().lower())

@@ -22,6 +22,8 @@ from .controller import ControllerState
 from .tableau import EmbeddedTableau
 
 if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
     from .problems import Grid1D
 
 __all__ = [
@@ -57,13 +59,19 @@ class OdeSystem:
     """Right-hand side u' = f(t, u) with its time span and initial state,
     a 1-D array (the PDE problems flatten their fields).
 
+    f returns an array-like of u's shape, as SciPy's ``solve_ivp`` takes
+    it: an array, or a list of floats, as the ODE problems return (a stage
+    row takes a list as it is).  A value of another shape is refused,
+    by ``initial_step`` at the first call of an adaptive run and at the
+    first step of ``integrate_fixed``, where a stage row would broadcast it.
+
     cfl_hint, when present, maps a state vector to a stability-motivated
     step bound > 0 (inf for none); it only caps the starting step, the
     error controller owns the step afterwards.  grid is the finite-volume
     grid of a PDE problem (None for an ODE).
     """
 
-    f: Callable[[float, np.ndarray], np.ndarray]
+    f: Callable[[float, np.ndarray], ArrayLike]
     t_span: tuple[float, float]
     u0: np.ndarray
     cfl_hint: Callable[[np.ndarray], float] | None = None
@@ -147,10 +155,14 @@ def _small_attempt(
     the same to the bit as ``rk_step`` followed by ``error_norm`` (the
     sign and payload of a NaN aside), with u_next a list of Python floats.
 
-    One (s, n) stage buffer and its views ``k[:i]``, the rows A[i, :i]
-    and the abscissae ``tab.c.tolist()`` are taken here, once per run; an
-    attempt overwrites the buffer and returns no part of it.  The stage
-    sums stay ``u + A[i, :i].dot(k[:i]) * h`` and both solutions stay
+    One (s, n) stage buffer and its views ``k[:i]``, a 0-d float64 step
+    array, the rows A[i, :i] and the abscissae ``tab.c.tolist()`` are
+    taken here, once per run; an attempt overwrites the buffer and returns
+    no part of it.  Each attempt writes h into the step array once, and
+    each stage sum is the product ``x = A[i, :i].dot(k[:i])`` scaled by
+    that array and added to u in place, the IEEE operations of
+    ``u + A[i, :i].dot(k[:i]) * h`` without converting the Python float h
+    again per stage.  The stage sums and both solutions stay
     ``ndarray.dot`` products: OpenBLAS's matrix-vector kernel fuses the
     multiply-add, so a sequential Python sum would change the last bit of
     most products.  The two solutions ``u + x * h`` and the norm are then
@@ -165,13 +177,19 @@ def _small_attempt(
     A, c = tab.A, tab.c.tolist()
     b, b_tilde = tab.b, tab.b_tilde
     k = np.empty((tab.s, n))
+    H = np.empty(())
     c0 = c[0]
     stages = tuple((i, c[i], A[i, :i], k[:i]) for i in range(1, tab.s))
+    add, multiply = np.add, np.multiply
 
     def attempt(t: float, u: np.ndarray, h: float) -> tuple[list, float]:
+        H[...] = h
         k[0] = f(t + c0 * h, u)
         for i, c_i, row, head in stages:
-            k[i] = f(t + c_i * h, u + row.dot(head) * h)
+            x = row.dot(head)
+            multiply(x, H, x)
+            add(u, x, x)
+            k[i] = f(t + c_i * h, x)
         u_next = []
         err = -math.inf
         for a, x, y in zip(u.tolist(), b.dot(k).tolist(), b_tilde.dot(k).tolist()):
@@ -208,6 +226,14 @@ def _initial_state(problem: OdeSystem) -> np.ndarray:
     return u
 
 
+def _refuse_misshapen(value, u: np.ndarray) -> None:
+    """ValueError unless the value f returned at the state u has u's shape;
+    a stage row would broadcast a scalar or a length-1 value silently."""
+    shape = np.shape(value)
+    if shape != u.shape:
+        raise ValueError(f"f(t, u) returned shape {shape} for a state u of shape {u.shape}")
+
+
 def initial_step(
     f: Callable,
     t0: float,
@@ -219,11 +245,13 @@ def initial_step(
 ) -> float:
     """Starting step from the magnitudes of u0, f, and a Euler-probe
     estimate of f', capped by the CFL bound when one is supplied; a bound
-    must be > 0, and inf caps nothing."""
+    must be > 0, and inf caps nothing.  ValueError when f(t0, u0) does not
+    have u0's shape."""
     if cfl_bound is not None and not cfl_bound > 0:
         raise ValueError(f"cfl_bound must be > 0, got {cfl_bound}")
     u0 = np.asarray(u0, dtype=float)
     f0 = np.asarray(f(t0, u0), dtype=float)
+    _refuse_misshapen(f0, u0)
     if not np.all(np.isfinite(f0)):
         raise StiffnessError("right-hand side not finite at the initial state")
     sc = atol + np.abs(u0) * rtol
@@ -282,9 +310,11 @@ def integrate_adaptive(
     Raises ValueError, before any call of f, unless atol > 0 and
     rtol >= 0 are both finite, the time span is finite with t0 < T, u0
     is 1-D with at least one component and the ``cfl_hint`` bound, when
-    there is one, is > 0; StiffnessError on step
-    underflow (a NaN step included) and BudgetError past ``MAX_ATTEMPTS``
-    attempted steps, the module constant as it reads when the run starts.
+    there is one, is > 0, and at the first call of f (in
+    ``initial_step``) when f(t0, u0) does not have u0's shape;
+    StiffnessError on step underflow (a NaN step included) and
+    BudgetError past ``MAX_ATTEMPTS`` attempted steps, the module
+    constant as it reads when the run starts.
     """
     if tab.b_tilde is None:
         raise ValueError(f"method {tab.id!r} has no embedded weights")
@@ -369,7 +399,9 @@ def integrate_fixed(
     ValueError, before any call of f or callback, unless the time span is
     finite with t0 < T, u0 is 1-D with at least one component and dt > 0
     is finite with a step count (T - t0)/dt of at most ``MAX_ATTEMPTS``,
-    the module constant as it reads when the run starts."""
+    the module constant as it reads when the run starts; ValueError at the
+    first step, whose stages check every value of f, when f returns a
+    shape other than its state's."""
     t0, T = problem.t_span
     u = _initial_state(problem)
     if not (0.0 < dt < math.inf and (T - t0) / dt < math.inf):
@@ -380,12 +412,18 @@ def integrate_fixed(
         raise ValueError(f"dt = {dt} takes {n_steps:.6g} steps, more than MAX_ATTEMPTS = {max_steps}")
     tab = replace(tab, b_tilde=None)  # no embedded solution to form and drop
     f = problem.f
+
+    def checked(t, v):
+        out = f(t, v)
+        _refuse_misshapen(out, v)
+        return out
+
     if callback is not None:
         callback(t0, u)
     t = float(t0)
     for i in range(1, n_steps + 1):
         t_next = T if i == n_steps else min(t0 + i * dt, T)
-        u, _ = rk_step(tab, f, t, u, t_next - t)
+        u, _ = rk_step(tab, checked if i == 1 else f, t, u, t_next - t)
         t = t_next
         if callback is not None:
             callback(t, u)

@@ -60,6 +60,17 @@ CFL_DEFAULT = 0.5      # CFL number of the WENO5 problems' starting step
 VDP_EPS = 0.1          # van der Pol stiffness parameter
 
 
+def _cell_count(n_cells) -> int:
+    """n_cells as an int; ValueError unless it is an integer (not a bool) of
+    at least 1.  A bool or a float would size the arrays by its truncation
+    while dx divides by the value itself."""
+    if isinstance(n_cells, bool) or not isinstance(n_cells, numbers.Integral):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be at least 1, got {n_cells}")
+    return int(n_cells)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform finite-volume grid; cell centers at x_min + (i+1/2)dx."""
@@ -70,13 +81,7 @@ class Grid1D:
     boundary: str = "periodic"  # or "outflow"
 
     def __post_init__(self):
-        # a bool or a float would size the arrays by its truncation while dx
-        # divides by the value itself
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be at least 1, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", _cell_count(self.n_cells))
         if not self.x_min < self.x_max:
             raise ValueError(f"x_max must exceed x_min, got x_min={self.x_min}, x_max={self.x_max}")
         if self.boundary not in ("periodic", "outflow"):
@@ -102,10 +107,12 @@ class Grid1D:
 # Both compute in Python floats, which cost less than NumPy scalars and
 # round the same: ``x ** 2`` is libm pow either way (``x * x`` can differ
 # from it in the last bit), except that a Python pow that overflows raises
-# where NumPy returns inf.
+# where NumPy returns inf.  Both return the two floats as a list, not an
+# array: every caller stores f's value into a stage row or converts it
+# with ``np.asarray``, and a row takes a list as it is.
 
 
-def vdp_rhs(t: float, u: np.ndarray) -> np.ndarray:
+def vdp_rhs(t: float, u: np.ndarray) -> list[float]:
     # stiff scaling: the initial point [2, -0.6654321] sits on the slow
     # manifold u2 ~ u1/(1 - u1^2), so the whole bracket carries 1/eps
     x, y = u.tolist()
@@ -113,12 +120,12 @@ def vdp_rhs(t: float, u: np.ndarray) -> np.ndarray:
         x2 = x ** 2
     except OverflowError:
         x2 = math.inf
-    return np.array([y, ((1.0 - x2) * y - x) / VDP_EPS])
+    return [y, ((1.0 - x2) * y - x) / VDP_EPS]
 
 
-def brusselator_rhs(t: float, u: np.ndarray) -> np.ndarray:
+def brusselator_rhs(t: float, u: np.ndarray) -> list[float]:
     x, y = u.tolist()
-    return np.array([1.0 + x * x * y - 4.0 * x, 3.0 * x - x * x * y])
+    return [1.0 + x * x * y - 4.0 * x, 3.0 * x - x * x * y]
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +482,18 @@ PROBLEM_IDS = tuple(_BUILDERS)
 
 def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:
     """The benchmark problem ``problem_id`` (a string, read
-    case-insensitively), on ``n_cells`` cells for the two PDEs; ValueError
-    for an unknown id.  An advection or euler problem comes from ``_pde``:
-    its f is ``advection_rhs(grid)`` or ``euler_rhs(grid)``, which refills
-    buffers of its own, so it must not run in two threads at once (a
-    ``dataclasses.replace`` copy shares it); sspkit's commands and
+    case-insensitively after stripping surrounding whitespace), on
+    ``n_cells`` cells for the two PDEs; ValueError for an unknown id, and
+    for an ``n_cells`` that ``Grid1D`` would refuse, whatever the id (the
+    ODEs ignore the value).  An advection or euler problem comes from
+    ``_pde``: its f is ``advection_rhs(grid)`` or ``euler_rhs(grid)``,
+    which refills buffers of its own, so it must not run in two threads at
+    once (a ``dataclasses.replace`` copy shares it); sspkit's commands and
     ``run_bench`` build a problem per run, in processes when parallel.
     """
     if not isinstance(problem_id, str):
         raise ValueError(f"problem_id must be a string, got {problem_id!r}")
-    build = _BUILDERS.get(problem_id.lower())
+    build = _BUILDERS.get(problem_id.strip().lower())
     if build is None:
         raise ValueError(f"unknown problem id {problem_id!r}")
-    return build(n_cells)
+    return build(_cell_count(n_cells))

@@ -63,8 +63,10 @@ def test_a_plan_built_from_lists_holds_tuples():
 
 
 def test_plan_reads_problem_ids_and_controller_kinds_in_any_case():
-    # read as make_problem and make_controller read them, stored as their owners spell them
-    plan = BenchPlan(methods=("SSP2,2-B2",), problems=("VdP", "EULER"), controller="PID")
+    # read as make_problem and make_controller read them, stored as their
+    # owners spell them; surrounding whitespace is stripped from every id,
+    # as resolve strips it
+    plan = BenchPlan(methods=(" SSP2,2-B2 ",), problems=("VdP", " EULER\t"), controller=" PID ")
     assert plan.methods == ("ssp2,2-b2",)
     assert plan.problems == ("vdp", "euler") and plan.controller == "pid"
 

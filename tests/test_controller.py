@@ -33,6 +33,7 @@ def test_default_gains_follow_the_table():
 def test_kind_is_case_insensitive_and_overrides_apply():
     st_ = make_controller("PI")
     assert st_.kind == "pi"
+    assert make_controller(" PI\n").kind == "pi"
     with pytest.raises(TypeError):
         make_controller("pi", facmax=4.0)
 

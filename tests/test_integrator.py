@@ -1,6 +1,7 @@
 """Tests for the stepping kernel, step-size selection, and the two drivers."""
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -358,9 +359,10 @@ def test_a_run_records_its_step_log_only_on_request(kind):
 
 
 def _kernel_cases():
-    # (n, name, u0, T, tol, f) per state size: a coupled cubic system,
-    # u' = -u|u| from a state holding +0 and -0, and u' = u^2, which blows
-    # up before t = 2 (at a loose tolerance, which needs fewer steps there)
+    # (n, name, u0, T, tol, f) per state size: a coupled cubic system, the
+    # same returning a list of floats (as the ODE problems do), u' = -u|u|
+    # from a state holding +0 and -0, and u' = u^2, which blows up before
+    # t = 2 (at a loose tolerance, which needs fewer steps there)
     for n in range(1, integrator._SMALL_STATE + 2):
         rng = np.random.default_rng(1000 + n)
         M = rng.normal(size=(n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
@@ -370,6 +372,7 @@ def _kernel_cases():
         signed[0::3] = 0.0
         signed[1::3] = -0.0
         yield n, "cubic", u0, 2.0, 1e-4, cubic
+        yield n, "cubic-list", u0, 2.0, 1e-4, lambda t, u, cubic=cubic: cubic(t, u).tolist()
         yield n, "signed-zeros", signed, 1.0, 1e-4, lambda t, u: -u * np.abs(u)
         yield n, "blow-up", rng.uniform(0.5, 1.0, size=n), 3.0, 1e-2, lambda t, u: u * u
 
@@ -603,6 +606,28 @@ def test_an_empty_state_is_rejected_before_any_rhs_call(driver):
         else:
             integrate_fixed(prob, TAB22, 0.1, callback=lambda t, u: calls.append(t))
     assert calls == []
+
+
+@pytest.mark.parametrize("value", [lambda u: -u.sum(), lambda u: np.array([-u.sum()])],
+                         ids=["scalar", "length-1"])
+@pytest.mark.parametrize("driver", ["adaptive", "fixed"])
+def test_a_right_hand_side_of_another_shape_is_refused_at_its_first_call(driver, value):
+    # a stage row used to broadcast such a value, and both drivers ran to
+    # a wrong answer; the refusal adds no call of f
+    calls = []
+
+    def f(t, u):
+        calls.append(t)
+        return value(u)
+
+    prob = OdeSystem(f=f, t_span=(0.0, 1.0), u0=np.array([1.0, 2.0]))
+    shape = np.shape(value(prob.u0))
+    with pytest.raises(ValueError, match=re.escape(f"f(t, u) returned shape {shape} for a state u of shape (2,)")):
+        if driver == "adaptive":
+            integrate_adaptive(prob, TAB22, make_controller("pid"), 1e-3, 1e-3)
+        else:
+            integrate_fixed(prob, TAB22, 0.1)
+    assert calls == [0.0]
 
 
 def test_fixed_truncates_the_last_step_to_land_on_t_final():
