@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.polynomial.polynomial import polyadd, polyroots, polyval
+
+from ._args import integer
 
 __all__ = [
     "TREES",
@@ -188,20 +189,14 @@ class OrderConditions:
             for arr in (self.phi[q], self.g[q], *self.conditions[q][1:]):
                 arr.setflags(write=False)
 
-    def _check_order(self, q: int) -> None:
-        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q not in self.phi:
-            raise ValueError(f"order {q!r} is outside the engine's range 1..5")
-
     def tau(self, w, q: int) -> np.ndarray:
         """Residuals of the trees of order q; ValueError outside 1..5."""
-        self._check_order(q)
-        return self.phi[q] @ w - self.g[q]
+        return self.phi[integer("order", q, 1, 5)] @ w - self.g[q]
 
     def up_to(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """(M, rhs) with one row M @ w = rhs per tree of order <= q;
         ValueError outside 1..5."""
-        self._check_order(q)
-        orders = range(1, q + 1)
+        orders = range(1, integer("order", q, 1, 5) + 1)
         return np.concatenate([self.phi[k] for k in orders]), np.concatenate([self.g[k] for k in orders])
 
     def classify(self, w) -> int:
@@ -223,7 +218,7 @@ class OrderConditions:
         has no lower orders, so none of its conditions is vacuous; an order
         outside 1..5 raises ValueError.
         """
-        self._check_order(order)
+        order = integer("order", order, 1, 5)
         if order not in self._vacuous:
             names = set()
             if order > 1:
@@ -289,8 +284,7 @@ def order_condition_residuals(A, w, q_max: int = 4) -> dict[str, float]:
     ``w @ phi(t) - 1/gamma(t)`` and, for orders <= 4, condition keys carry
     the composite forms ``w @ v - rhs``.
     """
-    if isinstance(q_max, bool) or not isinstance(q_max, numbers.Integral) or not 1 <= q_max <= 5:
-        raise ValueError(f"q_max must be an integer between 1 and 5, got {q_max!r}")
+    q_max = integer("q_max", q_max, 1, 5)
     A, w = _as_arrays(A, w)
     oc = _engine(A)
     out = {}
@@ -611,9 +605,8 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     the only source is overflow, which in complex arithmetic can also
     leave NaN parts.
     """
-    for name, v in (("nx", nx), ("ny", ny)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 2:
-            raise ValueError(f"{name} must be an integer of at least 2, got {v!r}")
+    integer("nx", nx, 2)
+    integer("ny", ny, 2)
     if not all(-math.inf < lo < hi < math.inf for lo, hi in (re_range, im_range)):
         raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
     for name, (lo, hi) in (("re", re_range), ("im", im_range)):

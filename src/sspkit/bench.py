@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._args import integer
 from .controller import make_controller
 from .integrator import BudgetError, StiffnessError, integrate_adaptive
 from .problems import make_problem
@@ -78,12 +79,8 @@ class BenchPlan:
             raise ValueError(f"tolerances must be finite positive numbers, got {bad}")
         if any(b >= a for a, b in zip(self.tolerances, self.tolerances[1:])):
             raise ValueError("tolerances must be strictly decreasing")
-        if isinstance(self.n_jobs, bool) or not isinstance(self.n_jobs, numbers.Integral):
-            raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be at least 1, got {self.n_jobs}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        integer("n_jobs", self.n_jobs, 1)
+        integer("seed", self.seed, 0)
         object.__setattr__(self, "problems", tuple(make_problem(p).name for p in self.problems))
         object.__setattr__(self, "controller", make_controller(self.controller).kind)
         # memoized: each row's own lookup is a cache hit

@@ -15,10 +15,12 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from . import __version__
+from ._args import read_id
 from .analysis import analyze_method, stability_polynomial, stability_region_grid
 from .bench import (
     DEFAULT_TOLERANCES,
@@ -186,6 +188,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="sspkit", description=__doc__)
     p.add_argument("--version", action="version", version=f"sspkit {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
+    problem_id, controller_kind = partial(read_id, "problem id"), partial(read_id, "controller kind")
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
@@ -209,11 +212,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("integrate", help="adaptive integration with trace/summary")
     sp.add_argument("--method", required=True)
-    sp.add_argument("--problem", required=True, choices=PROBLEM_IDS)
+    sp.add_argument("--problem", required=True, type=problem_id, choices=PROBLEM_IDS)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--controller", choices=tuple(GAINS), default="pid")
+    sp.add_argument("--controller", type=controller_kind, choices=tuple(GAINS), default="pid")
     sp.add_argument("--trace", default=None, help="write per-attempt CSV here")
     sp.add_argument("--n-cells", type=int, default=200)
     sp.add_argument("--skip-error", action="store_true",
@@ -225,9 +228,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="work-precision sweep as CSV")
     sp.add_argument("--methods", required=True, nargs="+",
                     help="method ids (space separated; ids contain commas)")
-    sp.add_argument("--problems", required=True, nargs="+", choices=PROBLEM_IDS)
+    sp.add_argument("--problems", required=True, nargs="+", type=problem_id, choices=PROBLEM_IDS)
     sp.add_argument("--tols", type=float, nargs="+", default=list(DEFAULT_TOLERANCES))
-    sp.add_argument("--controller", choices=tuple(GAINS), default="pid")
+    sp.add_argument("--controller", type=controller_kind, choices=tuple(GAINS), default="pid")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--relative-to", default=None, help="normalize nfev by this method")
     common(sp)

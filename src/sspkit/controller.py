@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._args import read_id
+
 __all__ = ["GAINS", "ControllerState", "make_controller"]
 
 # floor for stored error estimates, guards the Gustafsson ratio and the
@@ -126,6 +128,4 @@ class ControllerState:
 def make_controller(kind: str) -> ControllerState:
     """Fresh controller of the given kind (a string, read case-insensitively
     after stripping surrounding whitespace)."""
-    if not isinstance(kind, str):
-        raise ValueError(f"controller kind must be a string, got {kind!r}")
-    return ControllerState(kind.strip().lower())
+    return ControllerState(read_id("controller kind", kind))

@@ -19,12 +19,12 @@ search evaluates it at every point.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
+from ._args import integer
 from .tableau import EmbeddedTableau
 
 __all__ = [
@@ -41,7 +41,9 @@ _BOX_PENALTY = 1e6
 @dataclass(frozen=True)
 class OptimizationSpec:
     """Search configuration; the weights sought are one order below the
-    advancing method of ``tableau``."""
+    advancing method of ``tableau``.  ValueError unless ``seeds`` and
+    ``budget`` are integers >= 1, ``seed`` one >= 0 (a bool is none) and
+    ``require_ssp_at`` is None or finite and >= 0."""
 
     tableau: EmbeddedTableau
     require_ssp_at: float | None = None  # fixed coefficient for the feasibility screen
@@ -53,12 +55,9 @@ class OptimizationSpec:
         r = self.require_ssp_at
         if r is not None and not (math.isfinite(r) and r >= 0):
             raise ValueError(f"require_ssp_at must be finite and nonnegative, got {r}")
-        for name in ("seeds", "budget"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Integral) and v >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {v!r}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        integer("seeds", self.seeds, 1)
+        integer("budget", self.budget, 1)
+        integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,12 @@ van der Pol epsilon are the module constants below.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._args import integer, read_id
 from .integrator import OdeSystem
 
 __all__ = [
@@ -60,20 +60,10 @@ CFL_DEFAULT = 0.5      # CFL number of the WENO5 problems' starting step
 VDP_EPS = 0.1          # van der Pol stiffness parameter
 
 
-def _cell_count(n_cells) -> int:
-    """n_cells as an int; ValueError unless it is an integer (not a bool) of
-    at least 1.  A bool or a float would size the arrays by its truncation
-    while dx divides by the value itself."""
-    if isinstance(n_cells, bool) or not isinstance(n_cells, numbers.Integral):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be at least 1, got {n_cells}")
-    return int(n_cells)
-
-
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform finite-volume grid; cell centers at x_min + (i+1/2)dx."""
+    """Uniform finite-volume grid; cell centers at x_min + (i+1/2)dx.
+    ValueError unless n_cells is an integer >= 1 and x_max - x_min is finite and > 0."""
 
     n_cells: int
     x_min: float
@@ -81,9 +71,11 @@ class Grid1D:
     boundary: str = "periodic"  # or "outflow"
 
     def __post_init__(self):
-        object.__setattr__(self, "n_cells", _cell_count(self.n_cells))
+        object.__setattr__(self, "n_cells", integer("n_cells", self.n_cells, 1))
         if not self.x_min < self.x_max:
             raise ValueError(f"x_max must exceed x_min, got x_min={self.x_min}, x_max={self.x_max}")
+        if math.isinf(self.x_max - self.x_min):
+            raise ValueError(f"x_max - x_min must be finite, got x_min={self.x_min}, x_max={self.x_max}")
         if self.boundary not in ("periodic", "outflow"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -389,7 +381,10 @@ def euler_rhs(grid: Grid1D) -> Callable[[float, np.ndarray], np.ndarray]:
 
 
 def total_variation(u: np.ndarray) -> float:
-    """Total variation of a periodic profile, the wrap-around jump included."""
+    """Total variation of a periodic profile, the wrap-around jump included;
+    ValueError unless u is 1-D with at least one value."""
+    if np.ndim(u) != 1 or np.size(u) == 0:
+        raise ValueError(f"u must be 1-D with at least one value, got shape {np.shape(u)}")
     return float(np.sum(np.abs(np.diff(u)))) + float(abs(u[0] - u[-1]))
 
 
@@ -400,13 +395,13 @@ def euler_max_speed(q_flat: np.ndarray) -> float:
 
 
 def cfl_step(grid: Grid1D, c_max: float, nu: float) -> float:
-    """dt = nu*dx/c_max for a finite nu > 0 and a c_max that is not NaN; a
-    quiescent field (c_max = 0) returns inf."""
+    """dt = nu*dx/c_max for a finite nu > 0 and a finite c_max >= 0;
+    ValueError otherwise.  A quiescent field (c_max = 0) returns inf."""
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be finite and positive, got {nu}")
-    if math.isnan(c_max):
-        raise ValueError(f"c_max must not be NaN, got {c_max}")
-    if c_max <= 0:
+    if not 0 <= c_max < math.inf:
+        raise ValueError(f"c_max must be finite and nonnegative, got {c_max}")
+    if c_max == 0:
         return math.inf
     return nu * grid.dx / c_max
 
@@ -481,19 +476,16 @@ PROBLEM_IDS = tuple(_BUILDERS)
 
 
 def make_problem(problem_id: str, n_cells: int = 200) -> OdeSystem:
-    """The benchmark problem ``problem_id`` (a string, read
-    case-insensitively after stripping surrounding whitespace), on
-    ``n_cells`` cells for the two PDEs; ValueError for an unknown id, and
-    for an ``n_cells`` that ``Grid1D`` would refuse, whatever the id (the
-    ODEs ignore the value).  An advection or euler problem comes from
+    """The benchmark problem ``problem_id`` (a string, read in any case
+    with surrounding whitespace stripped), on ``n_cells`` cells for the
+    two PDEs; ValueError for an unknown id, and for an ``n_cells`` that is
+    not an integer >= 1, whatever the id (the ODEs ignore the value).  An advection or euler problem comes from
     ``_pde``: its f is ``advection_rhs(grid)`` or ``euler_rhs(grid)``,
     which refills buffers of its own, so it must not run in two threads at
     once (a ``dataclasses.replace`` copy shares it); sspkit's commands and
     ``run_bench`` build a problem per run, in processes when parallel.
     """
-    if not isinstance(problem_id, str):
-        raise ValueError(f"problem_id must be a string, got {problem_id!r}")
-    build = _BUILDERS.get(problem_id.strip().lower())
+    build = _BUILDERS.get(read_id("problem_id", problem_id))
     if build is None:
         raise ValueError(f"unknown problem id {problem_id!r}")
-    return build(_cell_count(n_cells))
+    return build(integer("n_cells", n_cells, 1))

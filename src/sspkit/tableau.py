@@ -17,13 +17,14 @@ tableaux are ``dataclasses.replace`` copies.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from ._args import integer, read_id
 
 __all__ = [
     "EmbeddedTableau",
@@ -90,10 +91,9 @@ class EmbeddedTableau:
         if len(upper):
             i, j = upper[0]
             reject(f"A must be strictly lower triangular (explicit), but A[{i}, {j}] = {float(self.A[i, j])!r}")
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral):
-            reject(f"order p must be an integer, got {self.p!r}")
-        if self.p < (1 if self.b_tilde is None else 2):
-            reject(f"order p must be at least 1, and 2 with embedded weights of order p - 1, got {self.p}")
+        integer(f"tableau {self.id!r}: order p", self.p, 1)
+        if self.b_tilde is not None and self.p < 2:
+            reject(f"order p must be at least 2 with embedded weights of order p - 1, got {self.p}")
         if self.ssp_claimed is not None and self.ssp_claimed > 0:
             for name in ("A", "b", "b_tilde"):
                 arr = getattr(self, name)
@@ -269,9 +269,7 @@ def resolve(method: str, seed: int = 0) -> EmbeddedTableau:
     Every id (and seed, for ``w``) is built once per process and the same
     frozen object is returned on every later call, however it is spelled.
     """
-    if not isinstance(method, str):
-        raise ValueError(f"method id must be a string, got {method!r}")
-    text = method.strip().lower()
+    text = read_id("method id", method)
     if text in _LITERATURE:
         return _literature(text)
     m = _ID_RE.match(text)

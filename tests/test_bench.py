@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sspkit import bench
+from sspkit import bench, integrator
 from sspkit.bench import (
     CSV_COLUMNS,
     BenchPlan,
@@ -51,7 +51,7 @@ def test_plan_rejects_fewer_than_one_job():
 
 def test_plan_rejects_a_negative_seed_without_a_searched_method():
     # resolve reads the seed only for a -w method; the plan checks it for every plan
-    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
         BenchPlan(methods=("ssp2,2-b2",), problems=("vdp",), seed=-1)
 
 
@@ -138,6 +138,30 @@ def test_single_run_counts_work_per_stage():
     assert row.nfev == 2 * (row.accepted + row.rejected) + 2  # + the starting-step probe
     assert 0 < row.global_error < 0.05
     assert row.wall_ms > 0
+
+
+@pytest.mark.parametrize("status", ["budget-failure", "stiffness-failure"])
+def test_a_failed_run_is_a_row_of_zero_work(monkeypatch, status):
+    # a run that exhausts its budget or whose step underflows is recorded,
+    # not raised, so that a sweep goes on past it
+    tol = 1e-3
+    if status == "budget-failure":
+        monkeypatch.setattr(integrator, "MAX_ATTEMPTS", 3)
+    else:
+        tol = 1e-300
+    row = run_single(" SSP2,2-B2", "VdP ", tol, "pid", np.zeros(2))
+    assert (row.method, row.problem, row.tol, row.status) == ("ssp2,2-b2", "vdp", tol, status)
+    assert (row.accepted, row.rejected, row.nfev) == (0, 0, 0)
+    assert math.isnan(row.global_error) and row.wall_ms >= 0
+
+
+def test_a_sweep_goes_on_past_a_failed_run(monkeypatch):
+    monkeypatch.setattr(bench, "reference_endpoint", lambda pid: np.zeros(2))
+    rows = run_bench(BenchPlan(methods=("ssp2,2-b2", "ssp3,2-b1"), problems=("vdp",),
+                               tolerances=(1e-2, 1e-300)))
+    assert [(r.method, r.tol, r.status) for r in rows] == [
+        ("ssp2,2-b2", 1e-2, "ok"), ("ssp2,2-b2", 1e-300, "stiffness-failure"),
+        ("ssp3,2-b1", 1e-2, "ok"), ("ssp3,2-b1", 1e-300, "stiffness-failure")]
 
 
 def test_sweep_counts_match_the_benchmark_record():

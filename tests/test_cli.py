@@ -229,6 +229,34 @@ def test_integrate_on_an_empty_grid_names_the_bad_field(capsys):
     assert err == "sspkit: error: n_cells must be at least 1, got 0\n"
 
 
+def test_integrate_reads_problem_and_controller_ids_in_any_case(capsys):
+    # as make_problem and make_controller read them; the summary and the
+    # header carry the canonical ids
+    code, lines, _ = run_cli(capsys, "integrate", "--method", "SSP2,2-B2", "--problem", " VDP",
+                             "--controller", "PID", "--skip-error")
+    assert code == 0
+    assert "controller=pid" in lines[0] and "problem=vdp" in lines[0]
+    assert "problem: vdp" in lines and "method: ssp2,2-b2" in lines
+
+
+def test_bench_reads_problem_and_controller_ids_in_any_case(capsys):
+    code, lines, _ = run_cli(capsys, "bench", "--methods", "ssp2,2-b2", "--problems", "VDP",
+                             "--controller", "Pi", "--tols", "1e-2")
+    assert code == 0
+    rec, = csv.DictReader(lines[1:])
+    assert (rec["method"], rec["problem"], rec["status"]) == ("ssp2,2-b2", "vdp", "ok")
+
+
+def test_integrate_budget_exhaustion_exits_three(capsys, monkeypatch):
+    from sspkit import integrator
+
+    monkeypatch.setattr(integrator, "MAX_ATTEMPTS", 3)
+    code, lines, err = run_cli(capsys, "integrate", "--method", "ssp2,2-b2", "--problem", "vdp",
+                               "--skip-error")
+    assert code == 3 and lines == []
+    assert err == "sspkit: budget exhausted: exceeded 3 attempted steps at t = 0.0212791\n"
+
+
 def test_integrate_rejects_unknown_problem(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--method", "ssp2,2-b2", "--problem", "heat"])
@@ -384,7 +412,7 @@ def test_a_negative_seed_fails_naming_the_seed(capsys, monkeypatch, argv):
     monkeypatch.setattr(bench, "reference_endpoint", refuse)
     code, lines, err = run_cli(capsys, *argv)
     assert code == 1 and lines == []
-    assert err == f"sspkit: error: seed must be a non-negative integer, got {argv[-1]}\n"
+    assert err == f"sspkit: error: seed must be at least 0, got {argv[-1]}\n"
 
 
 def test_optimize_has_no_target_order_flag(capsys):

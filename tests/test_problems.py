@@ -58,6 +58,13 @@ def test_degenerate_grids_are_rejected():
         Grid1D(10, 1.0, 1.0)
     with pytest.raises(ValueError, match="x_max must exceed x_min"):
         Grid1D(10, 0.0, np.nan)
+    with pytest.raises(ValueError, match="x_max must exceed x_min"):
+        Grid1D(10, np.inf, 0.0)
+    # an infinite end used to give infinite centers, an overflowing width dx = inf
+    for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(f"x_max - x_min must be finite, got x_min={lo}, x_max={hi}")):
+            Grid1D(4, lo, hi)
+    assert Grid1D(4, -1e307, 1e307).dx == 5e306
     with pytest.raises(ValueError):
         Grid1D(10, 0.0, 1.0, boundary="reflecting")
     # a float or a bool used to size the arrays by its truncation while dx
@@ -493,6 +500,12 @@ def test_total_variation_examples():
     assert total_variation(np.array([0.0, 1.0, 0.0])) == pytest.approx(2.0)
     assert total_variation(np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
     assert total_variation(square_wave_average(GRID)) == pytest.approx(2.0, abs=1e-12)
+    assert total_variation(np.array([3.0])) == 0.0
+    # an empty profile used to raise IndexError, a 2-D one TypeError
+    for bad in (np.array([]), np.zeros((2, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"u must be 1-D with at least one value, "
+                                                       f"got shape {bad.shape}")):
+            total_variation(bad)
 
 
 def test_cfl_step_formula_and_edge_cases():
@@ -505,9 +518,13 @@ def test_cfl_step_formula_and_edge_cases():
     for nu in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match=rf"^nu must be finite and positive, got {nu}$"):
             cfl_step(g, 1.0, nu)
-    # a NaN speed, which euler_max_speed reads on an invalid state, too
-    with pytest.raises(ValueError, match=r"^c_max must not be NaN, got nan$"):
-        cfl_step(g, np.nan, 0.5)
+    # a NaN speed, which euler_max_speed reads on an invalid state, too; a
+    # negative speed used to read as a quiescent field (inf), an infinite
+    # one as a zero step, which initial_step refused as a bad cfl_bound
+    for c_max in (np.nan, -1.0, -1e-300, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"^c_max must be finite and nonnegative, got {c_max}$"):
+            cfl_step(g, c_max, 0.5)
+    assert cfl_step(g, -0.0, 0.5) == np.inf
 
 
 # ------------------------------------------------------------ initial profiles
