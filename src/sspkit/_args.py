@@ -1,9 +1,11 @@
-"""The rules by which every public entry reads an id or an integer; a
-refusal is a ValueError naming the argument and the value."""
+"""The rules by which every public entry reads an id, an integer, a real
+number or a pair's embedded weights; a refusal is a ValueError naming the
+argument and the value."""
 
+import math
 import numbers
 
-__all__ = ["read_id", "integer"]
+__all__ = ["read_id", "integer", "real", "embedded_pair"]
 
 
 def read_id(what: str, value) -> str:
@@ -22,3 +24,22 @@ def integer(name: str, value, least: int, most: int | None = None) -> int:
         bound = f"at least {least}" if most is None else f"between {least} and {most}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def real(name: str, value, *, above=None, least=None, inf: bool = False) -> float:
+    """value as a float; ValueError unless it is a real number (not a bool),
+    finite (with inf=True +inf passes, and NaN and -inf fail the bound),
+    > above and >= least where given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (inf or math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if above is not None and not value > above or least is not None and not value >= least:
+        bound = f"> {above}" if above is not None else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return float(value)
+
+
+def embedded_pair(tab):
+    """tab itself; ValueError unless it carries embedded weights."""
+    if tab.b_tilde is None:
+        raise ValueError(f"method {tab.id!r} has no embedded weights")
+    return tab

@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.polynomial.polynomial import polyadd, polyroots, polyval
 
-from ._args import integer
+from ._args import embedded_pair, integer, real
 
 __all__ = [
     "TREES",
@@ -308,9 +308,7 @@ def is_non_defective(t) -> NonDefectiveReport:
     ``p`` is the order of the advancing method.  The conditions that no
     weight vector can violate (``OrderConditions.vacuous``) are exempt.
     """
-    if t.b_tilde is None:
-        raise ValueError(f"{t.id} has no embedded weights")
-    return _engine(t.A).non_defective(t.b_tilde, t.p)
+    return _engine(t.A).non_defective(embedded_pair(t).b_tilde, t.p)
 
 
 def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
@@ -580,8 +578,7 @@ def error_measures(t) -> ErrorMeasures:
     embedded one, and D is the largest coefficient magnitude in the
     extended tableau.
     """
-    if t.b_tilde is None:
-        raise ValueError(f"{t.id} has no embedded weights")
+    embedded_pair(t)
     p = t.p
     if p > 4:
         raise ValueError("error measures need trees to order p+1 <= 5")
@@ -597,7 +594,7 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
 
     Returns (re_vals, im_vals, Z) with Z[j, i] = |psi(re_i + i*im_j)|;
     the |psi| = 1 contour of Z outlines the absolute stability region.
-    Raises ValueError unless each range is finite with MIN < MAX and a
+    Raises ValueError unless each range holds finite numbers MIN < MAX with a
     finite width MAX - MIN, which the uniform spacing needs.  Z is
     allocated first, so a lattice too large to hold raises MemoryError
     before any axis is sampled.  A point whose |psi| is not finite reads
@@ -607,9 +604,9 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     """
     integer("nx", nx, 2)
     integer("ny", ny, 2)
-    if not all(-math.inf < lo < hi < math.inf for lo, hi in (re_range, im_range)):
-        raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
     for name, (lo, hi) in (("re", re_range), ("im", im_range)):
+        if not real(f"{name}_range[0]", lo) < real(f"{name}_range[1]", hi):
+            raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
         if math.isinf(hi - lo):
             raise ValueError(f"{name} range {(lo, hi)} is too wide: MAX - MIN overflows")
     Z = np.empty((ny, nx))

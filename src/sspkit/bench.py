@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._args import integer
+from ._args import embedded_pair, integer, real
 from .controller import make_controller
 from .integrator import BudgetError, StiffnessError, integrate_adaptive
 from .problems import make_problem
@@ -49,10 +47,10 @@ class BenchPlan:
     """A sweep of methods x problems x tolerances, checked when built.
 
     Each axis is a nonempty tuple or list (a string is not one), every
-    tolerance a finite positive number and the ladder strictly
-    decreasing, ``n_jobs`` an integer of at least 1 and ``seed`` one of
-    at least 0 (a bool is none of these), and every id a string known to
-    its owner (``make_problem``, ``make_controller``, ``resolve``, with
+    tolerance a finite number > 0 (stored as a float) and the ladder
+    strictly decreasing, ``n_jobs`` an integer of at least 1, ``seed``
+    one of at least 0 (a bool is none of these), every id a string known
+    to its owner (``make_problem``, ``make_controller``, ``resolve``, with
     embedded weights).  Each axis is stored as a tuple and each id as its
     owner spells it (``.name``, ``.kind``, ``.id``); a method or problem
     listed twice is refused.  A plan that misses any of these raises
@@ -73,10 +71,8 @@ class BenchPlan:
             object.__setattr__(self, axis, tuple(value))  # frozen once checked
         if not self.methods or not self.problems or not self.tolerances:
             raise ValueError("need at least one method, one problem and one tolerance")
-        bad = [t for t in self.tolerances if isinstance(t, bool)
-               or not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0)]
-        if bad:
-            raise ValueError(f"tolerances must be finite positive numbers, got {bad}")
+        object.__setattr__(self, "tolerances", tuple(real(f"tolerances[{i}]", t, above=0)
+                                                     for i, t in enumerate(self.tolerances)))
         if any(b >= a for a, b in zip(self.tolerances, self.tolerances[1:])):
             raise ValueError("tolerances must be strictly decreasing")
         integer("n_jobs", self.n_jobs, 1)
@@ -84,10 +80,7 @@ class BenchPlan:
         object.__setattr__(self, "problems", tuple(make_problem(p).name for p in self.problems))
         object.__setattr__(self, "controller", make_controller(self.controller).kind)
         # memoized: each row's own lookup is a cache hit
-        tabs = [resolve(m, seed=self.seed) for m in self.methods]
-        for method_id, tab in zip(self.methods, tabs):
-            if tab.b_tilde is None:
-                raise ValueError(f"method {method_id!r} has no embedded weights")
+        tabs = [embedded_pair(resolve(m, seed=self.seed)) for m in self.methods]
         object.__setattr__(self, "methods", tuple(tab.id for tab in tabs))
         for axis, ids in (("method", self.methods), ("problem", self.problems)):
             if len(set(ids)) < len(ids):

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from ._args import read_id
+from ._args import embedded_pair, read_id
 from .analysis import analyze_method, stability_polynomial, stability_region_grid
 from .bench import (
     DEFAULT_TOLERANCES,
@@ -100,9 +100,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_region(args) -> int:
     tab = resolve(args.method, seed=args.seed)
-    w = tab.b if args.weights == "main" else tab.b_tilde
-    if w is None:
-        raise ValueError(f"method {args.method!r} has no embedded weights")
+    w = tab.b if args.weights == "main" else embedded_pair(tab).b_tilde
     coeffs = stability_polynomial(tab.A, w)
     re, im, z = stability_region_grid(
         coeffs,

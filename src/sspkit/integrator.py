@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ._args import embedded_pair, real
 from .controller import ControllerState
 from .tableau import EmbeddedTableau
 
@@ -211,19 +212,19 @@ def _rms(v: np.ndarray, sc: np.ndarray) -> float:
         return float(np.sqrt(np.mean((v / sc) ** 2)))
 
 
-def _initial_state(problem: OdeSystem) -> np.ndarray:
-    """A float copy of problem.u0; ValueError unless the time span
-    (t0, T) is finite with t0 < T and u0 is 1-D with at least one
-    component."""
-    t0, T = problem.t_span
-    if not -math.inf < t0 < T < math.inf:
+def _initial_state(problem: OdeSystem) -> tuple[float, float, np.ndarray]:
+    """The time span (t0, T) as floats and a float copy of problem.u0;
+    ValueError unless the ends are finite numbers with t0 < T and u0 is 1-D
+    with at least one component."""
+    t0, T = (real(f"t_span[{i}]", end) for i, end in enumerate(problem.t_span))
+    if not t0 < T:
         raise ValueError(f"t_span must be finite with t0 < T, got {problem.t_span}")
     u = np.asarray(problem.u0, dtype=float).copy()
     if u.ndim != 1:
         raise ValueError(f"u0 must be a 1-D array, got shape {u.shape}")
     if u.size == 0:
         raise ValueError("u0 must have at least one component, got an empty array")
-    return u
+    return t0, T, u
 
 
 def _refuse_misshapen(value, u: np.ndarray) -> None:
@@ -245,10 +246,9 @@ def initial_step(
 ) -> float:
     """Starting step from the magnitudes of u0, f, and a Euler-probe
     estimate of f', capped by the CFL bound when one is supplied; a bound
-    must be > 0, and inf caps nothing.  ValueError when f(t0, u0) does not
-    have u0's shape."""
-    if cfl_bound is not None and not cfl_bound > 0:
-        raise ValueError(f"cfl_bound must be > 0, got {cfl_bound}")
+    is a number > 0, and inf caps nothing.  ValueError
+    when f(t0, u0) does not have u0's shape."""
+    cfl_bound = None if cfl_bound is None else real("cfl_bound", cfl_bound, above=0, inf=True)
     u0 = np.asarray(u0, dtype=float)
     f0 = np.asarray(f(t0, u0), dtype=float)
     _refuse_misshapen(f0, u0)
@@ -307,23 +307,20 @@ def integrate_adaptive(
     1)``, a floor fixed for the run (t stays in [t0, T) at the check).
     The controller's four methods are bound once per run and called once
     per attempt, as its class defines them when the run starts.
-    Raises ValueError, before any call of f, unless atol > 0 and
-    rtol >= 0 are both finite, the time span is finite with t0 < T, u0
-    is 1-D with at least one component and the ``cfl_hint`` bound, when
-    there is one, is > 0, and at the first call of f (in
+    Raises ValueError, before any call of f, unless the method has embedded
+    weights, atol > 0, rtol >= 0 and the ends of the time span are finite
+    numbers with t0 < T, u0 is 1-D and nonempty and the ``cfl_hint``
+    bound, when there is one, is > 0, and at the first call of f (in
     ``initial_step``) when f(t0, u0) does not have u0's shape;
     StiffnessError on step underflow (a NaN step included) and
     BudgetError past ``MAX_ATTEMPTS`` attempted steps, the module
     constant as it reads when the run starts.
     """
-    if tab.b_tilde is None:
-        raise ValueError(f"method {tab.id!r} has no embedded weights")
-    if not (0.0 < atol < math.inf and 0.0 <= rtol < math.inf):
-        raise ValueError(f"need finite atol > 0 and rtol >= 0, got atol={atol}, rtol={rtol}")
+    embedded_pair(tab)
+    atol, rtol = real("atol", atol, above=0), real("rtol", rtol, least=0)
     f = problem.f
-    t0, T = problem.t_span
-    u = _initial_state(problem)
-    t = float(t0)
+    t0, T, u = _initial_state(problem)
+    t = t0
     cfl = problem.cfl_hint(u) if problem.cfl_hint is not None else None
     dt = initial_step(f, t, u, tab.p, atol, rtol, cfl)
     max_attempts = MAX_ATTEMPTS
@@ -396,17 +393,15 @@ def integrate_fixed(
     at T (shortened to it, or stretched by under 1e-9 dt when (T - t0)/dt
     is that close above a whole number).  callback(t, u) fires at t0 and
     after every step (total-variation monitoring and the like).  Raises
-    ValueError, before any call of f or callback, unless the time span is
-    finite with t0 < T, u0 is 1-D with at least one component and dt > 0
-    is finite with a step count (T - t0)/dt of at most ``MAX_ATTEMPTS``,
+    ValueError, before any call of f or callback, unless the time span has
+    finite ends with t0 < T, u0 is 1-D and nonempty and dt > 0 is a finite
+    number with a step count (T - t0)/dt of at most ``MAX_ATTEMPTS``,
     the module constant as it reads when the run starts; ValueError at the
     first step, whose stages check every value of f, when f returns a
     shape other than its state's."""
-    t0, T = problem.t_span
-    u = _initial_state(problem)
-    if not (0.0 < dt < math.inf and (T - t0) / dt < math.inf):
-        raise ValueError(f"dt must be finite and positive with (T - t0)/dt finite, got {dt}")
-    n_steps = int(np.ceil((T - t0) / dt - 1e-9))
+    t0, T, u = _initial_state(problem)
+    dt = real("dt", dt, above=0)
+    n_steps = np.ceil((T - t0) / dt - 1e-9)     # inf when the ratio overflows
     max_steps = MAX_ATTEMPTS
     if n_steps > max_steps:
         raise ValueError(f"dt = {dt} takes {n_steps:.6g} steps, more than MAX_ATTEMPTS = {max_steps}")
@@ -420,8 +415,8 @@ def integrate_fixed(
 
     if callback is not None:
         callback(t0, u)
-    t = float(t0)
-    for i in range(1, n_steps + 1):
+    t = t0
+    for i in range(1, int(n_steps) + 1):
         t_next = T if i == n_steps else min(t0 + i * dt, T)
         u, _ = rk_step(tab, checked if i == 1 else f, t, u, t_next - t)
         t = t_next

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from ._args import integer
+from ._args import integer, real
 from .tableau import EmbeddedTableau
 
 __all__ = [
@@ -43,7 +43,7 @@ class OptimizationSpec:
     """Search configuration; the weights sought are one order below the
     advancing method of ``tableau``.  ValueError unless ``seeds`` and
     ``budget`` are integers >= 1, ``seed`` one >= 0 (a bool is none) and
-    ``require_ssp_at`` is None or finite and >= 0."""
+    ``require_ssp_at`` is None or a finite number >= 0."""
 
     tableau: EmbeddedTableau
     require_ssp_at: float | None = None  # fixed coefficient for the feasibility screen
@@ -52,9 +52,8 @@ class OptimizationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        r = self.require_ssp_at
-        if r is not None and not (math.isfinite(r) and r >= 0):
-            raise ValueError(f"require_ssp_at must be finite and nonnegative, got {r}")
+        if self.require_ssp_at is not None:
+            real("require_ssp_at", self.require_ssp_at, least=0)
         integer("seeds", self.seeds, 1)
         integer("budget", self.budget, 1)
         integer("seed", self.seed, 0)
@@ -74,11 +73,10 @@ def ssp_feasible(A, w, r: float) -> bool:
     """Componentwise SSP conditions of (A, w) at fixed coefficient r.
 
     The test behind ``analysis.ssp_coefficient_arrays``, at one finite
-    r >= 0: a negative coefficient, a singular I + rK or a violated
+    number r >= 0: a negative coefficient, a singular I + rK or a violated
     condition makes the point infeasible.
     """
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"r must be finite and nonnegative, got {r}")
+    r = real("r", r, least=0)
     K = analysis._bordered(A, w)
     return K is not None and analysis._ssp_feasible(K, r)
 

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._args import integer, read_id
+from ._args import integer, read_id, real
 from .integrator import OdeSystem
 
 __all__ = [
@@ -63,7 +63,8 @@ VDP_EPS = 0.1          # van der Pol stiffness parameter
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform finite-volume grid; cell centers at x_min + (i+1/2)dx.
-    ValueError unless n_cells is an integer >= 1 and x_max - x_min is finite and > 0."""
+    ValueError unless n_cells is an integer >= 1 and x_min < x_max are finite
+    numbers with a finite width x_max - x_min."""
 
     n_cells: int
     x_min: float
@@ -72,7 +73,7 @@ class Grid1D:
 
     def __post_init__(self):
         object.__setattr__(self, "n_cells", integer("n_cells", self.n_cells, 1))
-        if not self.x_min < self.x_max:
+        if not real("x_min", self.x_min) < real("x_max", self.x_max):
             raise ValueError(f"x_max must exceed x_min, got x_min={self.x_min}, x_max={self.x_max}")
         if math.isinf(self.x_max - self.x_min):
             raise ValueError(f"x_max - x_min must be finite, got x_min={self.x_min}, x_max={self.x_max}")
@@ -395,12 +396,9 @@ def euler_max_speed(q_flat: np.ndarray) -> float:
 
 
 def cfl_step(grid: Grid1D, c_max: float, nu: float) -> float:
-    """dt = nu*dx/c_max for a finite nu > 0 and a finite c_max >= 0;
-    ValueError otherwise.  A quiescent field (c_max = 0) returns inf."""
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"nu must be finite and positive, got {nu}")
-    if not 0 <= c_max < math.inf:
-        raise ValueError(f"c_max must be finite and nonnegative, got {c_max}")
+    """dt = nu*dx/c_max for finite numbers nu > 0 and c_max >= 0; ValueError
+    otherwise.  A quiescent field (c_max = 0) returns inf."""
+    nu, c_max = real("nu", nu, above=0), real("c_max", c_max, least=0)
     if c_max == 0:
         return math.inf
     return nu * grid.dx / c_max

@@ -456,16 +456,21 @@ def test_stability_region_grid_rejects_degenerate_axes():
         stability_region_grid(np.array([1.0, 1.0]), nx=1)
 
 
-@pytest.mark.parametrize("ranges", [
-    {"re_range": (math.nan, 1.0)},
-    {"re_range": (1.0, -1.0)},
-    {"re_range": (0.0, 0.0)},
-    {"im_range": (-1.0, math.inf)},
-    {"im_range": (2.0, math.nan)},
-])
-def test_stability_region_grid_rejects_a_nan_or_reversed_range(ranges):
-    with pytest.raises(ValueError, match="finite MIN < MAX"):
+_BAD_RANGES = [
+    ({"re_range": (math.nan, 1.0)}, "re_range[0] must be a finite number, got nan"),
+    ({"re_range": (1.0, -1.0)}, "ranges need finite MIN < MAX, got re (1.0, -1.0), im (-8.0, 8.0)"),
+    ({"re_range": (0.0, 0.0)}, "ranges need finite MIN < MAX, got re (0.0, 0.0), im (-8.0, 8.0)"),
+    ({"im_range": (-1.0, math.inf)}, "im_range[1] must be a finite number, got inf"),
+    ({"im_range": (2.0, math.nan)}, "im_range[1] must be a finite number, got nan"),
+]
+
+
+@pytest.mark.parametrize("ranges, message", _BAD_RANGES, ids=[f"ranges{i}" for i in range(len(_BAD_RANGES))])
+def test_stability_region_grid_rejects_a_nan_or_reversed_range(ranges, message):
+    # each end is read by the one real-number rule, which names it
+    with pytest.raises(ValueError) as exc:
         stability_region_grid(np.array([1.0, 1.0]), **ranges)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name, ranges", [

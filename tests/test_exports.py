@@ -10,7 +10,7 @@ runs in well under a second.
 import ast
 import importlib
 import pkgutil
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,13 +270,75 @@ def test_each_integer_argument_refuses_a_value_out_of_range(name):
     assert str(exc.value) == message
 
 
+# every real-valued argument refuses a bool, a string, None, an array and
+# a non-finite value, naming the parameter and the value, and takes a NumPy
+# scalar in range: each reads it through sspkit._args.real
+_ODE = integrator.OdeSystem(f=lambda t, u: -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
+_I = controller.make_controller("i")
+REAL_ARGUMENTS = {
+    "BenchPlan(tolerances)": (lambda v: bench.BenchPlan(**{**_PLAN, "tolerances": (v,)}), "tolerances[0]", 1e-2),
+    "integrate_adaptive(atol)": (lambda v: integrator.integrate_adaptive(_ODE, _T, _I, v, 1e-3), "atol", 1e-3),
+    "integrate_adaptive(rtol)": (lambda v: integrator.integrate_adaptive(_ODE, _T, _I, 1e-3, v), "rtol", 1e-3),
+    "initial_step(cfl_bound)": (lambda v: integrator.initial_step(_ODE.f, 0.0, _ODE.u0, 3, 1e-3, 1e-3, v),
+                                "cfl_bound", 1e-2),
+    "integrate_fixed(dt)": (lambda v: integrator.integrate_fixed(_ODE, _T, v), "dt", 0.25),
+    "OptimizationSpec(require_ssp_at)": (lambda v: optimizer.OptimizationSpec(_T, require_ssp_at=v),
+                                         "require_ssp_at", 0.5),
+    "ssp_feasible(r)": (lambda v: optimizer.ssp_feasible(_T.A, _T.b, v), "r", 0.5),
+    "cfl_step(nu)": (lambda v: problems.cfl_step(_GRID, 1.0, v), "nu", 0.5),
+    "cfl_step(c_max)": (lambda v: problems.cfl_step(_GRID, v, 0.5), "c_max", 1.0),
+    "Grid1D(x_min)": (lambda v: problems.Grid1D(4, v, 1.0), "x_min", 0.0),
+    "Grid1D(x_max)": (lambda v: problems.Grid1D(4, 0.0, v), "x_max", 1.0),
+    "stability_region_grid(re_range[0])": (lambda v: analysis.stability_region_grid(_PSI, (v, 2.0), nx=2, ny=2),
+                                           "re_range[0]", -1.0),
+    "stability_region_grid(re_range[1])": (lambda v: analysis.stability_region_grid(_PSI, (-1.0, v), nx=2, ny=2),
+                                           "re_range[1]", 1.0),
+    "stability_region_grid(im_range[0])": (
+        lambda v: analysis.stability_region_grid(_PSI, im_range=(v, 1.0), nx=2, ny=2), "im_range[0]", -1.0),
+    "stability_region_grid(im_range[1])": (
+        lambda v: analysis.stability_region_grid(_PSI, im_range=(-1.0, v), nx=2, ny=2), "im_range[1]", 1.0),
+    "OdeSystem(t_span[0])": (
+        lambda v: integrator.integrate_adaptive(replace(_ODE, t_span=(v, 1.0)), _T, _I, 1e-3, 1e-3), "t_span[0]", 0.0),
+    "OdeSystem(t_span[1])": (
+        lambda v: integrator.integrate_adaptive(replace(_ODE, t_span=(0.0, v)), _T, _I, 1e-3, 1e-3), "t_span[1]", 1.0),
+}
+# initial_step reads an infinite cfl_bound as no cap (what cfl_step returns
+# for a quiescent field), so there NaN and -inf fail the bound instead; it
+# and require_ssp_at read None as no cap and no screen
+_NO_CAP = "initial_step(cfl_bound)"
+_OPTIONAL = (_NO_CAP, "OptimizationSpec(require_ssp_at)")
+_NOT_REAL = [True, "1e-3", None, np.nan, np.inf, -np.inf, np.array([1e-3, 1e-3])]
+
+
+@pytest.mark.parametrize("name, value", [(n, v) for n in sorted(REAL_ARGUMENTS) for v in _NOT_REAL
+                                         if not (n == _NO_CAP and v is np.inf or n in _OPTIONAL and v is None)],
+                         ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_each_real_argument_refuses_a_bool_a_string_an_array_or_a_non_finite_value(name, value):
+    call, argument, _ = REAL_ARGUMENTS[name]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    if name == _NO_CAP and isinstance(value, float):
+        assert str(exc.value) == f"{argument} must be > 0, got {value}"
+    else:
+        assert str(exc.value) == f"{argument} must be a finite number, got {value!r}"
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_each_real_argument_takes_a_numpy_scalar_in_range(name):
+    call, _, good = REAL_ARGUMENTS[name]
+    call(np.float64(good))
+
+
 def test_the_id_and_integer_rules_have_one_owner():
-    # sspkit._args alone reads an id (strip, lower) or checks an integer
-    # (numbers.Integral); the local copies it replaced drifted apart
+    # sspkit._args alone reads an id (strip, lower), checks an integer
+    # (numbers.Integral) or a real number (numbers.Real) and refuses a
+    # tableau without embedded weights; the local copies it replaced drifted
+    # apart
     copies = [f"{f.name}:{node.lineno}" for f in PACKAGE if f.name != "_args.py"
               for node in ast.walk(ast.parse(f.read_text()))
-              if isinstance(node, ast.Attribute) and node.attr in ("Integral", "lower", "strip")
-              or isinstance(node, ast.alias) and node.name == "Integral"]
+              if isinstance(node, ast.Attribute) and node.attr in ("Integral", "Real", "lower", "strip")
+              or isinstance(node, ast.alias) and node.name in ("Integral", "Real")]
+    copies += [f.name for f in PACKAGE if f.name != "_args.py" and "has no embedded weights" in f.read_text()]
     assert copies == []
 
 
@@ -294,9 +356,9 @@ WRONG_TYPES = {
     "BenchPlan(tolerances=float)": (lambda: bench.BenchPlan(**{**_PLAN, "tolerances": 1e-3}),
                                     "tolerances must be a tuple or list, got 0.001"),
     "BenchPlan(tolerances=(str,))": (lambda: bench.BenchPlan(**{**_PLAN, "tolerances": ("1e-3",)}),
-                                     "tolerances must be finite positive numbers, got ['1e-3']"),
+                                     "tolerances[0] must be a finite number, got '1e-3'"),
     "BenchPlan(tolerances=(bool,))": (lambda: bench.BenchPlan(**{**_PLAN, "tolerances": (True,)}),
-                                      "tolerances must be finite positive numbers, got [True]"),
+                                      "tolerances[0] must be a finite number, got True"),
     "BenchPlan(methods=(int,))": (lambda: bench.BenchPlan(**{**_PLAN, "methods": (5,)}),
                                   "method id must be a string, got 5"),
     "BenchPlan(problems=(None,))": (lambda: bench.BenchPlan(**{**_PLAN, "problems": (None,)}),

@@ -502,19 +502,29 @@ def test_adaptive_step_underflow_raises():
         integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3)
 
 
-@pytest.mark.parametrize("t_span", [(1.0, 0.0), (0.0, 0.0), (0.0, np.nan), (np.nan, 1.0),
-                                    (0.0, np.inf), (-np.inf, 0.0)])
+_BAD_SPANS = [
+    ((1.0, 0.0), "t_span must be finite with t0 < T, got (1.0, 0.0)"),
+    ((0.0, 0.0), "t_span must be finite with t0 < T, got (0.0, 0.0)"),
+    ((0.0, np.nan), "t_span[1] must be a finite number, got nan"),
+    ((np.nan, 1.0), "t_span[0] must be a finite number, got nan"),
+    ((0.0, np.inf), "t_span[1] must be a finite number, got inf"),
+    ((-np.inf, 0.0), "t_span[0] must be a finite number, got -inf"),
+]
+
+
+@pytest.mark.parametrize("t_span, message", _BAD_SPANS, ids=[f"t_span{i}" for i in range(len(_BAD_SPANS))])
 @pytest.mark.parametrize("driver", ["adaptive", "fixed"])
-def test_a_bad_time_span_is_rejected_before_any_rhs_call(driver, t_span):
+def test_a_bad_time_span_is_rejected_before_any_rhs_call(driver, t_span, message):
     # a reversed span used to return u0, NaN to return u0 or fail converting
     # the step count, inf to raise StiffnessError or OverflowError
     calls = []
     prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=t_span, u0=np.array([1.0]))
-    with pytest.raises(ValueError, match="t_span must be finite with t0 < T"):
+    with pytest.raises(ValueError) as exc:
         if driver == "adaptive":
             integrate_adaptive(prob, TAB22, make_controller("i"), 1e-3, 1e-3)
         else:
             integrate_fixed(prob, TAB22, 0.1, callback=lambda t, u: calls.append(t))
+    assert str(exc.value) == message
     assert calls == []
 
 
@@ -532,15 +542,21 @@ def test_an_overflowing_start_estimate_falls_back_and_fails_the_underflow_check(
         integrate_adaptive(prob, TAB22, make_controller("i"), 1e-300, 1e-300)
 
 
-@pytest.mark.parametrize("atol, rtol", [
-    (-1.0, -1.0), (0.0, 0.0), (0.0, 1e-4), (1e-4, -1e-4), (np.nan, 1e-4), (1e-4, np.nan),
-    (np.inf, 1e-4), (1e-4, np.inf),
-])
-def test_bad_tolerances_are_rejected_before_any_step(atol, rtol):
+_BAD_TOLERANCES = [
+    (-1.0, -1.0, "atol must be > 0, got -1.0"), (0.0, 0.0, "atol must be > 0, got 0.0"),
+    (0.0, 1e-4, "atol must be > 0, got 0.0"), (1e-4, -1e-4, "rtol must be at least 0, got -0.0001"),
+    (np.nan, 1e-4, "atol must be a finite number, got nan"), (1e-4, np.nan, "rtol must be a finite number, got nan"),
+    (np.inf, 1e-4, "atol must be a finite number, got inf"), (1e-4, np.inf, "rtol must be a finite number, got inf"),
+]
+
+
+@pytest.mark.parametrize("atol, rtol, message", _BAD_TOLERANCES, ids=[f"{a}-{r}" for a, r, _ in _BAD_TOLERANCES])
+def test_bad_tolerances_are_rejected_before_any_step(atol, rtol, message):
     calls = []
     prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
-    with pytest.raises(ValueError, match="atol > 0 and rtol >= 0"):
+    with pytest.raises(ValueError) as exc:
         integrate_adaptive(prob, TAB22, make_controller("i"), atol, rtol)
+    assert str(exc.value) == message
     assert calls == []
 
 
@@ -568,9 +584,13 @@ def test_fixed_rejects_nonpositive_dt(monkeypatch):
     # and used to raise OverflowError
     calls = []
     prob = OdeSystem(f=lambda t, u: calls.append(t) or -u, t_span=(0.0, 1.0), u0=np.array([1.0]))
-    for dt in (0.0, -0.1, np.inf, np.nan, 5e-324):
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
+    for dt, message in ((0.0, "dt must be > 0, got 0.0"), (-0.1, "dt must be > 0, got -0.1"),
+                        (np.inf, "dt must be a finite number, got inf"),
+                        (np.nan, "dt must be a finite number, got nan"),
+                        (5e-324, "dt = 5e-324 takes inf steps, more than MAX_ATTEMPTS = 10000000")):
+        with pytest.raises(ValueError) as exc:
             integrate_fixed(prob, TAB22, dt, callback=lambda t, u: calls.append(t))
+        assert str(exc.value) == message
     assert calls == []
     # a finite step count above the attempt budget (1e-300 on vdp used to
     # plan 2e300 steps and never return); a count at the budget runs

@@ -50,7 +50,7 @@ def test_negative_r_is_rejected():
 @pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
 def test_a_non_finite_r_is_rejected_as_require_ssp_at_is(r):
     # inf used to warn from NumPy and read infeasible, nan read infeasible silently
-    with pytest.raises(ValueError, match=rf"^r must be finite and nonnegative, got {r}$"):
+    with pytest.raises(ValueError, match=rf"^r must be a finite number, got {r}$"):
         ssp_feasible(A22, B22, r)
 
 
