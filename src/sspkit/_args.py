@@ -1,11 +1,11 @@
 """The rules by which every public entry reads an id, an integer, a real
-number or a pair's embedded weights; a refusal is a ValueError naming the
-argument and the value."""
+number, a pair of real numbers or a pair's embedded weights; a refusal is a
+ValueError naming the argument and the value."""
 
 import math
 import numbers
 
-__all__ = ["read_id", "integer", "real", "embedded_pair"]
+__all__ = ["read_id", "integer", "real", "pair", "embedded_pair"]
 
 
 def read_id(what: str, value) -> str:
@@ -28,14 +28,31 @@ def integer(name: str, value, least: int, most: int | None = None) -> int:
 
 def real(name: str, value, *, above=None, least=None, inf: bool = False) -> float:
     """value as a float; ValueError unless it is a real number (not a bool),
-    finite (with inf=True +inf passes, and NaN and -inf fail the bound),
-    > above and >= least where given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (inf or math.isfinite(value)):
+    finite as a float (with inf=True +inf passes, and NaN and -inf fail the
+    bound; an integer too large for a float fails), > above and >= least
+    where given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if above is not None and not value > above or least is not None and not value >= least:
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got a number too large for a float") from None
+    if not (inf or math.isfinite(x)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if above is not None and not x > above or least is not None and not x >= least:
         bound = f"> {above}" if above is not None else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value}")
-    return float(value)
+    return x
+
+
+def pair(name: str, value) -> tuple[float, float]:
+    """The two ends of value, each read by ``real`` as name[0] and name[1];
+    ValueError unless value unpacks into exactly two items."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}") from None
+    return real(f"{name}[0]", lo), real(f"{name}[1]", hi)
 
 
 def embedded_pair(tab):

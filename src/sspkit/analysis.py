@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.polynomial.polynomial import polyadd, polyroots, polyval
 
-from ._args import embedded_pair, integer, real
+from ._args import embedded_pair, integer, pair
 
 __all__ = [
     "TREES",
@@ -260,8 +260,8 @@ def _pair_norms(a2, ainf, tau_emb, diff) -> tuple[float, ...]:
     ``error_measures``, from the norms (a2, ainf) of the advancing
     order-(p+1) residuals ``tau_main``, the embedded residuals
     ``tau(w, p)`` and the difference ``tau(w, p + 1) - tau_main``.  A
-    ratio with a zero denominator is inf.  ``error_measures`` and the
-    weight search's cost (``optimizer._f_max``) both read them here."""
+    ratio with a zero denominator is inf.  The weight search's cost
+    (``optimizer._pair_cost``) forms the same norms over a batch of weights."""
     a2e, ainfe = _norms(tau_emb)
     d2, dinf = _norms(diff)
     return (a2, ainf, a2e, ainfe,
@@ -594,8 +594,8 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
 
     Returns (re_vals, im_vals, Z) with Z[j, i] = |psi(re_i + i*im_j)|;
     the |psi| = 1 contour of Z outlines the absolute stability region.
-    Raises ValueError unless each range holds finite numbers MIN < MAX with a
-    finite width MAX - MIN, which the uniform spacing needs.  Z is
+    Raises ValueError unless each range is a pair of finite numbers MIN < MAX
+    with a finite width MAX - MIN, which the uniform spacing needs.  Z is
     allocated first, so a lattice too large to hold raises MemoryError
     before any axis is sampled.  A point whose |psi| is not finite reads
     inf, without a NumPy warning: with finite coefficients and a finite z
@@ -604,14 +604,16 @@ def stability_region_grid(coeffs, re_range=(-12.0, 2.0), im_range=(-8.0, 8.0), n
     """
     integer("nx", nx, 2)
     integer("ny", ny, 2)
-    for name, (lo, hi) in (("re", re_range), ("im", im_range)):
-        if not real(f"{name}_range[0]", lo) < real(f"{name}_range[1]", hi):
+    ends = {}
+    for name, given in (("re", re_range), ("im", im_range)):
+        lo, hi = ends[name] = pair(f"{name}_range", given)
+        if not lo < hi:
             raise ValueError(f"ranges need finite MIN < MAX, got re {re_range}, im {im_range}")
         if math.isinf(hi - lo):
             raise ValueError(f"{name} range {(lo, hi)} is too wide: MAX - MIN overflows")
     Z = np.empty((ny, nx))
-    re = np.linspace(re_range[0], re_range[1], nx)
-    im = np.linspace(im_range[0], im_range[1], ny)
+    re = np.linspace(*ends["re"], nx)
+    im = np.linspace(*ends["im"], ny)
     X, Y = np.meshgrid(re, im)
     with np.errstate(over="ignore", invalid="ignore"):
         np.abs(polyval(X + 1j * Y, coeffs), out=Z)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ._args import embedded_pair, real
+from ._args import embedded_pair, pair, real
 from .controller import ControllerState
 from .tableau import EmbeddedTableau
 
@@ -216,7 +216,7 @@ def _initial_state(problem: OdeSystem) -> tuple[float, float, np.ndarray]:
     """The time span (t0, T) as floats and a float copy of problem.u0;
     ValueError unless the ends are finite numbers with t0 < T and u0 is 1-D
     with at least one component."""
-    t0, T = (real(f"t_span[{i}]", end) for i, end in enumerate(problem.t_span))
+    t0, T = pair("t_span", problem.t_span)
     if not t0 < T:
         raise ValueError(f"t_span must be finite with t0 < T, got {problem.t_span}")
     u = np.asarray(problem.u0, dtype=float).copy()
@@ -254,7 +254,8 @@ def initial_step(
     _refuse_misshapen(f0, u0)
     if not np.all(np.isfinite(f0)):
         raise StiffnessError("right-hand side not finite at the initial state")
-    sc = atol + np.abs(u0) * rtol
+    with np.errstate(over="ignore"):    # the scale may overflow to inf, as _rms's squares may
+        sc = atol + np.abs(u0) * rtol
     d0 = _rms(u0, sc)
     d1 = _rms(f0, sc)
     if d0 < 1e-5 or d1 < 1e-5 or not (math.isfinite(d0) and math.isfinite(d1)):

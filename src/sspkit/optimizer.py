@@ -11,9 +11,13 @@ projected onto the affine solution manifold and the local search runs in
 its null-space coordinates.  Only the box constraint 0 <= w <= 1 needs a
 penalty.  The local search is an in-house adaptive Nelder-Mead that takes
 SciPy's steps in the same IEEE operations, on Python floats, so the
-package needs no SciPy.  The cost has one implementation, the closure
-that ``_pair_cost`` builds: ``objective`` returns its value, and the
-search evaluates it at every point.
+package needs no SciPy.  It is a generator that hands out one point at a
+time, so the starts run in lockstep: each round costs the pending point
+of every running start in one batched call.  The cost has one
+implementation, over a batch, which ``_pair_cost`` builds: ``objective``
+takes its value on a batch of one.  Each row's products are the BLAS
+calls a lone point's ``ndarray.dot`` makes, so a point costs the same
+bits in any batch.
 """
 
 from __future__ import annotations
@@ -81,45 +85,32 @@ def ssp_feasible(A, w, r: float) -> bool:
     return K is not None and analysis._ssp_feasible(K, r)
 
 
-def _f_max(a2, ainf, tau_emb, diff) -> float:
-    """||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of a pair
-    whose advancing residuals have the norms (a2, ainf), from the embedded
-    residuals and the order-(p+1) difference (``analysis._pair_norms``),
-    or inf when an entry is not finite (a defective pair).  Six Python
-    floats, so no array is built; with every entry finite, ``max`` meets
-    no NaN."""
-    _, _, a2e, ainfe, b2, binf, c2, cinf = analysis._pair_norms(a2, ainf, tau_emb, diff)
-    f = (a2e, ainfe, b2 - 1.0, binf - 1.0, c2 - 1.0, cinf - 1.0)
-    if not all(map(math.isfinite, f)):
-        return math.inf
-    return max(map(abs, f))
-
-
 class _Budget(Exception):
     """A call the Nelder-Mead budget does not allow."""
 
 
-def _nelder_mead(fun, x0, maxfev: int):
-    """Minimize fun from x0 by adaptive Nelder-Mead in at most maxfev calls
-    of fun; returns the best vertex and the least cost value.
+def _nelder_mead(x0, maxfev: int):
+    """Minimize a cost from x0 by adaptive Nelder-Mead in at most maxfev
+    evaluations.  A generator: it yields each point to cost, as a list of
+    floats, takes the point's cost by ``send``, and returns the best vertex
+    and the least cost value.
 
     The parameters are Gao & Han's (2012), "Implementing the Nelder-Mead
     simplex algorithm with adaptive parameters", Comput. Optim. Appl. 51,
     for N = len(x0) unknowns.  The steps are those of SciPy 1.17's
     ``minimize(method="Nelder-Mead")`` with adaptive=True, xatol=1e-12,
     fatol=1e-14 and no bounds, in the same IEEE operations and order, so
-    every point evaluated, the call count and the result are SciPy's to
-    the bit.  A call past the budget is neither made nor counted, and it
+    every point yielded, the point count and the result are SciPy's to the
+    bit.  A point past the budget is neither yielded nor counted, and it
     ends the search with the simplex as it stands.
 
-    The simplex and its values are Python lists of floats, and fun gets
-    each point as a new 1-D array.  SciPy's centroid ``np.add.reduce(sim[:-1],
-    0) / N`` adds the rows in turn to the identity 0.0, so a coordinate
-    that is -0.0 in every row sums to +0.0 here too.  The vertices are
-    ordered by ``np.argsort`` of the values, as SciPy orders them: NumPy's
-    sort is not stable, and from 4 entries on it can order equal values
-    (and NaNs, which go last) differently from ``sorted``, which would
-    change the next centroid.
+    The simplex and its values are Python lists of floats.  SciPy's
+    centroid ``np.add.reduce(sim[:-1], 0) / N`` adds the rows in turn to
+    the identity 0.0, so a coordinate that is -0.0 in every row sums to
+    +0.0 here too.  The vertices are ordered by ``np.argsort`` of the
+    values, as SciPy orders them: NumPy's sort is not stable, and from 4
+    entries on it can order equal values (and NaNs, which go last)
+    differently from ``sorted``, which would change the next centroid.
     """
     N = len(x0)
     chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
@@ -131,7 +122,7 @@ def _nelder_mead(fun, x0, maxfev: int):
         if calls >= maxfev:
             raise _Budget
         calls += 1
-        return fun(np.array(x))
+        return (yield x)
 
     def ordered(sim, fsim):
         ind = np.array(fsim).argsort().tolist()
@@ -146,7 +137,7 @@ def _nelder_mead(fun, x0, maxfev: int):
     fsim = [math.inf] * (N + 1)
     try:
         for k in range(N + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _Budget:
         pass
     for _ in range(2):                  # sorted twice, as SciPy does
@@ -165,42 +156,58 @@ def _nelder_mead(fun, x0, maxfev: int):
             xbar = [a / N for a in xbar]
             worst = sim[-1]
             xr = [2 * a - v for a, v in zip(xbar, worst)]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = [c_exp * a - chi * v for a, v in zip(xbar, worst)]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:      # outside contraction
                     xc = [c_out * a - psi * v for a, v in zip(xbar, worst)]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     shrink = not fxc <= fxr
                 else:                   # inside contraction
                     xc = [c_in * a + psi * v for a, v in zip(xbar, worst)]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, N + 1):
                         sim[j] = [u + sigma * (v - u) for u, v in zip(best, sim[j])]
-                        fsim[j] = f(sim[j])
+                        fsim[j] = yield from f(sim[j])
         except _Budget:
             pass
         sim, fsim = ordered(sim, fsim)
     return np.array(sim[0]), np.min(fsim)
 
 
+def _row_norms(X):
+    """(2-norms, max-norms) of the rows of X, each as ``analysis._norms``
+    forms it: the square root of one BLAS ddot of the row with itself, and
+    the max of |x|, which is NaN exactly when the row holds a NaN."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]), np.abs(X).max(axis=1)
+
+
 def _pair_cost(A, b):
     """What the cost of embedded weights for (A, b) needs: the engine
     ``oc`` of A, the advancing order p of b, the rows (M, rhs) of
-    ``oc.up_to(p - 1)`` that the weights must meet, and ``f_max(w)``,
-    ``_f_max`` of the pair (A, b, w).  p must lie in 2..4: the embedded
-    order p - 1 needs a condition, and the cost trees to p + 1.  The norms
-    of the advancing residuals are formed once, and the products are
-    ``ndarray.dot``, the BLAS product that ``@`` reaches."""
+    ``oc.up_to(p - 1)`` that the weights must meet, and ``f_max(W)``.  p
+    must lie in 2..4: the embedded order p - 1 needs a condition, and the
+    cost trees to p + 1.
+
+    ``f_max`` takes a C-contiguous (B, s) batch of weight vectors and
+    returns, for each row w, ||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1,
+    C2-1, Cinf-1] of the pair (A, b, w), the norms being those of
+    ``analysis._pair_norms``, or inf when an entry is not finite (a
+    defective pair); it raises no NumPy warning.  The norms of the
+    advancing residuals are formed once.  The stacked products
+    ``np.matmul(phi, W[:, :, None])`` and the row dot products call, row by
+    row, the BLAS gemv or ddot that ``ndarray.dot`` calls on one point, and
+    every other step is the same IEEE operation per row, so a row's value
+    is the one it has alone."""
     oc = analysis._engine(A)
     p = oc.classify(b)
     if not 2 <= p <= 4:
@@ -209,10 +216,39 @@ def _pair_cost(A, b):
     a2, ainf = analysis._norms(tau_main)
     phi_p, g_p, phi_q, g_q = oc.phi[p], oc.g[p], oc.phi[p + 1], oc.g[p + 1]
 
-    def f_max(w) -> float:
-        return _f_max(a2, ainf, phi_p.dot(w) - g_p, phi_q.dot(w) - g_q - tau_main)
+    def f_max(W):
+        with np.errstate(all="ignore"):         # a non-finite entry maps to inf
+            Wc = W[:, :, None]
+            F = np.empty((6, len(W)))           # A2~, Ainf~, then B2, Binf, C2, Cinf
+            F[0], F[1] = _row_norms(np.matmul(phi_p, Wc)[:, :, 0] - g_p)
+            F[2], F[3] = a2, ainf
+            F[4], F[5] = _row_norms(np.matmul(phi_q, Wc)[:, :, 0] - g_q - tau_main)
+            den, ratios = F[[0, 1, 0, 1]], F[2:]
+            np.divide(ratios, den, out=ratios, where=den != 0.0)
+            ratios[den == 0.0] = math.inf
+            ratios -= 1.0
+            f = np.abs(F, out=F).max(axis=0)
+            f[f != f] = math.inf                # a NaN entry makes the max NaN, an inf one inf
+        return f
 
     return oc, p, oc.up_to(p - 1), f_max
+
+
+def _search_cost(f_max, w_part, N):
+    """The search's cost of a C-contiguous (B, k) batch Y of null-space
+    coordinates, as a list of B floats: at w = w_part + N y, ``f_max`` of w
+    (1e30 for a defective pair, to keep the landscape finite for the
+    simplex) plus the quadratic box penalty, which is exactly 0.0 inside
+    the box.  N y is one BLAS gemv per row, as ``N.dot(y)`` is."""
+
+    def cost(Y):
+        W = w_part + np.matmul(N, Y[:, :, None])[:, :, 0]
+        f = f_max(W)
+        f[f == math.inf] = 1e30
+        penalty = (np.minimum(W, 0.0) ** 2).sum(axis=1) + (np.maximum(W - 1.0, 0.0) ** 2).sum(axis=1)
+        return (f + _BOX_PENALTY * penalty).tolist()
+
+    return cost
 
 
 def objective(A, b, w) -> float:
@@ -228,7 +264,7 @@ def objective(A, b, w) -> float:
     _, _, (M, rhs), f_max = _pair_cost(A, b)
     if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
         return math.inf
-    return f_max(w)
+    return float(f_max(np.ascontiguousarray(w)[None])[0])
 
 
 def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
@@ -238,7 +274,25 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     order-condition manifold, and descends on the cost plus a quadratic
     box penalty in the manifold's null-space coordinates, by the in-house
     adaptive Nelder-Mead of Gao & Han (2012) (``_nelder_mead``), restarted
-    once from the point it finds.  Candidates are kept only if they verify
+    once from the point it finds.  Each start may cost up to ``per_start``
+    points per descent, max(200, budget // seeds), and no more than the
+    budget leaves.
+
+    The starts run in lockstep: each round costs the pending point of every
+    running start in one batched call.  A start begins while the points of
+    the finished starts plus 2 * per_start for each running start and for
+    the new one fit within the budget, so the budget cannot cut it or a
+    start before it; otherwise it waits, and when no start runs it begins
+    alone under what the budget leaves.  Every start thus takes the steps,
+    the caps and the random draw it would take with the starts run one
+    after another, so ``n_eval``, ``w`` and the objective are those of that
+    sequential loop to the bit.  The batched cost pays NumPy's call
+    overhead once per round, so a batch of one costs several times what a
+    point costed alone with scalar arithmetic would; only specs of 4 or
+    fewer starts and budget-limited tails run batches that small, and the
+    default 100 starts run 30 to 50 per round.
+
+    Candidates are screened in start order and kept only if they verify
     cleanly: order residuals within ORDER_TOL after clipping to [0, 1],
     non-defective at order p (with the structural exemptions), and passing
     the SSP screen when ``require_ssp_at`` is set.  With no surviving
@@ -254,42 +308,57 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     tol_sv = max(M.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
     rank = int(np.sum(sv > tol_sv))
     N = Vt[rank:].T                     # s x k, orthonormal columns
+    cost = _search_cost(f_max, w_part, N)
 
     n_eval = 0
-
-    def cost(y: np.ndarray) -> float:
-        nonlocal n_eval
-        n_eval += 1
-        w = w_part + N.dot(y)
-        f = f_max(w)
-        if not math.isfinite(f):
-            f = 1e30                    # defective: keep the landscape finite for the simplex
-        if all(0.0 <= x <= 1.0 for x in w.tolist()):
-            return f                    # the penalty is exactly 0.0 here; false for NaN
-        return f + _BOX_PENALTY * (np.sum(np.minimum(w, 0.0) ** 2)
-                                   + np.sum(np.maximum(w - 1.0, 0.0) ** 2))
-
-    rng = np.random.default_rng(spec.seed)
     per_start = max(200, spec.budget // spec.seeds)
-    candidates = []
-    for _ in range(spec.seeds):
-        if n_eval >= spec.budget:
-            break
-        x0 = rng.dirichlet(np.ones(s))
-        y0 = N.T @ (x0 - w_part)
+
+    def start(y0):
+        """One start's points; returns the best point of its descents."""
         y_best = None
         for _ in range(2):              # one adaptive restart from the found point
             maxfev = min(per_start, spec.budget - n_eval)
             if maxfev <= 0:
                 break
-            y, fy = _nelder_mead(cost, y0, maxfev)
+            y, fy = yield from _nelder_mead(y0, maxfev)
             if y_best is not None and fy >= f_best - 1e-14:
                 break
             y_best, f_best, y0 = y, fy, y
+        return y_best
+
+    rng = np.random.default_rng(spec.seed)
+    found = []                          # best point per start, in start order
+    running = []                        # [start index, generator, pending point, points costed]
+    finished = 0                        # points costed by the finished starts
+    while True:
+        while len(found) < spec.seeds and (
+                finished + 2 * per_start * (len(running) + 1) <= spec.budget
+                or not running and n_eval < spec.budget):
+            x0 = rng.dirichlet(np.ones(s))
+            gen = start(N.T @ (x0 - w_part))
+            running.append([len(found), gen, next(gen), 0])
+            found.append(None)
+        if not running:
+            break
+        values = cost(np.array([run[2] for run in running]))
+        n_eval += len(values)
+        still = []
+        for run, value in zip(running, values):
+            run[3] += 1
+            try:
+                run[2] = run[1].send(value)
+                still.append(run)
+            except StopIteration as stop:
+                found[run[0]] = stop.value
+                finished += run[3]
+        running = still
+
+    candidates = []
+    for y_best in found:
         w = np.clip(w_part + N @ y_best, 0.0, 1.0)
         if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
             continue                    # clipping moved it off the manifold: box-infeasible
-        obj = f_max(w)
+        obj = float(f_max(w[None])[0])
         if not math.isfinite(obj):
             continue
         if not oc.non_defective(w, p).ok:

@@ -392,6 +392,7 @@ def test_optimize_rejects_a_bad_spec_before_searching(capsys, monkeypatch, flags
 
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
+        yield                           # a generator, as the search's Nelder-Mead is
 
     monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", no_search)
     code, lines, err = run_cli(capsys, "optimize", "ssp3,2-b1", *flags)
@@ -411,7 +412,10 @@ def test_a_negative_seed_fails_naming_the_seed(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("work ran with a negative seed")
 
-    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", refuse)
+    def no_search(*args, **kwargs):
+        yield refuse()                  # a generator, as the search's Nelder-Mead is
+
+    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", no_search)
     monkeypatch.setattr(bench, "reference_endpoint", refuse)
     code, lines, err = run_cli(capsys, *argv)
     assert code == 1 and lines == []
@@ -524,6 +528,19 @@ def _package_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_parent, env.get("PYTHONPATH")) if p)
     return env
+
+
+def test_integrate_at_a_tolerance_whose_scale_overflows_warns_of_nothing():
+    # atol + |u0| * rtol overflows to inf at tol 1e308; initial_step forms
+    # it as _rms forms its squares, with overflow ignored, so no NumPy
+    # RuntimeWarning reaches stderr.  In a subprocess: pytest would record
+    # the warning instead of printing it.
+    cmd = [sys.executable, "-m", "sspkit.cli", "integrate", "--method", "ssp2,2-b2", "--problem", "vdp",
+           "--tol", "1e308", "--skip-error"]
+    out = subprocess.run(cmd, capture_output=True, text=True, env=_package_env())
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert "accepted: 10" in out.stdout.splitlines()
 
 
 def test_the_package_and_its_cli_load_no_scipy():

@@ -329,6 +329,44 @@ def test_each_real_argument_takes_a_numpy_scalar_in_range(name):
     call(np.float64(good))
 
 
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_each_real_argument_refuses_an_integer_too_large_for_a_float(name, value):
+    # math.isfinite(10**400) used to raise OverflowError, naming nothing
+    call, argument, _ = REAL_ARGUMENTS[name]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{argument} must be a finite number, got a number too large for a float"
+
+
+# a range or a time span that is not two items used to fail with Python's
+# TypeError or "too many values to unpack", naming nothing
+NOT_PAIRS = {
+    "stability_region_grid(re_range=1.0)": (
+        lambda: analysis.stability_region_grid(_PSI, 1.0, nx=2, ny=2), "re_range must be a pair of numbers, got 1.0"),
+    "stability_region_grid(re_range=3 items)": (
+        lambda: analysis.stability_region_grid(_PSI, (0.0, 1.0, 2.0), nx=2, ny=2),
+        "re_range must be a pair of numbers, got (0.0, 1.0, 2.0)"),
+    "stability_region_grid(im_range=None)": (
+        lambda: analysis.stability_region_grid(_PSI, im_range=None, nx=2, ny=2),
+        "im_range must be a pair of numbers, got None"),
+    "integrate_adaptive(t_span=1.0)": (
+        lambda: integrator.integrate_adaptive(replace(_ODE, t_span=1.0), _T, _I, 1e-3, 1e-3),
+        "t_span must be a pair of numbers, got 1.0"),
+    "integrate_fixed(t_span=1 item)": (
+        lambda: integrator.integrate_fixed(replace(_ODE, t_span=(1.0,)), _T, 0.25),
+        "t_span must be a pair of numbers, got (1.0,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PAIRS))
+def test_a_range_or_time_span_that_is_not_a_pair_is_refused_by_name(name):
+    call, message = NOT_PAIRS[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_the_id_and_integer_rules_have_one_owner():
     # sspkit._args alone reads an id (strip, lower), checks an integer
     # (numbers.Integral) or a real number (numbers.Real) and refuses a

@@ -4,13 +4,14 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sspkit import optimizer
-from sspkit.analysis import OrderConditions, error_measures, ssp_coefficient_arrays
+from sspkit.analysis import ORDER_TOL, OrderConditions, _norms, error_measures, ssp_coefficient_arrays
 from sspkit.optimizer import (
     OptimizationResult,
     OptimizationSpec,
@@ -265,26 +266,34 @@ def _same(a, b) -> bool:
 
 def _checked_search(monkeypatch, spec, probes=None):
     """Run the search with every cost value compared against the reference
-    at the same y; ``probes(w_part, N)`` yields extra y to evaluate once.
+    at the same y; ``probes(w_part, N)`` yields extra y, which are costed
+    once all in one batch and once each alone before the search starts.
     Returns the result and the number of values compared."""
     ref, w_part, N = _ref_search_cost(spec.tableau)
-    real = optimizer._nelder_mead
+    real = optimizer._search_cost
     compared, bad = [], []
 
-    def compare(fun, y):
-        got, want = fun(y), ref(y)
-        compared.append(got)
-        if not _same(got, want):
-            bad.append((np.array(y).tolist(), got, want))
-        return got
+    def search_cost(*args):
+        cost = real(*args)
 
-    def nelder_mead(fun, x0, maxfev):
-        if not compared:
-            for y in probes(w_part, N) if probes else ():
-                compare(fun, y)
-        return real(lambda y: compare(fun, y), x0, maxfev)
+        def checked(Y):
+            got = cost(Y)
+            assert len(got) == len(Y)
+            for y, value in zip(Y, got):
+                want = ref(y)
+                compared.append(value)
+                if not _same(value, want):
+                    bad.append((y.tolist(), value, want))
+            return got
 
-    monkeypatch.setattr(optimizer, "_nelder_mead", nelder_mead)
+        ys = list(probes(w_part, N)) if probes else []
+        if ys:
+            checked(np.array(ys))
+            for y in ys:
+                checked(np.array([y]))
+        return checked
+
+    monkeypatch.setattr(optimizer, "_search_cost", search_cost)
     result = optimize_embedded(spec)
     assert not bad, bad[:3]
     return result, len(compared)
@@ -328,12 +337,15 @@ def test_cost_on_the_box_edges_outside_it_and_at_nan_is_the_reference_value(monk
     assert hits == {0.0, 1.0}
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("w", [
+EDGE_WEIGHTS = [
     [1.0, 0.0, 0.0], [-0.0, 0.5, 0.5], [0.0, 1.0, -0.0], [4 / 9, 1 / 3, 2 / 9],
     [-0.5, 1.0, 0.5], [1.5, -0.25, -0.25], [1 / 3, 1 / 3, 1 / 3],
     [math.nan, 0.5, 0.5], [0.0, math.inf, 0.0], [0.0, math.inf, -math.inf], [math.nan] * 3,
-])
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("w", EDGE_WEIGHTS)
 def test_cost_and_norms_at_edge_weights_are_the_reference_values(w):
     t = resolve("ssp3,2-b1")
     oc = OrderConditions(t.A)
@@ -341,9 +353,26 @@ def test_cost_and_norms_at_edge_weights_are_the_reference_values(w):
     w = np.array(w)
     got, want = pair_norms(oc, tau_main, w, 2), _ref_error_norms(oc, tau_main, w, 2)
     assert all(map(_same, got, want)), (got, want)
-    assert optimizer._pair_cost(t.A, t.b)[3](w) == _ref_cost(oc, tau_main, w, 2)
+    assert optimizer._pair_cost(t.A, t.b)[3](w[None])[0] == _ref_cost(oc, tau_main, w, 2)
     if not np.isnan(w).any():
         assert objective(t.A, t.b, w) in (_ref_cost(oc, tau_main, w, 2), math.inf)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference's
+def test_a_batch_of_edge_weights_costs_each_row_as_alone_and_warns_of_nothing():
+    # NaN and inf rows share the batch with finite ones, and no NumPy
+    # warning escapes the batched cost
+    t = resolve("ssp3,2-b1")
+    oc = OrderConditions(t.A)
+    tau_main = oc.tau(t.b, 3)
+    W = np.array(EDGE_WEIGHTS)
+    f_max = optimizer._pair_cost(t.A, t.b)[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = f_max(W)
+        alone = [f_max(w[None])[0] for w in W]
+    assert batch.tobytes() == np.array(alone).tobytes()
+    assert batch.tolist() == [_ref_cost(oc, tau_main, w, 2) for w in W]
 
 
 def test_defective_weights_cost_the_sentinel_as_before():
@@ -351,7 +380,7 @@ def test_defective_weights_cost_the_sentinel_as_before():
     oc = OrderConditions(A22)
     tau_main = oc.tau(B22, 3)
     assert pair_norms(oc, tau_main, B22, 2)[2] == 0.0
-    assert optimizer._pair_cost(A22, B22)[3](B22) == _ref_cost(oc, tau_main, B22, 2) == math.inf
+    assert optimizer._pair_cost(A22, B22)[3](B22[None])[0] == _ref_cost(oc, tau_main, B22, 2) == math.inf
     assert objective(A22, B22, B22) == math.inf
 
 
@@ -423,6 +452,17 @@ def _search_cost_and_start(mid):
     return cost, N.T @ (w0 - w_part)
 
 
+def _drive(search, fun):
+    """Run the point generator ``search`` with each point costed alone by
+    fun, which gets it as a new 1-D array; returns what search returns."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun(np.array(x)))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _run_both(fun, x0, maxfev):
     """(x, fun, points) from optimizer._nelder_mead and from SciPy's
     adaptive Nelder-Mead with the search's tolerances."""
@@ -434,7 +474,7 @@ def _run_both(fun, x0, maxfev):
         return r.x, r.fun
 
     runs = []
-    for solve in (lambda f: optimizer._nelder_mead(f, x0, maxfev), scipy_nelder_mead):
+    for solve in (lambda f: _drive(optimizer._nelder_mead(x0, maxfev), f), scipy_nelder_mead):
         points = []
         x, fx = solve(lambda y: points.append(np.array(y)) or fun(y))
         runs.append((x, fx, points))
@@ -495,12 +535,12 @@ def test_the_tie_and_nan_cases_reach_what_they_guard():
     # entries on; the NaN runs end with NaN in the final simplex, so the
     # value returned is np.min's NaN while the best vertex is finite
     points = []
-    optimizer._nelder_mead(lambda y: points.append(y) or _terraces(y),
-                           np.array([-0.4, -4.0, -0.5, -1.7, 6.6]), 300)
+    _drive(optimizer._nelder_mead(np.array([-0.4, -4.0, -0.5, -1.7, 6.6]), 300),
+           lambda y: points.append(y) or _terraces(y))
     first = [_terraces(y) for y in points[:6]]
     assert max(map(first.count, first)) >= 4
     for maxfev in (6, 14):
-        x, fx = optimizer._nelder_mead(_nan_region, np.array([0.5, 0.49, 0.1, 0.2]), maxfev)
+        x, fx = _drive(optimizer._nelder_mead(np.array([0.5, 0.49, 0.1, 0.2]), maxfev), _nan_region)
         assert math.isnan(fx) and math.isfinite(_nan_region(x))
 
 
@@ -512,16 +552,119 @@ def _scipy_nelder_mead(fun, x0, maxfev):
     return r.x, r.fun
 
 
+# ------------------------------ the lockstep search, bit for bit as it was
+#
+# optimize_embedded runs its starts in lockstep and costs a batch of
+# points per round.  The reference is its loop as it stood before: one
+# start after another, each point costed alone by the reference cost.
+
+
+def _drive_in_house(fun, x0, maxfev):
+    return _drive(optimizer._nelder_mead(x0, maxfev), fun)
+
+
+def _sequential_search(spec, nelder_mead=_drive_in_house):
+    """(status, n_eval, w, objective) of the search of spec with its starts
+    run one after another, each point costed alone by the reference cost,
+    and ``nelder_mead(fun, y0, maxfev) -> (y, f)`` as the local search."""
+    t = spec.tableau
+    ref, w_part, N = _ref_search_cost(t)
+    oc = OrderConditions(t.A)
+    p = oc.classify(t.b)
+    M, rhs = oc.up_to(p - 1)
+    tau_main = oc.tau(t.b, p + 1)
+    n_eval = 0
+
+    def cost(y):
+        nonlocal n_eval
+        n_eval += 1
+        return ref(y)
+
+    rng = np.random.default_rng(spec.seed)
+    per_start = max(200, spec.budget // spec.seeds)
+    candidates = []
+    for _ in range(spec.seeds):
+        if n_eval >= spec.budget:
+            break
+        x0 = rng.dirichlet(np.ones(t.s))
+        y0 = N.T @ (x0 - w_part)
+        y_best = None
+        for _ in range(2):
+            maxfev = min(per_start, spec.budget - n_eval)
+            if maxfev <= 0:
+                break
+            y, fy = nelder_mead(cost, y0, maxfev)
+            if y_best is not None and fy >= f_best - 1e-14:
+                break
+            y_best, f_best, y0 = y, fy, y
+        w = np.clip(w_part + N @ y_best, 0.0, 1.0)
+        if np.max(np.abs(M @ w - rhs)) > ORDER_TOL:
+            continue
+        obj = _ref_cost(oc, tau_main, w, p)
+        if not math.isfinite(obj) or not oc.non_defective(w, p).ok:
+            continue
+        if spec.require_ssp_at is not None and not ssp_feasible(t.A, w, spec.require_ssp_at):
+            continue
+        candidates.append((obj, tuple(w), w))
+    if not candidates:
+        return "no-solution", n_eval, None, math.inf
+    obj, _, w = min(candidates, key=lambda cand: (cand[0], cand[1]))
+    return "ok", n_eval, w, obj
+
+
+def _assert_same_search(result, ref):
+    status, n_eval, w, obj = ref
+    assert (result.status, result.n_eval) == (status, n_eval)
+    assert _same(result.objective, obj)
+    assert (result.w is None) == (w is None)
+    if w is not None:
+        assert result.w.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    OptimizationSpec(tableau=resolve("ssp10,4-b3"), seeds=10, budget=5000, seed=0),
+    OptimizationSpec(tableau=resolve("ssp16,3"), seeds=5, budget=3000, seed=0),
+    OptimizationSpec(tableau=resolve("ssp9,3"), require_ssp_at=6.0, seeds=2, budget=3000, seed=0),
+    OptimizationSpec(tableau=resolve("ssp3,2-b1"), seeds=7, budget=1500, seed=0),
+], ids=["ssp10,4-b3", "ssp16,3", "ssp9,3@6", "ssp3,2-b1"])
+def test_lockstep_search_equals_the_sequential_loop_bit_for_bit(spec):
+    # budget-limited specs: the admission rule must hold starts back so
+    # that the budget cuts the same start at the same point
+    _assert_same_search(optimize_embedded(spec), _sequential_search(spec))
+
+
+def _search_bases():
+    bases = sorted({mid.split("-")[0] for mid in catalog_ids()})
+    return [mid for mid in bases if 2 <= resolve(mid).p <= 4]
+
+
+@pytest.mark.parametrize("base", _search_bases())
+def test_stacked_products_equal_the_per_point_dot_bit_for_bit(base):
+    # the premise of the batched cost: np.matmul over a stack calls, row by
+    # row, the BLAS gemv or ddot that ndarray.dot calls on one point
+    t = resolve(base)
+    oc = OrderConditions(t.A)
+    p = oc.classify(t.b)
+    _, w_part, N = _ref_search_cost(t)
+    rng = np.random.default_rng(5)
+    for B in (1, 2, 50):
+        Y = rng.normal(size=(B, N.shape[1])) * rng.choice([1e-3, 1.0, 1e3], size=(B, 1))
+        NY = np.matmul(N, Y[:, :, None])[:, :, 0]
+        assert NY.tobytes() == np.array([N.dot(y) for y in Y]).tobytes()
+        W = w_part + NY
+        for q in (p, p + 1):
+            PW = np.matmul(oc.phi[q], W[:, :, None])[:, :, 0]
+            assert PW.tobytes() == np.array([oc.phi[q].dot(w) for w in W]).tobytes()
+            X = PW - oc.g[q]
+            XX = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+            assert XX.tobytes() == np.array([x.dot(x) for x in X]).tobytes()
+            two, big = optimizer._row_norms(X)
+            assert list(zip(two.tolist(), big.tolist())) == [_norms(x) for x in X]
+
+
 @pytest.mark.parametrize("base, seed", [("ssp10,4-b3", 3), ("ssp16,3", 4)])
-def test_searches_in_large_null_spaces_match_scipy_bit_for_bit(monkeypatch, base, seed):
-    # null-space dimensions 6 and 14, the largest in the catalog; a short
-    # budget keeps the pair of searches well under a second
+def test_searches_in_large_null_spaces_match_scipy_bit_for_bit(base, seed):
+    # null-space dimensions 6 and 14, the largest in the catalog; SciPy's
+    # minimize runs each start of the sequential loop
     spec = OptimizationSpec(tableau=resolve(base), seeds=2, budget=800, seed=seed)
-    mine = optimize_embedded(spec)
-    monkeypatch.setattr(optimizer, "_nelder_mead", _scipy_nelder_mead)
-    ref = optimize_embedded(spec)
-    assert (mine.status, mine.n_eval) == (ref.status, ref.n_eval)
-    assert _same(mine.objective, ref.objective)
-    assert (mine.w is None) == (ref.w is None)
-    if mine.w is not None:
-        assert mine.w.tobytes() == ref.w.tobytes()
+    _assert_same_search(optimize_embedded(spec), _sequential_search(spec, _scipy_nelder_mead))
