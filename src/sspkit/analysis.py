@@ -20,6 +20,10 @@ monotone feasibility test, all found by the one bisection ``_bisect_sup``.
 The two axis radii end where the axis, cut at the roots of its boundary
 polynomials, first leaves |psi| <= 1 (``_first_exit``).
 
+The error measures of a pair have one implementation, ``_pair_measures``,
+over a batch of embedded weights: ``error_measures`` reads a batch of one
+and the weight search's cost (``optimizer._pair_cost``) reduces a batch.
+
 Two bounded per-process memos (``functools.lru_cache``, ``_MEMO_SIZE``
 entries each) keep repeated analysis from recomputing what the bytes of
 its input already fix; the catalog's 32 pairs share 15 stage matrices and
@@ -142,19 +146,6 @@ class NonDefectiveReport:
     exempt: frozenset[str]
 
 
-def _ratio(num, den) -> float:
-    return num / den if den != 0.0 else math.inf
-
-
-def _norms(x) -> tuple[float, float]:
-    """(2-norm, max-norm) of a 1-D float array, bit for bit as
-    ``np.linalg.norm`` (which is sqrt(x.dot(x))) and ``np.max(np.abs(x))``
-    give them, but in Python scalars.  x.dot(x) is NaN exactly when an
-    entry is, and then so is the max-norm: Python's ``max`` could drop it."""
-    sq = float(x.dot(x))
-    return math.sqrt(sq), (max(map(abs, x.tolist())) if sq == sq else sq)
-
-
 class OrderConditions:
     """The order conditions of a fixed stage matrix A, linear in the weights.
 
@@ -254,18 +245,40 @@ def _engine_of(shape, data) -> OrderConditions:
     return OrderConditions(np.frombuffer(data).reshape(shape))
 
 
-def _pair_norms(a2, ainf, tau_emb, diff) -> tuple[float, ...]:
-    """Norms of the leading truncation errors of a pair, as Python floats:
-    (A2, Ainf, A2_emb, Ainf_emb, B2, Binf, C2, Cinf) as documented at
-    ``error_measures``, from the norms (a2, ainf) of the advancing
-    order-(p+1) residuals ``tau_main``, the embedded residuals
-    ``tau(w, p)`` and the difference ``tau(w, p + 1) - tau_main``.  A
-    ratio with a zero denominator is inf.  The weight search's cost
-    (``optimizer._pair_cost``) forms the same norms over a batch of weights."""
-    a2e, ainfe = _norms(tau_emb)
-    d2, dinf = _norms(diff)
-    return (a2, ainf, a2e, ainfe,
-            _ratio(a2, a2e), _ratio(ainf, ainfe), _ratio(d2, a2e), _ratio(dinf, ainfe))
+def _row_norms(X):
+    """(2-norms, max-norms) of the rows of X: the square root of one BLAS
+    ddot of each row with itself, as ``np.linalg.norm`` forms it, and the
+    max of |x|, which is NaN exactly when the row holds a NaN."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]), np.abs(X).max(axis=1)
+
+
+def _pair_measures(oc, b, p):
+    """``measures(W)``: for a C-contiguous (B, s) batch W of embedded
+    weights, the (8, B) array of A2, Ainf, A2_emb, Ainf_emb, B2, Binf, C2,
+    Cinf (see ``error_measures``) of the pairs (A, b, w), ``oc`` being the
+    engine of A and p the advancing order of b.  A ratio with a zero
+    denominator is inf, and no NumPy warning is raised.  The stacked
+    products ``np.matmul(phi, W[:, :, None])`` and the row dot products
+    call, row by row, the BLAS gemv or ddot that ``ndarray.dot`` calls on
+    one point, and every other step is the same IEEE operation per row, so
+    a row's values are the ones it has alone."""
+    tau_main = oc.tau(b, p + 1)
+    main = np.concatenate(_row_norms(tau_main[None]))[:, None]     # (A2, Ainf) as a column
+    phi_p, g_p, phi_q, g_q = oc.phi[p], oc.g[p], oc.phi[p + 1], oc.g[p + 1]
+
+    def measures(W):
+        with np.errstate(all="ignore"):
+            Wc = W[:, :, None]
+            F = np.empty((8, len(W)))
+            F[:2] = F[4:6] = main               # A2, Ainf, then the numerators of B2, Binf
+            F[2], F[3] = _row_norms(np.matmul(phi_p, Wc)[:, :, 0] - g_p)
+            F[6], F[7] = _row_norms(np.matmul(phi_q, Wc)[:, :, 0] - g_q - tau_main)
+            den, ratios = F[[2, 3, 2, 3]], F[4:]
+            np.divide(ratios, den, out=ratios, where=den != 0.0)
+            ratios[den == 0.0] = math.inf
+        return F
+
+    return measures
 
 
 def _as_arrays(A, w):
@@ -576,15 +589,13 @@ def error_measures(t) -> ErrorMeasures:
     embedded.  B compares the two leading errors, B2 = A2 / A2_emb.
     C measures the gap between the pairs' leading errors relative to the
     embedded one, and D is the largest coefficient magnitude in the
-    extended tableau.
-    """
+    extended tableau.  Weights whose squares overflow give inf or NaN
+    measures and no NumPy warning."""
     embedded_pair(t)
     p = t.p
     if p > 4:
         raise ValueError("error measures need trees to order p+1 <= 5")
-    oc = _engine(t.A)
-    tau_main = oc.tau(t.b, p + 1)
-    norms = _pair_norms(*_norms(tau_main), oc.tau(t.b_tilde, p), oc.tau(t.b_tilde, p + 1) - tau_main)
+    norms = _pair_measures(_engine(t.A), t.b, p)(t.b_tilde[None])[:, 0].tolist()
     d = max(np.max(np.abs(t.A)), np.max(np.abs(t.b)), np.max(np.abs(t.b_tilde)), np.max(np.abs(t.c)))
     return ErrorMeasures(*norms, D=float(d))
 

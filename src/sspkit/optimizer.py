@@ -14,10 +14,10 @@ SciPy's steps in the same IEEE operations, on Python floats, so the
 package needs no SciPy.  It is a generator that hands out one point at a
 time, so the starts run in lockstep: each round costs the pending point
 of every running start in one batched call.  The cost has one
-implementation, over a batch, which ``_pair_cost`` builds: ``objective``
-takes its value on a batch of one.  Each row's products are the BLAS
-calls a lone point's ``ndarray.dot`` makes, so a point costs the same
-bits in any batch.
+implementation, over a batch: ``_pair_cost`` reduces the error measures
+of ``analysis._pair_measures``, and ``objective`` takes its value on a
+batch of one.  Each row's products are the BLAS calls a lone point's
+``ndarray.dot`` makes, so a point costs the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -184,13 +184,6 @@ def _nelder_mead(x0, maxfev: int):
     return np.array(sim[0]), np.min(fsim)
 
 
-def _row_norms(X):
-    """(2-norms, max-norms) of the rows of X, each as ``analysis._norms``
-    forms it: the square root of one BLAS ddot of the row with itself, and
-    the max of |x|, which is NaN exactly when the row holds a NaN."""
-    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]), np.abs(X).max(axis=1)
-
-
 def _pair_cost(A, b):
     """What the cost of embedded weights for (A, b) needs: the engine
     ``oc`` of A, the advancing order p of b, the rows (M, rhs) of
@@ -200,33 +193,20 @@ def _pair_cost(A, b):
 
     ``f_max`` takes a C-contiguous (B, s) batch of weight vectors and
     returns, for each row w, ||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1,
-    C2-1, Cinf-1] of the pair (A, b, w), the norms being those of
-    ``analysis._pair_norms``, or inf when an entry is not finite (a
-    defective pair); it raises no NumPy warning.  The norms of the
-    advancing residuals are formed once.  The stacked products
-    ``np.matmul(phi, W[:, :, None])`` and the row dot products call, row by
-    row, the BLAS gemv or ddot that ``ndarray.dot`` calls on one point, and
-    every other step is the same IEEE operation per row, so a row's value
-    is the one it has alone."""
+    C2-1, Cinf-1] of the pair (A, b, w), the measures being those of
+    ``analysis._pair_measures``, or inf when an entry is not finite (a
+    defective pair); it raises no NumPy warning.  It is that kernel's
+    batch reduced per row, so a row's value is the one it has alone."""
     oc = analysis._engine(A)
     p = oc.classify(b)
     if not 2 <= p <= 4:
         raise ValueError(f"the weight search needs an advancing method of order 2..4, got order {p}")
-    tau_main = oc.tau(b, p + 1)
-    a2, ainf = analysis._norms(tau_main)
-    phi_p, g_p, phi_q, g_q = oc.phi[p], oc.g[p], oc.phi[p + 1], oc.g[p + 1]
+    measures = analysis._pair_measures(oc, b, p)
 
     def f_max(W):
+        F = measures(W)[2:]                     # A2~, Ainf~, B2, Binf, C2, Cinf
         with np.errstate(all="ignore"):         # a non-finite entry maps to inf
-            Wc = W[:, :, None]
-            F = np.empty((6, len(W)))           # A2~, Ainf~, then B2, Binf, C2, Cinf
-            F[0], F[1] = _row_norms(np.matmul(phi_p, Wc)[:, :, 0] - g_p)
-            F[2], F[3] = a2, ainf
-            F[4], F[5] = _row_norms(np.matmul(phi_q, Wc)[:, :, 0] - g_q - tau_main)
-            den, ratios = F[[0, 1, 0, 1]], F[2:]
-            np.divide(ratios, den, out=ratios, where=den != 0.0)
-            ratios[den == 0.0] = math.inf
-            ratios -= 1.0
+            F[2:] -= 1.0
             f = np.abs(F, out=F).max(axis=0)
             f[f != f] = math.inf                # a NaN entry makes the max NaN, an inf one inf
         return f

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sspkit.analysis import _norms, _pair_norms
+from sspkit.analysis import _pair_measures
 from sspkit.controller import ERR_FLOOR, FAC, FACMAX, FACMIN, GAINS
 from sspkit.integrator import StiffnessError, initial_step, rk_step
 from sspkit.problems import _face_pass
@@ -38,11 +38,11 @@ def embedded_method(t):
     return replace(t, b=t.b_tilde, p=t.p - 1, b_tilde=None, ssp_claimed=None)
 
 
-def pair_norms(oc, tau_main, w, p: int) -> tuple[float, ...]:
+def pair_norms(oc, b, w, p: int) -> tuple[float, ...]:
     """(A2, Ainf, A2_emb, Ainf_emb, B2, Binf, C2, Cinf) of the pair with
-    advancing order-(p+1) residuals tau_main and embedded weights w, as
-    ``error_measures`` forms them."""
-    return _pair_norms(*_norms(tau_main), oc.tau(w, p), oc.tau(w, p + 1) - tau_main)
+    advancing weights b of order p and embedded weights w, as
+    ``error_measures`` forms them: a batch of one of the kernel."""
+    return tuple(_pair_measures(oc, b, p)(np.array(w, dtype=float)[None])[:, 0].tolist())
 
 
 def perfbench_worker():

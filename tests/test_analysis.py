@@ -8,6 +8,7 @@ along rays for the rest, cross-checked against the known SSP limits.
 
 import json
 import math
+import warnings
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
@@ -429,6 +430,21 @@ def test_error_measures_equal_the_numpy_norms_exactly():
     for t in pairs + odd:
         got, want = asdict(error_measures(t)), asdict(_ref_error_measures(t))
         assert all(got[k] == want[k] or (math.isnan(got[k]) and math.isnan(want[k])) for k in got), t.id
+
+
+@pytest.mark.parametrize("w", [[1e300] * 3, [1e308, -1e308, 1.0]], ids=["squares-overflow", "sums-overflow"])
+def test_weights_whose_squares_overflow_measure_without_a_warning(w):
+    # the scalar norms warned "overflow encountered in dot" here
+    t = replace(resolve("ssp3,2-b1"), ssp_claimed=None, b_tilde=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                 # the reference's own warnings
+        want = asdict(_ref_error_measures(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, report = asdict(error_measures(t)), analyze_method(t)
+    for k in want:
+        for value in (got[k], report[k]):
+            assert value == want[k] or (math.isnan(value) and math.isnan(want[k])), (k, value, want[k])
 
 
 def test_error_measure_ratios_are_consistent():

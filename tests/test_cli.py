@@ -470,6 +470,18 @@ def test_an_unreachable_tolerance_fails_with_a_finite_step_and_no_warning(capsys
                    "(0 accepted, 0 rejected)\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", ["1", "0.5", "0.1"])
+@pytest.mark.parametrize("problem", ["vdp", "brusselator"])
+@pytest.mark.parametrize("method", ["ssp2,2-b2", "ssp10,4-b3", "bs32", "dp54"])
+def test_an_attempt_that_overflows_is_rejected_without_a_warning(capsys, method, problem, tol):
+    # dp54 on brusselator at tol 1 and ssp10,4-b3 at tol 0.5 and 1 used to
+    # print "invalid value encountered in dot" from the attempt kernel
+    code, _, err = run_cli(capsys, "integrate", "--method", method, "--problem", problem,
+                           "--tol", tol, "--skip-error")
+    assert code in (0, 2) and "Warning" not in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ("bench", "--methods", "ssp2,2-b2", "--problems", "vdp", "--tols", "1e-3", "--out", "{missing}"),
     ("analyze", "ssp2,2-b2", "--out", "{missing}"),

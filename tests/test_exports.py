@@ -34,6 +34,9 @@ REMOVED_ACCESSORS = ("EulerState", "weno5_weights", "ssp_coefficient", "psi_eval
                      "weno5_reconstruct", "ssp_catalog_ids", "with_advancing_weights",
                      "vdp", "brusselator", "advection", "euler_sod", "sine_average",
                      "MethodId", "parse_method_id", "format_method_id")
+# private second implementations of the pair error measures: the batched
+# analysis._pair_measures is the one that error_measures and the search read
+REMOVED_HELPERS = {analysis: ("_norms", "_pair_norms", "_ratio"), optimizer: ("_row_norms",)}
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sspkit").glob("*.py"))
 HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
@@ -75,6 +78,9 @@ def test_the_removed_accessors_are_not_exported():
         for name in REMOVED_ACCESSORS:
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
             assert name not in getattr(mod, "__all__", ()), f"{mod.__name__}.__all__ has {name}"
+    for mod, names in REMOVED_HELPERS.items():
+        for name in names:
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 def _loads(path):

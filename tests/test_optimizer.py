@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sspkit import optimizer
-from sspkit.analysis import ORDER_TOL, OrderConditions, _norms, error_measures, ssp_coefficient_arrays
+from sspkit.analysis import ORDER_TOL, OrderConditions, _row_norms, error_measures, ssp_coefficient_arrays
 from sspkit.optimizer import (
     OptimizationResult,
     OptimizationSpec,
@@ -351,7 +351,7 @@ def test_cost_and_norms_at_edge_weights_are_the_reference_values(w):
     oc = OrderConditions(t.A)
     tau_main = oc.tau(t.b, 3)
     w = np.array(w)
-    got, want = pair_norms(oc, tau_main, w, 2), _ref_error_norms(oc, tau_main, w, 2)
+    got, want = pair_norms(oc, t.b, w, 2), _ref_error_norms(oc, tau_main, w, 2)
     assert all(map(_same, got, want)), (got, want)
     assert optimizer._pair_cost(t.A, t.b)[3](w[None])[0] == _ref_cost(oc, tau_main, w, 2)
     if not np.isnan(w).any():
@@ -379,7 +379,7 @@ def test_defective_weights_cost_the_sentinel_as_before():
     # ssp2,2's own weights satisfy the order-2 condition exactly: A2_emb = 0
     oc = OrderConditions(A22)
     tau_main = oc.tau(B22, 3)
-    assert pair_norms(oc, tau_main, B22, 2)[2] == 0.0
+    assert pair_norms(oc, B22, B22, 2)[2] == 0.0
     assert optimizer._pair_cost(A22, B22)[3](B22[None])[0] == _ref_cost(oc, tau_main, B22, 2) == math.inf
     assert objective(A22, B22, B22) == math.inf
 
@@ -392,7 +392,7 @@ def test_a_nan_residual_behind_an_inf_keeps_the_max_norm_nan():
     oc = OrderConditions(t.A)
     w = np.array([0.0, math.inf, 0.0])
     assert np.isinf(oc.tau(w, 3)[0]) and np.isnan(oc.tau(w, 3)[1])
-    norms = pair_norms(oc, oc.tau(t.b, 4), w, 3)
+    norms = pair_norms(oc, t.b, w, 3)
     assert math.isnan(norms[3])  # Ainf_emb
     assert all(map(_same, norms, _ref_error_norms(oc, oc.tau(t.b, 4), w, 3)))
 
@@ -658,8 +658,9 @@ def test_stacked_products_equal_the_per_point_dot_bit_for_bit(base):
             X = PW - oc.g[q]
             XX = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
             assert XX.tobytes() == np.array([x.dot(x) for x in X]).tobytes()
-            two, big = optimizer._row_norms(X)
-            assert list(zip(two.tolist(), big.tolist())) == [_norms(x) for x in X]
+            two, big = _row_norms(X)
+            assert list(zip(two.tolist(), big.tolist())) == [
+                (math.sqrt(x.dot(x)), float(np.max(np.abs(x)))) for x in X]
 
 
 @pytest.mark.parametrize("base, seed", [("ssp10,4-b3", 3), ("ssp16,3", 4)])
