@@ -15,10 +15,17 @@ and the vector ``g[q]`` of 1/gamma.  Every residual is then
   composite condition can vanish even when no individual tree residual
   does.
 
-The SSP coefficient, the disk radius and R_psi are suprema of a
-monotone feasibility test, all found by the one bisection ``_bisect_sup``.
-The two axis radii end where the axis, cut at the roots of its boundary
-polynomials, first leaves |psi| <= 1 (``_first_exit``).
+The order p of a method is the one ``OrderConditions.classify`` gives:
+``analyze_method`` reports it, and the error measures and the
+non-defective check are taken at it.  No function here reads a tableau's
+claimed ``t.p``, the integrator's design order.
+
+``stability_radii`` is the one entry to the radii of psi: it checks the
+coefficients once for its four searches.  The SSP coefficient, the disk
+radius and R_psi are suprema of a monotone feasibility test, all found by
+the one bisection ``_bisect_sup``.  The two axis radii end where the axis,
+cut at the roots of its boundary polynomials, first leaves |psi| <= 1
+(``_first_exit``).
 
 The error measures of a pair have one implementation, ``_pair_measures``,
 over a batch of embedded weights: ``error_measures`` reads a batch of one
@@ -31,9 +38,8 @@ its input already fix; the catalog's 32 pairs share 15 stage matrices and
 
 * ``_engine(A)`` holds one ``OrderConditions`` per stage matrix, keyed on
   the shape and ``A.tobytes()``.  Its arrays are read-only and its vacuous
-  sets frozen, so sharing it is safe.  ``classify_order``,
-  ``is_non_defective``, ``error_measures``, ``order_condition_residuals``
-  and the weight search's cost all take their engine from it.
+  sets frozen, so sharing it is safe.  Every engine here and in the
+  weight search's cost comes from it.
 * ``analyze_method`` takes the advancing side of a report -- p, the SSP
   coefficient and the four radii of psi -- from ``_advancing``, keyed on
   the bytes of (A, b).  It returns immutable values, and each call still
@@ -65,10 +71,6 @@ __all__ = [
     "NonDefectiveReport",
     "ssp_coefficient_arrays",
     "stability_polynomial",
-    "real_axis_inclusion",
-    "imag_axis_inclusion",
-    "circle_contractivity_radius",
-    "absolute_monotonicity_radius",
     "stability_radii",
     "StabilityRadii",
     "ErrorMeasures",
@@ -315,13 +317,19 @@ def classify_order(A, w) -> int:
     return _engine(A).classify(w)
 
 
+def _classified(t, most: int) -> int:
+    """The classified order of t.b; ValueError naming it outside 1..most."""
+    return integer(f"the classified order of {t.id!r}", _engine(t.A).classify(t.b), 1, most)
+
+
 def is_non_defective(t) -> NonDefectiveReport:
     """Check that the embedded weights violate every order-p condition.
 
-    ``p`` is the order of the advancing method.  The conditions that no
-    weight vector can violate (``OrderConditions.vacuous``) are exempt.
+    ``p`` is the classified order of b, 1..5 (ValueError otherwise).  The
+    conditions no weight vector can violate (``OrderConditions.vacuous``)
+    are exempt.
     """
-    return _engine(t.A).non_defective(embedded_pair(t).b_tilde, t.p)
+    return _engine(t.A).non_defective(embedded_pair(t).b_tilde, _classified(t, 5))
 
 
 def _bisect_sup(feasible, lo: float, hi: float, tol: float) -> float:
@@ -408,15 +416,6 @@ def stability_polynomial(A, w) -> np.ndarray:
     return arr[: deg + 1]
 
 
-def _checked_psi(coeffs) -> tuple[np.ndarray, float]:
-    """psi's coefficients as a float array, and the radius searches' cap
-    10 * max(1, degree); the one input check of the four radius functions."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or len(coeffs) == 0 or not np.all(np.isfinite(coeffs)):
-        raise ValueError(f"psi needs a nonempty 1-D array of finite coefficients, got {coeffs.tolist()}")
-    return coeffs, 10.0 * max(1, len(coeffs) - 1)
-
-
 def _eval_noise(coeffs, z):
     """Pointwise bound on the float rounding error of evaluating psi at z.
 
@@ -451,17 +450,16 @@ def _first_exit(coeffs, crossings, point, cap: float) -> float:
     return cap
 
 
-def real_axis_inclusion(coeffs) -> float:
-    """Largest gamma with |psi| <= 1 (+noise slack) on [-gamma, 0], from
-    the roots of psi(-x) - 1 and psi(-x) + 1."""
-    coeffs, cap = _checked_psi(coeffs)
+def _delta_R(coeffs, cap: float) -> float:
+    """Largest gamma <= cap with |psi| <= 1 (+noise slack) on [-gamma, 0],
+    from the roots of psi(-x) - 1 and psi(-x) + 1."""
     psi_neg = coeffs * (-1.0) ** np.arange(len(coeffs))  # psi(-x)
     crossings = np.concatenate([polyroots(polyadd(psi_neg, [shift])) for shift in (-1.0, 1.0)])
     return _first_exit(coeffs, crossings, lambda x: -x, cap)
 
 
-def imag_axis_inclusion(coeffs) -> float:
-    """Largest gamma with |psi| <= 1 + 1e-12 on [0, i*gamma] (0 if none).
+def _delta_I(coeffs, cap: float) -> float:
+    """Largest gamma <= cap with |psi| <= 1 + 1e-12 on [0, i*gamma] (0 if none).
 
     The axis meets |psi| = 1 only at y = sqrt(u) for the roots u of
     Q(u) = |psi(i sqrt(u))|^2 - 1.  Near the origin Q(u) = O(u^k): the
@@ -470,7 +468,6 @@ def imag_axis_inclusion(coeffs) -> float:
     the radius is exactly 0.  A constant psi has |psi| == 1 on the whole
     axis and gets the search cap.
     """
-    coeffs, cap = _checked_psi(coeffs)
     n = len(coeffs)
     # |psi(iy)|^2 as a real polynomial: convolve psi(iy) with its conjugate
     ik = np.array([1j ** k for k in range(n)])
@@ -486,14 +483,13 @@ def imag_axis_inclusion(coeffs) -> float:
     return _first_exit(coeffs, crossings, lambda y: 1j * y, cap)
 
 
-def circle_contractivity_radius(coeffs) -> float:
-    """Largest r with |psi| <= 1 + 1e-12 on the circle |z + r| = r.
+def _delta_C(coeffs, cap: float) -> float:
+    """Largest r <= cap with |psi| <= 1 + 1e-12 on the circle |z + r| = r.
 
     The maximum-modulus principle reduces the disk test to its boundary,
     sampled at 4096 points.  A degree-0 polynomial has constant modulus 1
     and returns the search cap.
     """
-    coeffs, cap = _checked_psi(coeffs)
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ring = np.exp(1j * theta) - 1.0  # unit circle through 0 centered at -1
     return _bisect_sup(lambda r: _bounded_by_one(coeffs, r * ring), 0.0, cap, _BISECT_TOL)
@@ -523,8 +519,8 @@ def _taylor_shift(coeffs, x0: float) -> list[tuple[int, int]]:
     return [(dj, k + kx * (n - j)) for j, dj in enumerate(d)]
 
 
-def absolute_monotonicity_radius(coeffs) -> float:
-    """Largest r with all Taylor coefficients of psi at -r nonnegative.
+def _R_psi(coeffs, cap: float) -> float:
+    """Largest r <= cap with all Taylor coefficients of psi at -r nonnegative.
 
     The shift itself is exact, so the only uncertainty is the float
     rounding already baked into ``coeffs``; each shifted coefficient may
@@ -534,7 +530,6 @@ def absolute_monotonicity_radius(coeffs) -> float:
     coefficient is compared with its float threshold exactly, by
     cross-multiplying with the threshold's integer ratio.
     """
-    coeffs, cap = _checked_psi(coeffs)
     eps4 = 4.0 * float(np.finfo(float).eps)
 
     def feasible(r: float) -> bool:
@@ -560,12 +555,14 @@ class StabilityRadii:
 
 
 def stability_radii(coeffs) -> StabilityRadii:
-    return StabilityRadii(
-        delta_R=real_axis_inclusion(coeffs),
-        delta_I=imag_axis_inclusion(coeffs),
-        delta_C=circle_contractivity_radius(coeffs),
-        R_psi=absolute_monotonicity_radius(coeffs),
-    )
+    """The four radii of psi (ascending coefficients), each searched on
+    [0, 10 * max(1, degree)]; ValueError unless coeffs is a nonempty 1-D
+    array of finite numbers, the one check for the four searches."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or len(coeffs) == 0 or not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"psi needs a nonempty 1-D array of finite coefficients, got {coeffs.tolist()}")
+    cap = 10.0 * max(1, len(coeffs) - 1)
+    return StabilityRadii(*(radius(coeffs, cap) for radius in (_delta_R, _delta_I, _delta_C, _R_psi)))
 
 
 @dataclass(frozen=True)
@@ -589,12 +586,10 @@ def error_measures(t) -> ErrorMeasures:
     embedded.  B compares the two leading errors, B2 = A2 / A2_emb.
     C measures the gap between the pairs' leading errors relative to the
     embedded one, and D is the largest coefficient magnitude in the
-    extended tableau.  Weights whose squares overflow give inf or NaN
-    measures and no NumPy warning."""
-    embedded_pair(t)
-    p = t.p
-    if p > 4:
-        raise ValueError("error measures need trees to order p+1 <= 5")
+    extended tableau.  p is the classified order of b, 1..4 as the trees
+    stop at order 5 (ValueError otherwise).  Weights whose squares
+    overflow give inf or NaN measures and no NumPy warning."""
+    p = _classified(embedded_pair(t), 4)
     norms = _pair_measures(_engine(t.A), t.b, p)(t.b_tilde[None])[:, 0].tolist()
     d = max(np.max(np.abs(t.A)), np.max(np.abs(t.b)), np.max(np.abs(t.b_tilde)), np.max(np.abs(t.c)))
     return ErrorMeasures(*norms, D=float(d))
@@ -646,10 +641,10 @@ def analyze_method(t) -> dict:
 
     Orders are classified from the coefficients, not read off the catalog
     claims.  The radii and error measures appear under their field names
-    in ``StabilityRadii`` and ``ErrorMeasures``.  Error measures are only
-    defined for advancing order <= 4 and require embedded weights; missing
-    entries are None.  The advancing side is analyzed once per distinct
-    (A, b) in a process (``_advancing``).
+    in ``StabilityRadii`` and ``ErrorMeasures``.  Both need embedded
+    weights, and the measures p in 1..4 and non-defectiveness p >= 1;
+    missing entries are None.  The advancing side is analyzed once per
+    distinct (A, b) in a process (``_advancing``).
     """
     A, b = _as_arrays(t.A, t.b)
     p, ssp_main, radii = _advancing(A.shape, A.tobytes(), b.tobytes())
@@ -662,9 +657,9 @@ def analyze_method(t) -> dict:
         "ssp_embedded": ssp_coefficient_arrays(t.A, t.b_tilde) if embedded else None,
         **asdict(radii),
     }
-    if embedded and p <= 4:
+    if embedded and 1 <= p <= 4:
         report.update(asdict(error_measures(t)))
     else:
         report.update(dict.fromkeys(f.name for f in fields(ErrorMeasures)))
-    report["non_defective"] = is_non_defective(t).ok if embedded else None
+    report["non_defective"] = is_non_defective(t).ok if embedded and p >= 1 else None
     return report

@@ -15,9 +15,10 @@ package needs no SciPy.  It is a generator that hands out one point at a
 time, so the starts run in lockstep: each round costs the pending point
 of every running start in one batched call.  The cost has one
 implementation, over a batch: ``_pair_cost`` reduces the error measures
-of ``analysis._pair_measures``, and ``objective`` takes its value on a
-batch of one.  Each row's products are the BLAS calls a lone point's
-``ndarray.dot`` makes, so a point costs the same bits in any batch.
+of ``analysis._pair_measures``, and adds the one manifold test, which
+``objective`` and the candidate screen (all answers at once) read.  Each
+row's products are the BLAS calls a lone point's ``ndarray.dot`` makes,
+so a point costs the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -187,16 +188,17 @@ def _nelder_mead(x0, maxfev: int):
 def _pair_cost(A, b):
     """What the cost of embedded weights for (A, b) needs: the engine
     ``oc`` of A, the advancing order p of b, the rows (M, rhs) of
-    ``oc.up_to(p - 1)`` that the weights must meet, and ``f_max(W)``.  p
-    must lie in 2..4: the embedded order p - 1 needs a condition, and the
+    ``oc.up_to(p - 1)`` that the weights must meet, ``f_max`` and ``f_obj``.
+    p must lie in 2..4: the embedded order p - 1 needs a condition, and the
     cost trees to p + 1.
 
-    ``f_max`` takes a C-contiguous (B, s) batch of weight vectors and
-    returns, for each row w, ||F||_inf with F = [A2~, Ainf~, B2-1, Binf-1,
-    C2-1, Cinf-1] of the pair (A, b, w), the measures being those of
-    ``analysis._pair_measures``, or inf when an entry is not finite (a
-    defective pair); it raises no NumPy warning.  It is that kernel's
-    batch reduced per row, so a row's value is the one it has alone."""
+    Both take a C-contiguous (B, s) batch of weight vectors and raise no
+    NumPy warning.  ``f_max`` gives, for each row w, ||F||_inf with F =
+    [A2~, Ainf~, B2-1, Binf-1, C2-1, Cinf-1] of the pair (A, b, w), the
+    measures being those of ``analysis._pair_measures``, or inf when an
+    entry is not finite (a defective pair); ``f_obj`` is inf, too, where
+    max|M w - rhs| > ORDER_TOL.  Both reduce batched kernels per row, so a
+    row's value is the one it has alone."""
     oc = analysis._engine(A)
     p = oc.classify(b)
     if not 2 <= p <= 4:
@@ -211,7 +213,15 @@ def _pair_cost(A, b):
             f[f != f] = math.inf                # a NaN entry makes the max NaN, an inf one inf
         return f
 
-    return oc, p, oc.up_to(p - 1), f_max
+    M, rhs = oc.up_to(p - 1)
+
+    def f_obj(W):
+        f = f_max(W)
+        with np.errstate(all="ignore"):
+            f[np.abs(np.matmul(M, W[:, :, None])[:, :, 0] - rhs).max(axis=1) > analysis.ORDER_TOL] = math.inf
+        return f
+
+    return oc, p, (M, rhs), f_max, f_obj
 
 
 def _search_cost(f_max, w_part, N):
@@ -241,10 +251,7 @@ def objective(A, b, w) -> float:
     """
     A, b = analysis._as_arrays(A, b)
     _, w = analysis._as_arrays(A, w)
-    _, _, (M, rhs), f_max = _pair_cost(A, b)
-    if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
-        return math.inf
-    return float(f_max(np.ascontiguousarray(w)[None])[0])
+    return float(_pair_cost(A, b)[4](np.ascontiguousarray(w)[None])[0])
 
 
 def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
@@ -272,16 +279,17 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     fewer starts and budget-limited tails run batches that small, and the
     default 100 starts run 30 to 50 per round.
 
-    Candidates are screened in start order and kept only if they verify
-    cleanly: order residuals within ORDER_TOL after clipping to [0, 1],
-    non-defective at order p (with the structural exemptions), and passing
-    the SSP screen when ``require_ssp_at`` is set.  With no surviving
-    candidate the result is an explicit no-solution report.  Runs are
-    deterministic for a fixed ``seed``.
+    Every start's answer is clipped to [0, 1], all are costed in one call,
+    and each is kept, in start order, only with a finite cost (order
+    residuals within ORDER_TOL), non-defective at order p (with the
+    structural exemptions) and passing the SSP screen when
+    ``require_ssp_at`` is set.  With no surviving candidate the result is
+    an explicit no-solution report.  Runs are deterministic for a fixed
+    ``seed``.
     """
     t = spec.tableau
     A, s = t.A, t.s
-    oc, p, (M, rhs), f_max = _pair_cost(A, t.b)
+    oc, p, (M, rhs), f_max, f_obj = _pair_cost(A, t.b)
     w_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)  # b meets these rows, so they are consistent
     # null space of the constraint rows
     _, sv, Vt = np.linalg.svd(M)
@@ -333,15 +341,11 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
                 finished += run[3]
         running = still
 
+    # f_obj is inf where clipping moved an answer off the manifold
+    W = np.array([np.clip(w_part + N @ y_best, 0.0, 1.0) for y_best in found])
     candidates = []
-    for y_best in found:
-        w = np.clip(w_part + N @ y_best, 0.0, 1.0)
-        if np.max(np.abs(M @ w - rhs)) > analysis.ORDER_TOL:
-            continue                    # clipping moved it off the manifold: box-infeasible
-        obj = float(f_max(w[None])[0])
-        if not math.isfinite(obj):
-            continue
-        if not oc.non_defective(w, p).ok:
+    for w, obj in zip(W, f_obj(W).tolist()):
+        if not math.isfinite(obj) or not oc.non_defective(w, p).ok:
             continue
         if spec.require_ssp_at is not None and not ssp_feasible(A, w, spec.require_ssp_at):
             continue

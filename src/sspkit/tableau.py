@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _ATOL = 1e-13  # most negative coefficient an SSP claim tolerates
+# Largest stage count of an ssp<s>,2 or ssp<s>,3 id, chosen by cost (README
+# "The catalog" has the times); the radii are wrong from s = 11 even so
+_MAX_STAGES = 99
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def _tableau(base, variant, A, b, p, embedded=None, ssp=None) -> EmbeddedTableau
 
 
 def _ssp2(s, variant) -> EmbeddedTableau:
-    """Optimal second-order SSP method with s >= 2 stages, SSP coefficient s-1.
+    """Optimal second-order SSP method with 2 <= s <= 99 stages, SSP coefficient s-1.
 
     Every strictly-lower entry of A is 1/(s-1) and b = (1/s) e, so the
     abscissae are c_i = (i-1)/(s-1).  Embedded weight choices:
@@ -137,8 +140,7 @@ def _ssp2(s, variant) -> EmbeddedTableau:
     * ``b2``: ((s+1)/s^2, 1/s, ..., 1/s, (s-1)/s^2) -- first order, the
       recommended pair on stability and error-measure grounds.
     """
-    if s < 2:
-        raise ValueError("second-order family needs at least 2 stages")
+    integer(f"stage count s of ssp{s},2", s, 2, _MAX_STAGES)
     low = Fraction(1, s - 1)
     A = [[low if j < i else Fraction(0) for j in range(s)] for i in range(s)]
     b = [Fraction(1, s)] * s
@@ -151,7 +153,7 @@ def _ssp2(s, variant) -> EmbeddedTableau:
 
 def _ssp3(s, variant) -> EmbeddedTableau:
     """Third-order SSP methods: the classical three-stage one, and the
-    optimal ones with s = n^2 stages (n >= 2).
+    optimal ones with s = n^2 <= 99 stages (n >= 2).
 
     The three-stage method has SSP coefficient 1 and carries no frozen
     embedded weights; adaptive use goes through the optimizer (method id
@@ -169,6 +171,7 @@ def _ssp3(s, variant) -> EmbeddedTableau:
     (1/3, 1/3, 1/3, 0) and ``b2`` = (1/4, 1/4, 1/4, 1/4); for n >= 3 the
     uniform vector (1/n^2) e, selected with variant ``none``.
     """
+    integer(f"stage count s of ssp{s},3", s, 3, _MAX_STAGES)
     if s == 3:
         A = [[0, 0, 0], [1, 0, 0], [Fraction(1, 4), Fraction(1, 4), 0]]
         b = [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)]
@@ -176,8 +179,6 @@ def _ssp3(s, variant) -> EmbeddedTableau:
     n = math.isqrt(s)
     if n * n != s:
         raise ValueError(f"third-order family needs a square stage count, got {s}")
-    if n < 2:
-        raise ValueError("third-order family needs n >= 2 (s = n^2 stages)")
     low = Fraction(1, n * (n - 1))
     blk = Fraction(1, n * (2 * n - 1))
     q = (n - 1) * (n - 2) // 2       # columns before the block

@@ -92,7 +92,7 @@ def test_criterion_03_stability_radii(criterion):
     bound_ok = True
     for mid in ssp_ids():
         t = resolve(mid)
-        R = analysis.absolute_monotonicity_radius(analysis.stability_polynomial(t.A, t.b))
+        R = analysis.stability_radii(analysis.stability_polynomial(t.A, t.b)).R_psi
         bound_ok &= R >= t.ssp_claimed - 1e-6
     elapsed = time.perf_counter() - t0
     ok = two_stage_ok and order_ok and bound_ok and elapsed < 30.0

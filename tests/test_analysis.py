@@ -9,7 +9,7 @@ along rays for the rest, cross-checked against the known SSP limits.
 import json
 import math
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,15 +24,11 @@ from sspkit.analysis import (
     ErrorMeasures,
     OrderConditions,
     StabilityRadii,
-    absolute_monotonicity_radius,
     analyze_method,
-    circle_contractivity_radius,
     classify_order,
     error_measures,
-    imag_axis_inclusion,
     is_non_defective,
     order_condition_residuals,
-    real_axis_inclusion,
     ssp_coefficient_arrays,
     stability_polynomial,
     stability_radii,
@@ -236,11 +232,11 @@ def test_two_stage_radii_closed_forms():
     # |1 + z + z^2/2| = 1 on the real axis exactly at z = -2; the interval
     # touches the imaginary axis only at the origin; the polynomial has
     # nonnegative coefficients when shifted by r = 1 and not beyond
-    coeffs = stability_polynomial(*(lambda t: (t.A, t.b))(resolve("ssp2,2-b1")))
-    assert real_axis_inclusion(coeffs) == pytest.approx(2.0, rel=1e-12)
-    assert imag_axis_inclusion(coeffs) == pytest.approx(0.0, abs=1e-15)
-    assert circle_contractivity_radius(coeffs) == pytest.approx(1.0, abs=1e-4)
-    assert absolute_monotonicity_radius(coeffs) == pytest.approx(1.0, abs=1e-6)
+    r = stability_radii(stability_polynomial(*(lambda t: (t.A, t.b))(resolve("ssp2,2-b1"))))
+    assert r.delta_R == pytest.approx(2.0, rel=1e-12)
+    assert r.delta_I == pytest.approx(0.0, abs=1e-15)
+    assert r.delta_C == pytest.approx(1.0, abs=1e-4)
+    assert r.R_psi == pytest.approx(1.0, abs=1e-6)
 
 
 def test_forward_euler_radii():
@@ -256,16 +252,16 @@ def test_classical_three_stage_imag_axis_reaches_sqrt3():
     # psi(-x) = -1 at the real root of x^3 - 3x^2 + 6x - 12, which
     # Cardano's formula gives in closed form
     t = resolve("ssp3,3-w")
-    coeffs = stability_polynomial(t.A, t.b)
+    r = stability_radii(stability_polynomial(t.A, t.b))
     root17 = math.sqrt(17.0)
-    assert imag_axis_inclusion(coeffs) == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    assert real_axis_inclusion(coeffs) == pytest.approx(
+    assert r.delta_I == pytest.approx(math.sqrt(3.0), rel=1e-12)
+    assert r.delta_R == pytest.approx(
         1.0 + math.cbrt(4.0 + root17) - math.cbrt(root17 - 4.0), rel=1e-12)
 
 
 def test_a_tangency_from_below_does_not_end_the_real_interval():
     # psi(-x) - 1 = -x (1 - x)^2: |psi(-1)| = 1 from below, and psi(-2) = -1
-    assert real_axis_inclusion([1.0, 1.0, 2.0, 1.0]) == pytest.approx(2.0, rel=1e-12)
+    assert stability_radii([1.0, 1.0, 2.0, 1.0]).delta_R == pytest.approx(2.0, rel=1e-12)
 
 
 def _radius_cases():
@@ -284,8 +280,8 @@ def test_axis_radii_are_maximal_under_the_modulus_test():
     # it unless the radius is the search cap (a zero radius: within 0.1)
     for name, coeffs in _radius_cases():
         cap = 10.0 * max(1, len(coeffs) - 1)
-        for radius, point in ((real_axis_inclusion(coeffs), lambda x: -x),
-                              (imag_axis_inclusion(coeffs), lambda y: 1j * y)):
+        for radius, point in ((analysis._delta_R(coeffs, cap), lambda x: -x),
+                              (analysis._delta_I(coeffs, cap), lambda y: 1j * y)):
             assert _bounded_by_one(coeffs, point(np.linspace(0.0, radius, 20001))), (name, radius)
             if radius < cap:
                 beyond = np.linspace(radius, min(cap, 1.01 * radius if radius else 0.1), 20001)[1:]
@@ -365,23 +361,35 @@ def test_monotonicity_radius_equals_the_fraction_shift_exactly():
     for k in range(8):
         polys.append(np.concatenate([[1.0], 10.0 ** rng.uniform(-12.0, 0.0, 2 * k + 1)]))
     for c in polys:
-        assert absolute_monotonicity_radius(c) == _fraction_am_radius(c), c.tolist()
+        assert analysis._R_psi(c, 10.0 * max(1, len(c) - 1)) == _fraction_am_radius(c), c.tolist()
 
 
-@pytest.mark.parametrize("radius", [real_axis_inclusion, imag_axis_inclusion,
-                                    circle_contractivity_radius, absolute_monotonicity_radius])
 @pytest.mark.parametrize("coeffs", [[], [1.0, math.nan], [1.0, 1.0, math.inf], [[1.0, 1.0]]])
-def test_radius_functions_reject_empty_or_non_finite_coefficients(radius, coeffs):
-    # they used to disagree: 10.0, IndexError, "a cannot be empty", 0.0 or
-    # "cannot convert NaN to integer ratio", depending on the function
+def test_stability_radii_rejects_empty_or_non_finite_coefficients(coeffs):
+    # the four radius searches used to disagree: 10.0, IndexError, "a cannot
+    # be empty", 0.0 or "cannot convert NaN to integer ratio"; their one
+    # entry checks the coefficients once for all four
     with pytest.raises(ValueError, match="nonempty 1-D array of finite coefficients"):
-        radius(coeffs)
+        stability_radii(coeffs)
+
+
+def test_stability_radii_runs_each_search_once_on_the_checked_coefficients(monkeypatch):
+    # the searches take psi as a float array with the cap 10 * max(1, degree)
+    calls = []
+    for name in ("_delta_R", "_delta_I", "_delta_C", "_R_psi"):
+        def search(c, cap, name=name, run=getattr(analysis, name)):
+            calls.append((name, c.dtype, c.tolist(), cap))
+            return run(c, cap)
+        monkeypatch.setattr(analysis, name, search)
+    r = stability_radii([1, 1, 0.5])
+    assert calls == [(name, np.float64, [1.0, 1.0, 0.5], 20.0) for name in ("_delta_R", "_delta_I", "_delta_C", "_R_psi")]
+    assert astuple(r) == pytest.approx((2.0, 0.0, 1.0, 1.0), abs=1e-6)
 
 
 def test_monotonicity_radius_bounds_ssp_coefficient():
     for mid in ssp_ids():
         t = resolve(mid)
-        r = absolute_monotonicity_radius(stability_polynomial(t.A, t.b))
+        r = stability_radii(stability_polynomial(t.A, t.b)).R_psi
         assert r >= t.ssp_claimed - 1e-6, mid
 
 
@@ -515,6 +523,45 @@ def test_analyze_method_reports_key_fields():
 def test_analyze_method_on_swapped_weights_sees_lower_order():
     t = embedded_method(resolve("ssp4,3-b2"))
     assert classify_order(t.A, t.b) == 2
+
+
+@pytest.mark.parametrize("mid", catalog_ids())
+def test_a_claimed_order_moves_nothing_in_the_report(mid):
+    # the measures and the non-defective verdict are taken at the order the
+    # coefficients classify at; at ssp3,2-b1 with p=4 they used to read
+    # A2 0.16869 and non_defective False, taken at the claim
+    t = resolve(mid)
+    want = _hex(analyze_method(t))
+    for k in range(2, 6):
+        claimed = replace(t, p=k)
+        assert _hex(analyze_method(claimed)) == want, k
+        if want["p"] <= 4:
+            assert error_measures(claimed) == error_measures(t), k
+        assert is_non_defective(claimed) == is_non_defective(t), k
+
+
+def test_an_order_zero_advancing_method_is_refused_by_name_and_reported_as_none():
+    # b = (0.5, 0.2, 0.2) misses sum(b) = 1, so it classifies at order 0;
+    # dp54 classifies at 5, past the trees the error measures need
+    t = replace(resolve("ssp3,2-b1"), b=[0.5, 0.2, 0.2])
+    for call, tab, most, order in ((error_measures, t, 4, 0), (is_non_defective, t, 5, 0),
+                                   (error_measures, resolve("dp54"), 4, 5)):
+        with pytest.raises(ValueError) as exc:
+            call(tab)
+        assert str(exc.value) == f"the classified order of {tab.id!r} must be between 1 and {most}, got {order}"
+    report = analyze_method(t)
+    assert report["p"] == 0
+    assert all(report[f.name] is None for f in fields(ErrorMeasures))
+    assert report["non_defective"] is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mid", ["ssp99,2", "ssp99,2-b1", "ssp99,2-b2", "ssp81,3"])
+def test_the_largest_admitted_id_of_each_family_is_analyzed_without_a_warning(mid):
+    # one past it, resolve refuses the stage count (tests/test_tableau.py)
+    report = analyze_method(resolve(mid))
+    assert report["p"] == int(mid[mid.index(",") + 1])
+    assert all(math.isfinite(report[f.name]) for f in fields(StabilityRadii))
 
 
 @pytest.fixture(scope="module")

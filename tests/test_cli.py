@@ -555,6 +555,21 @@ def test_integrate_at_a_tolerance_whose_scale_overflows_warns_of_nothing():
     assert "accepted: 10" in out.stdout.splitlines()
 
 
+def test_analyze_past_the_stage_bound_fails_by_name_and_the_bound_itself_warns_of_nothing():
+    # ssp100,3 used to exit 1 with NumPy's "Array must not contain infs or
+    # NaNs" after a RuntimeWarning; in a subprocess, so a warning would print
+    def analyze(mid):
+        cmd = [sys.executable, "-m", "sspkit.cli", "analyze", mid]
+        return subprocess.run(cmd, capture_output=True, text=True, env=_package_env())
+
+    out = analyze("ssp100,3")
+    assert out.returncode == 1
+    assert out.stderr == "sspkit: error: stage count s of ssp100,3 must be between 3 and 99, got 100\n"
+    out = analyze("ssp81,3")
+    assert out.returncode == 0
+    assert out.stderr == ""
+
+
 def test_the_package_and_its_cli_load_no_scipy():
     # numpy is the only run-time requirement: importing scipy.optimize
     # alone took most of the start-up time.  ssp3,3-w is derived by the

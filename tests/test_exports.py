@@ -33,7 +33,11 @@ REMOVED = ("ssperk_s2", "ssperk_n2_3", "ssperk_3_3", "ssperk_10_4", "literature_
 REMOVED_ACCESSORS = ("EulerState", "weno5_weights", "ssp_coefficient", "psi_eval",
                      "weno5_reconstruct", "ssp_catalog_ids", "with_advancing_weights",
                      "vdp", "brusselator", "advection", "euler_sod", "sine_average",
-                     "MethodId", "parse_method_id", "format_method_id")
+                     "MethodId", "parse_method_id", "format_method_id",
+                     # stability_radii is the one radius entry: it checks psi once
+                     # for its four private searches
+                     "real_axis_inclusion", "imag_axis_inclusion",
+                     "circle_contractivity_radius", "absolute_monotonicity_radius")
 # private second implementations of the pair error measures: the batched
 # analysis._pair_measures is the one that error_measures and the search read
 REMOVED_HELPERS = {analysis: ("_norms", "_pair_norms", "_ratio"), optimizer: ("_row_norms",)}
@@ -179,10 +183,11 @@ REMOVED_KEYWORDS = {
     "classify_order": lambda: analysis.classify_order(_T.A, _T.b, tol=1e-10),
     "is_non_defective": lambda: analysis.is_non_defective(_T, tol=1e-10),
     "ssp_coefficient_arrays": lambda: analysis.ssp_coefficient_arrays(_T.A, _T.b, tol=1e-6),
-    "real_axis_inclusion": lambda: analysis.real_axis_inclusion(_PSI, tol=1e-6),
-    "imag_axis_inclusion": lambda: analysis.imag_axis_inclusion(_PSI, tol=1e-6),
-    "circle_contractivity_radius": lambda: analysis.circle_contractivity_radius(_PSI, tol=1e-6),
-    "absolute_monotonicity_radius": lambda: analysis.absolute_monotonicity_radius(_PSI, tol=1e-8),
+    "stability_radii": lambda: analysis.stability_radii(_PSI, tol=1e-6),
+    "_delta_R": lambda: analysis._delta_R(_PSI, 30.0, tol=1e-6),
+    "_delta_I": lambda: analysis._delta_I(_PSI, 30.0, tol=1e-6),
+    "_delta_C": lambda: analysis._delta_C(_PSI, 30.0, tol=1e-6),
+    "_R_psi": lambda: analysis._R_psi(_PSI, 30.0, tol=1e-8),
     "optimizer.ssp_feasible": lambda: optimizer.ssp_feasible(_T.A, _T.b, 1.0, tol=1e-10),
     "reference_endpoint(seed=)": lambda: bench.reference_endpoint("vdp", seed=0),
     "square_wave_average(lo=)": lambda: problems.square_wave_average(_GRID, lo=-0.5),
@@ -430,3 +435,13 @@ def test_each_tolerance_has_one_name():
     assert analysis.ORDER_TOL == 1e-10
     assert not hasattr(optimizer, "_ORDER_TOL")
     assert "order" not in {f.name for f in fields(analysis.NonDefectiveReport)}
+
+
+def test_no_analysis_function_reads_a_claimed_order():
+    # the report's p, the error measures and non-defectiveness all take the
+    # order the coefficients classify at; a tableau's claimed p is the
+    # integrator's design order, and reading it here let a claim leak into
+    # the report
+    tree = ast.parse((ROOT / "src" / "sspkit" / "analysis.py").read_text())
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "p"]
+    assert reads == []

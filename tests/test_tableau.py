@@ -1,5 +1,6 @@
 """Tableau construction, id grammar, and catalog integrity."""
 
+import time
 import types
 from dataclasses import replace
 
@@ -35,17 +36,26 @@ def test_resolve_rejects_unknown_variant():
 
 
 @pytest.mark.parametrize("bad, message", [
-    ("ssp1,2-b1", "at least 2 stages"),
-    ("ssp1,3", "n >= 2"),
+    ("ssp1,2-b1", "^stage count s of ssp1,2 must be between 2 and 99, got 1$"),
+    ("ssp1,3", "^stage count s of ssp1,3 must be between 3 and 99, got 1$"),
     ("ssp8,3", "square stage count"),
     ("ssp9,4-b3", "10 stages only"),
     ("ssp3,3-b1", "unknown embedded variant"),
     ("ssp9,3-b1", "unknown embedded variant"),
     ("ssp10,4-b9", "unknown embedded variant"),
+    # past the stated bound: ssp100,3 and ssp144,2 used to fail in NumPy's
+    # polynomial roots, and ssp99999,2 to build a 99999 x 99999 Fraction matrix
+    ("ssp100,2", "^stage count s of ssp100,2 must be between 2 and 99, got 100$"),
+    ("ssp100,3", "^stage count s of ssp100,3 must be between 3 and 99, got 100$"),
+    ("ssp144,2-b2", "^stage count s of ssp144,2 must be between 2 and 99, got 144$"),
+    ("ssp99999,2", "^stage count s of ssp99999,2 must be between 2 and 99, got 99999$"),
+    ("ssp99999,2-w", "^stage count s of ssp99999,2 must be between 2 and 99, got 99999$"),
 ])
 def test_resolve_checks_the_stage_count_and_the_variant(bad, message):
+    t0 = time.perf_counter()
     with pytest.raises(ValueError, match=message):
         resolve(bad)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # ------------------------------------------------------- exact coefficients
