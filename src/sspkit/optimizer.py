@@ -10,15 +10,16 @@ vector, so the equality constraints are eliminated exactly: each start is
 projected onto the affine solution manifold and the local search runs in
 its null-space coordinates.  Only the box constraint 0 <= w <= 1 needs a
 penalty.  The local search is an in-house adaptive Nelder-Mead that takes
-SciPy's steps in the same IEEE operations, on Python floats, so the
-package needs no SciPy.  It is a generator that hands out one point at a
-time, so the starts run in lockstep: each round costs the pending point
-of every running start in one batched call.  The cost has one
-implementation, over a batch: ``_pair_cost`` reduces the error measures
-of ``analysis._pair_measures``, and adds the one manifold test, which
-``objective`` and the candidate screen (all answers at once) read.  Each
-row's products are the BLAS calls a lone point's ``ndarray.dot`` makes,
-so a point costs the same bits in any batch.
+SciPy's steps in the same IEEE operations, so the package needs no SciPy.
+Its state is arrays, every running descent's simplex, values, point count
+and cap, and the starts run in lockstep: a round is one iteration of every
+descent, whose candidate points are all costed in one batched call, and
+masks then take, per descent, the points SciPy's loop would cost.  The
+cost has one implementation, over a batch: ``_pair_cost`` reduces the
+error measures of ``analysis._pair_measures``, and adds the one manifold
+test, which ``objective`` and the candidate screen (all answers at once)
+read.  Each row's products are the BLAS calls a lone point's
+``ndarray.dot`` makes, so a point costs the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class OptimizationSpec:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """What the search found.  ``n_eval`` counts the points its descents
+    took (SciPy's nfev, summed), at most ``budget``; the candidate rows a
+    round costs but its steps do not take are not counted."""
+
     status: str                     # "ok" or "no-solution"
     w: np.ndarray | None
     objective: float
@@ -86,103 +91,100 @@ def ssp_feasible(A, w, r: float) -> bool:
     return K is not None and analysis._ssp_feasible(K, r)
 
 
-class _Budget(Exception):
-    """A call the Nelder-Mead budget does not allow."""
+def _simplices(Y0):
+    """SciPy's initial simplex of each row of the (R, k) starts Y0, as an
+    (R, k + 1, k) array: vertex 0 is the start, and vertex j + 1 the start
+    with coordinate j scaled by 1.05, or set to 0.00025 where it is 0."""
+    R, k = Y0.shape
+    sim = np.repeat(Y0[:, None, :], k + 1, axis=1)
+    j = np.arange(k)
+    sim[:, j + 1, j] = np.where(Y0 != 0, 1.05 * Y0, 0.00025)
+    return sim
 
 
-def _nelder_mead(x0, maxfev: int):
-    """Minimize a cost from x0 by adaptive Nelder-Mead in at most maxfev
-    evaluations.  A generator: it yields each point to cost, as a list of
-    floats, takes the point's cost by ``send``, and returns the best vertex
-    and the least cost value.
+def _nelder_mead_round(cost, sim, fsim, calls, maxfev):
+    """One round of R adaptive Nelder-Mead descents in lockstep, costed in
+    one call ``cost(Y)`` that maps a (B, k) batch to B floats.
+
+    Descent r has the simplex sim[r] (k + 1 vertices of k unknowns), their
+    values fsim[r], ``calls[r]`` points taken of at most ``maxfev[r]`` >= 1.
+    The batch holds 4 + k rows per descent, in descent order: its
+    reflection, expansion, outside and inside contractions and the k
+    shrink vertices, of which the iteration takes those SciPy would cost,
+    in that order.  A fresh descent (no point taken, values inf) costs its
+    initial simplex instead, vertex 0 in the reflection's row and the
+    others in the shrink's.  Returns the new (sim, fsim, calls), the (B,)
+    mask of the batch rows taken and the (R,) mask of the descents that
+    have ended, out of budget or converged.
 
     The parameters are Gao & Han's (2012), "Implementing the Nelder-Mead
     simplex algorithm with adaptive parameters", Comput. Optim. Appl. 51,
-    for N = len(x0) unknowns.  The steps are those of SciPy 1.17's
-    ``minimize(method="Nelder-Mead")`` with adaptive=True, xatol=1e-12,
-    fatol=1e-14 and no bounds, in the same IEEE operations and order, so
-    every point yielded, the point count and the result are SciPy's to the
-    bit.  A point past the budget is neither yielded nor counted, and it
-    ends the search with the simplex as it stands.
-
-    The simplex and its values are Python lists of floats.  SciPy's
-    centroid ``np.add.reduce(sim[:-1], 0) / N`` adds the rows in turn to
-    the identity 0.0, so a coordinate that is -0.0 in every row sums to
-    +0.0 here too.  The vertices are ordered by ``np.argsort`` of the
-    values, as SciPy orders them: NumPy's sort is not stable, and from 4
-    entries on it can order equal values (and NaNs, which go last)
-    differently from ``sorted``, which would change the next centroid.
+    and the steps those of SciPy 1.17's ``minimize(method="Nelder-Mead")``
+    with adaptive=True, xatol=1e-12, fatol=1e-14 and no bounds, in the same
+    IEEE operations, so each descent takes SciPy's points, count and result
+    to the bit.  The centroid is SciPy's ``np.add.reduce``, which adds the
+    k best vertices to 0.0 in turn (so -0.0 in every row sums to +0.0).
+    A point past the budget is not taken, and the step stops there:
+    a refused expansion or contraction replaces nothing, and a shrink cut at
+    vertex j has written sim[j] but not fsim[j].  The vertices are ordered
+    by ``argsort``, per row NumPy's 1-D sort, as SciPy orders them (equal
+    values and NaNs, which go last, in its order), an initial simplex twice.
     """
-    N = len(x0)
-    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
-    c_exp, c_out, c_in = 1 + chi, 1 + psi, 1 - psi     # rho = 1 folded away: 1 * x is x
-    calls = 0
+    R, _, k = sim.shape
+    chi, psi, sigma = 1 + 2 / k, 0.75 - 1 / (2 * k), 1 - 1 / k
+    new = np.flatnonzero(calls == 0)
+    xbar = np.add.reduce(sim[:, :-1], axis=1)[:, None] / k
+    C = np.empty((R, 4 + k, k))
+    # rho = 1 folded away, as 1 * x is x, and x - (-y) is x + y to the bit
+    np.subtract(np.array([[2.0], [1 + chi], [1 + psi], [1 - psi]]) * xbar,
+                np.array([[1.0], [chi], [psi], [-psi]]) * sim[:, -1:], out=C[:, :4])
+    np.add(sim[:, :1], sigma * (sim[:, 1:] - sim[:, :1]), out=C[:, 4:])
+    if new.size:                # a fresh descent's vertices take the reflection's and the shrink's rows
+        C[new, 0], C[new, 4:] = sim[new, 0], sim[new, 1:]
+    f = np.asarray(cost(C.reshape(-1, k)), dtype=float).reshape(R, 4 + k)
 
-    def f(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _Budget
-        calls += 1
-        return (yield x)
+    fr, fe, fo, fi = f[:, :4].T
+    below = fr[:, None] < fsim[:, (0, -2, -1)]
+    contract = ~below[:, 0] & ~below[:, 1]
+    outside, inside = contract & below[:, 2], contract & ~below[:, 2]
+    want = np.empty((R, 4 + k), dtype=bool)
+    want[:, 0], want[:, 1], want[:, 2], want[:, 3] = True, below[:, 0], outside, inside
+    want[:, 4:] = (outside & ~(fo <= fr) | inside & ~(fi < fsim[:, -1]))[:, None]
+    if new.size:
+        want[new, 1:4], want[new, 4:] = False, True
+    rank = want.cumsum(axis=1)
+    left = (maxfev - calls)[:, None]
+    took = want & (rank <= left)
+    calls = calls + took.sum(axis=1)
 
-    def ordered(sim, fsim):
-        ind = np.array(fsim).argsort().tolist()
-        return [sim[i] for i in ind], [fsim[i] for i in ind]
+    # the worst vertex gives way to the reflection or the expansion, or to
+    # a contraction that shrinks nothing, only where the step took it;
+    # the shrink writes sim[j] before its cost is asked
+    rows = np.arange(R)
+    swap = ~want[:, 4] & (rank[:, 3] <= left[:, 0])
+    pick = np.where(contract, 3 - below[:, 2], below[:, 0] & (fe < fr))
+    sim, fsim = sim.copy(), fsim.copy()
+    sim[:, -1] = np.where(swap[:, None], C[rows, pick], sim[:, -1])
+    fsim[:, -1] = np.where(swap, f[rows, pick], fsim[:, -1])
+    put = want[:, 4:] & (rank[:, 4:] <= left + 1)
+    sim[:, 1:] = np.where(put[:, :, None], C[:, 4:], sim[:, 1:])
+    fsim[:, 1:] = np.where(took[:, 4:], f[:, 4:], fsim[:, 1:])
+    fsim[new, 0] = fr[new]
 
-    x0 = np.asarray(x0, dtype=float).tolist()
-    sim = [x0]
-    for k in range(N):
-        x = list(x0)
-        x[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-        sim.append(x)
-    fsim = [math.inf] * (N + 1)
-    try:
-        for k in range(N + 1):
-            fsim[k] = yield from f(sim[k])
-    except _Budget:
-        pass
-    for _ in range(2):                  # sorted twice, as SciPy does
-        sim, fsim = ordered(sim, fsim)
-
-    while calls < maxfev:
-        best, f_best = sim[0], fsim[0]
-        # NaN fails both tests, as it fails them in SciPy's np.max
-        if (all(abs(v - u) <= 1e-12 for x in sim[1:] for v, u in zip(x, best))
-                and all(abs(f_best - v) <= 1e-14 for v in fsim[1:])):
-            break
-        try:
-            xbar = [0.0] * N
-            for x in sim[:-1]:
-                xbar = [a + v for a, v in zip(xbar, x)]
-            xbar = [a / N for a in xbar]
-            worst = sim[-1]
-            xr = [2 * a - v for a, v in zip(xbar, worst)]
-            fxr = yield from f(xr)
-            if fxr < fsim[0]:
-                xe = [c_exp * a - chi * v for a, v in zip(xbar, worst)]
-                fxe = yield from f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:      # outside contraction
-                    xc = [c_out * a - psi * v for a, v in zip(xbar, worst)]
-                    fxc = yield from f(xc)
-                    shrink = not fxc <= fxr
-                else:                   # inside contraction
-                    xc = [c_in * a + psi * v for a, v in zip(xbar, worst)]
-                    fxc = yield from f(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, N + 1):
-                        sim[j] = [u + sigma * (v - u) for u, v in zip(best, sim[j])]
-                        fsim[j] = yield from f(sim[j])
-        except _Budget:
-            pass
-        sim, fsim = ordered(sim, fsim)
-    return np.array(sim[0]), np.min(fsim)
+    ind = fsim.argsort(axis=1)
+    sim, fsim = sim[rows[:, None], ind], fsim[rows[:, None], ind]
+    if new.size:                # an initial simplex is ordered twice
+        ind = fsim[new].argsort(axis=1)
+        sim[new], fsim[new] = sim[new[:, None], ind], fsim[new[:, None], ind]
+    # SciPy's tests max|f0 - fj| <= 1e-14 and max|x0 - xj| <= 1e-12, where
+    # NaN fails, as in np.max; with the values sorted (NaN last) the first
+    # is fk - f0 <= 1e-14, and the second is formed only where it passes
+    done = calls >= maxfev
+    with np.errstate(invalid="ignore"):                 # inf - inf
+        near = ~done & (fsim[:, -1] - fsim[:, 0] <= 1e-14)
+    if near.any():
+        done |= near & (np.abs(sim[:, 1:] - sim[:, :1]).reshape(R, -1).max(axis=1) <= 1e-12)
+    return sim, fsim, calls, took.ravel(), done
 
 
 def _pair_cost(A, b):
@@ -226,7 +228,7 @@ def _pair_cost(A, b):
 
 def _search_cost(f_max, w_part, N):
     """The search's cost of a C-contiguous (B, k) batch Y of null-space
-    coordinates, as a list of B floats: at w = w_part + N y, ``f_max`` of w
+    coordinates, as a (B,) array: at w = w_part + N y, ``f_max`` of w
     (1e30 for a defective pair, to keep the landscape finite for the
     simplex) plus the quadratic box penalty, which is exactly 0.0 inside
     the box.  N y is one BLAS gemv per row, as ``N.dot(y)`` is."""
@@ -236,7 +238,7 @@ def _search_cost(f_max, w_part, N):
         f = f_max(W)
         f[f == math.inf] = 1e30
         penalty = (np.minimum(W, 0.0) ** 2).sum(axis=1) + (np.maximum(W - 1.0, 0.0) ** 2).sum(axis=1)
-        return (f + _BOX_PENALTY * penalty).tolist()
+        return f + _BOX_PENALTY * penalty
 
     return cost
 
@@ -260,24 +262,27 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     Every start draws a random simplex point, projects it onto the affine
     order-condition manifold, and descends on the cost plus a quadratic
     box penalty in the manifold's null-space coordinates, by the in-house
-    adaptive Nelder-Mead of Gao & Han (2012) (``_nelder_mead``), restarted
-    once from the point it finds.  Each start may cost up to ``per_start``
-    points per descent, max(200, budget // seeds), and no more than the
-    budget leaves.
+    adaptive Nelder-Mead of Gao & Han (2012) (``_nelder_mead_round``),
+    restarted once from the point it finds.  Each start may take up to
+    ``per_start`` points per descent, max(200, budget // seeds), and no
+    more than the budget leaves.
 
-    The starts run in lockstep: each round costs the pending point of every
-    running start in one batched call.  A start begins while the points of
-    the finished starts plus 2 * per_start for each running start and for
-    the new one fit within the budget, so the budget cannot cut it or a
-    start before it; otherwise it waits, and when no start runs it begins
-    alone under what the budget leaves.  Every start thus takes the steps,
-    the caps and the random draw it would take with the starts run one
-    after another, so ``n_eval``, ``w`` and the objective are those of that
-    sequential loop to the bit.  The batched cost pays NumPy's call
-    overhead once per round, so a batch of one costs several times what a
-    point costed alone with scalar arithmetic would; only specs of 4 or
-    fewer starts and budget-limited tails run batches that small, and the
-    default 100 starts run 30 to 50 per round.
+    The starts run in lockstep.  A round costs, in one batched call, 4 + k
+    rows per running descent (k the null-space dimension): the candidates
+    of one whole iteration, or a new descent's initial simplex.  ``n_eval``
+    counts only the points the descents take, so the default ssp3,2-b1
+    search (k = 2) reports 45,303 and costs 122,124 rows (2.7x) in 578
+    rounds.  A start begins while the points of the finished starts plus
+    2 * per_start for each running start and for the new one fit within
+    the budget, so the budget cannot cut it or a start before it; otherwise
+    it waits, and when no start runs it begins alone under what the budget
+    leaves.  Every start thus takes the steps, the caps and the random draw
+    it would take with the starts run one after another, so ``n_eval``,
+    ``w`` and the objective are those of that sequential loop to the bit.
+    A round's own NumPy calls cost about what its cost call does, so specs
+    that run 5 or fewer starts at a time take 15-45% longer than when each
+    round costed one point per start; the default 100 starts take about
+    40% less.
 
     Every start's answer is clipped to [0, 1], all are costed in one call,
     and each is kept, in start order, only with a finite cost (order
@@ -298,48 +303,48 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     N = Vt[rank:].T                     # s x k, orthonormal columns
     cost = _search_cost(f_max, w_part, N)
 
-    n_eval = 0
     per_start = max(200, spec.budget // spec.seeds)
-
-    def start(y0):
-        """One start's points; returns the best point of its descents."""
-        y_best = None
-        for _ in range(2):              # one adaptive restart from the found point
-            maxfev = min(per_start, spec.budget - n_eval)
-            if maxfev <= 0:
-                break
-            y, fy = yield from _nelder_mead(y0, maxfev)
-            if y_best is not None and fy >= f_best - 1e-14:
-                break
-            y_best, f_best, y0 = y, fy, y
-        return y_best
-
     rng = np.random.default_rng(spec.seed)
+    k = N.shape[1]
     found = []                          # best point per start, in start order
-    running = []                        # [start index, generator, pending point, points costed]
-    finished = 0                        # points costed by the finished starts
+    runs = []                           # per descent: [start index, (y, f) and points of its first descent]
+    sim, fsim = np.empty((0, k + 1, k)), np.empty((0, k + 1))
+    calls, maxfev = np.empty(0, dtype=int), np.empty(0, dtype=int)
+    n_eval = finished = 0               # points taken; those of the finished starts
     while True:
+        starts = []
         while len(found) < spec.seeds and (
-                finished + 2 * per_start * (len(running) + 1) <= spec.budget
-                or not running and n_eval < spec.budget):
+                finished + 2 * per_start * (len(runs) + 1) <= spec.budget
+                or not runs and n_eval < spec.budget):
             x0 = rng.dirichlet(np.ones(s))
-            gen = start(N.T @ (x0 - w_part))
-            running.append([len(found), gen, next(gen), 0])
+            starts.append(N.T @ (x0 - w_part))
+            runs.append([len(found), None, 0])
             found.append(None)
-        if not running:
+        if starts:
+            sim = np.concatenate([sim, _simplices(np.array(starts))])
+            fsim = np.concatenate([fsim, np.full((len(starts), k + 1), math.inf)])
+            calls = np.concatenate([calls, np.zeros(len(starts), dtype=int)])
+            maxfev = np.concatenate([maxfev, np.full(len(starts), min(per_start, spec.budget - n_eval))])
+        if not runs:
             break
-        values = cost(np.array([run[2] for run in running]))
-        n_eval += len(values)
-        still = []
-        for run, value in zip(running, values):
-            run[3] += 1
-            try:
-                run[2] = run[1].send(value)
-                still.append(run)
-            except StopIteration as stop:
-                found[run[0]] = stop.value
-                finished += run[3]
-        running = still
+        sim, fsim, calls, taken, done = _nelder_mead_round(cost, sim, fsim, calls, maxfev)
+        n_eval += int(taken.sum())
+        if not done.any():
+            continue
+        keep = ~done
+        for r in np.flatnonzero(done).tolist():
+            i, first, points = runs[r]
+            y, fy = sim[r, 0].copy(), fsim[r].min()
+            if first is None and min(per_start, spec.budget - n_eval) > 0:
+                # one adaptive restart from the found point
+                runs[r] = [i, (y, fy), int(calls[r])]
+                sim[r], fsim[r] = _simplices(y[None])[0], math.inf
+                calls[r], maxfev[r], keep[r] = 0, min(per_start, spec.budget - n_eval), True
+                continue
+            found[i] = first[0] if first is not None and fy >= first[1] - 1e-14 else y
+            finished += points + int(calls[r])
+        sim, fsim, calls, maxfev = sim[keep], fsim[keep], calls[keep], maxfev[keep]
+        runs = [run for run, kept in zip(runs, keep.tolist()) if kept]
 
     # f_obj is inf where clipping moved an answer off the manifold
     W = np.array([np.clip(w_part + N @ y_best, 0.0, 1.0) for y_best in found])

@@ -111,6 +111,10 @@ class EmbeddedTableau:
 
 
 _ID_RE = re.compile(r"^ssp(\d+),(\d+)(?:-(b\d+|w))?$")
+# int() refuses a string of more than 4300 digits (Python's default limit)
+# naming neither the field nor its bound, so resolve refuses a stage count
+# or an order of more significant digits than this by name first
+_FIELD_DIGITS = 20
 _LITERATURE = ("bs32", "dp54")
 
 
@@ -276,6 +280,12 @@ def resolve(method: str, seed: int = 0) -> EmbeddedTableau:
     m = _ID_RE.match(text)
     if not m:
         raise ValueError(f"unrecognized method id: {method!r}")
+    for name, digits, bound in (("order p", m[2], f"between {min(_FAMILIES)} and {max(_FAMILIES)}"),
+                                ("stage count s", m[1], f"at most {_MAX_STAGES}")):
+        n = len(digits.lstrip("0"))
+        if n > _FIELD_DIGITS:
+            shown = re.sub(rf"\d{{{_FIELD_DIGITS + 1},}}", lambda d: f"<{len(d[0])} digits>", f"ssp{m[1]},{m[2]}")
+            raise ValueError(f"{name} of {shown} must be {bound}, got a number of {n} digits")
     s, p, variant = int(m[1]), int(m[2]), m[3] or "none"
     if p not in _FAMILIES:
         raise ValueError(f"unsupported order in method id: {method!r}")

@@ -392,9 +392,8 @@ def test_optimize_rejects_a_bad_spec_before_searching(capsys, monkeypatch, flags
 
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
-        yield                           # a generator, as the search's Nelder-Mead is
 
-    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", no_search)
+    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead_round", no_search)
     code, lines, err = run_cli(capsys, "optimize", "ssp3,2-b1", *flags)
     assert code == 1 and lines == []
     assert "sspkit: error:" in err
@@ -412,10 +411,7 @@ def test_a_negative_seed_fails_naming_the_seed(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("work ran with a negative seed")
 
-    def no_search(*args, **kwargs):
-        yield refuse()                  # a generator, as the search's Nelder-Mead is
-
-    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead", no_search)
+    monkeypatch.setattr(sspkit.optimizer, "_nelder_mead_round", refuse)
     monkeypatch.setattr(bench, "reference_endpoint", refuse)
     code, lines, err = run_cli(capsys, *argv)
     assert code == 1 and lines == []
@@ -568,6 +564,17 @@ def test_analyze_past_the_stage_bound_fails_by_name_and_the_bound_itself_warns_o
     out = analyze("ssp81,3")
     assert out.returncode == 0
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize("mid, field", [
+    ("ssp" + "9" * 5000 + ",2", "stage count s of ssp<5000 digits>,2 must be at most 99"),
+    ("ssp3," + "9" * 5000, "order p of ssp3,<5000 digits> must be between 2 and 4"),
+], ids=["stage-count", "order"])
+def test_analyze_of_a_field_too_long_for_int_fails_by_name(capsys, mid, field):
+    # Python's int() used to refuse it with its 4300-digit limit message
+    code, lines, err = run_cli(capsys, "analyze", mid)
+    assert code == 1 and lines == []
+    assert err == f"sspkit: error: {field}, got a number of 5000 digits\n"
 
 
 def test_the_package_and_its_cli_load_no_scipy():

@@ -445,3 +445,15 @@ def test_no_analysis_function_reads_a_claimed_order():
     tree = ast.parse((ROOT / "src" / "sspkit" / "analysis.py").read_text())
     reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "p"]
     assert reads == []
+
+
+def test_the_weight_search_has_one_nelder_mead_the_array_engine():
+    # the descents step as arrays, a whole iteration per round; a per-point
+    # generator or its budget exception beside the engine would be a second
+    # implementation of the same steps
+    tree = ast.parse((ROOT / "src" / "sspkit" / "optimizer.py").read_text())
+    yields = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    budget = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "_Budget"
+              or isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Budget", "_nelder_mead")]
+    assert yields == [] and budget == []

@@ -305,8 +305,9 @@ def _checked_search(monkeypatch, spec, probes=None):
     OptimizationSpec(tableau=resolve("ssp9,3"), require_ssp_at=6.0, seeds=2, budget=3000, seed=0),
 ], ids=["ssp3,2-b1", "ssp3,3", "ssp9,3@6"])
 def test_every_cost_value_of_a_search_is_the_reference_value(monkeypatch, spec):
+    # the search costs candidates it does not take, and counts only the taken
     result, n = _checked_search(monkeypatch, spec)
-    assert n == result.n_eval > 0
+    assert n >= result.n_eval > 0
     if result.w is not None:
         oc = OrderConditions(spec.tableau.A)
         p = oc.classify(spec.tableau.b)
@@ -452,38 +453,48 @@ def _search_cost_and_start(mid):
     return cost, N.T @ (w0 - w_part)
 
 
-def _drive(search, fun):
-    """Run the point generator ``search`` with each point costed alone by
-    fun, which gets it as a new 1-D array; returns what search returns."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fun(np.array(x)))
-    except StopIteration as stop:
-        return stop.value
+def _in_house_nelder_mead(fun, x0, maxfev):
+    """(x, f, points, (sim, fsim)) of one descent of the search's round
+    engine from x0, each batch row costed alone by fun, which gets it as a
+    new 1-D array; points are the rows the descent took, in the order it
+    took them, and (sim, fsim) its final simplex."""
+    sim = optimizer._simplices(np.asarray(x0, dtype=float)[None])
+    fsim, calls, cap = np.full(sim.shape[:2], math.inf), np.zeros(1, dtype=int), np.array([maxfev])
+    points, done = [], [False]
+    while not done[0]:
+        batches = []
+
+        def cost(Y):
+            batches.append(Y.copy())
+            return [fun(np.array(y)) for y in Y]
+
+        sim, fsim, calls, taken, done = optimizer._nelder_mead_round(cost, sim, fsim, calls, cap)
+        points += list(batches[0][taken])
+    assert calls[0] == len(points)
+    return sim[0, 0], np.min(fsim[0]), points, (sim[0], fsim[0])
+
+
+def _scipy_nelder_mead(fun, x0, maxfev):
+    """(x, f, points, (sim, fsim)) of SciPy's adaptive Nelder-Mead with the
+    search's tolerances; points are those it costed, in order, and
+    (sim, fsim) its final simplex."""
+    from scipy.optimize import minimize
+
+    points = []
+    r = minimize(lambda y: points.append(np.array(y)) or fun(y), x0, method="Nelder-Mead",
+                 options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True})
+    return r.x, r.fun, points, r.final_simplex
 
 
 def _run_both(fun, x0, maxfev):
-    """(x, fun, points) from optimizer._nelder_mead and from SciPy's
-    adaptive Nelder-Mead with the search's tolerances."""
-    from scipy.optimize import minimize
-
-    def scipy_nelder_mead(f):
-        r = minimize(f, x0, method="Nelder-Mead",
-                     options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True})
-        return r.x, r.fun
-
-    runs = []
-    for solve in (lambda f: _drive(optimizer._nelder_mead(x0, maxfev), f), scipy_nelder_mead):
-        points = []
-        x, fx = solve(lambda y: points.append(np.array(y)) or fun(y))
-        runs.append((x, fx, points))
-    return runs
+    """(x, fun, points, final simplex) from the search's engine and from SciPy."""
+    return [nelder_mead(fun, x0, maxfev) for nelder_mead in (_in_house_nelder_mead, _scipy_nelder_mead)]
 
 
 def _assert_same_run(mine, ref):
-    (x, fx, pts), (x_ref, fx_ref, pts_ref) = mine, ref
+    (x, fx, pts, (sim, fsim)), (x_ref, fx_ref, pts_ref, (sim_ref, fsim_ref)) = mine, ref
     assert x.tobytes() == x_ref.tobytes()
+    assert sim.tobytes() == sim_ref.tobytes() and fsim.tobytes() == fsim_ref.tobytes()
     assert _same(fx, fx_ref)
     assert len(pts) == len(pts_ref)
     assert all(p.tobytes() == q.tobytes() for p, q in zip(pts, pts_ref))
@@ -534,39 +545,27 @@ def test_the_tie_and_nan_cases_reach_what_they_guard():
     # more equal values, where np.argsort and a stable sort disagree from 4
     # entries on; the NaN runs end with NaN in the final simplex, so the
     # value returned is np.min's NaN while the best vertex is finite
-    points = []
-    _drive(optimizer._nelder_mead(np.array([-0.4, -4.0, -0.5, -1.7, 6.6]), 300),
-           lambda y: points.append(y) or _terraces(y))
+    _, _, points, _ = _in_house_nelder_mead(_terraces, np.array([-0.4, -4.0, -0.5, -1.7, 6.6]), 300)
     first = [_terraces(y) for y in points[:6]]
     assert max(map(first.count, first)) >= 4
     for maxfev in (6, 14):
-        x, fx = _drive(optimizer._nelder_mead(np.array([0.5, 0.49, 0.1, 0.2]), maxfev), _nan_region)
+        x, fx, _, _ = _in_house_nelder_mead(_nan_region, np.array([0.5, 0.49, 0.1, 0.2]), maxfev)
         assert math.isnan(fx) and math.isfinite(_nan_region(x))
-
-
-def _scipy_nelder_mead(fun, x0, maxfev):
-    from scipy.optimize import minimize
-
-    r = minimize(fun, x0, method="Nelder-Mead",
-                 options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True})
-    return r.x, r.fun
 
 
 # ------------------------------ the lockstep search, bit for bit as it was
 #
 # optimize_embedded runs its starts in lockstep and costs a batch of
-# points per round.  The reference is its loop as it stood before: one
-# start after another, each point costed alone by the reference cost.
+# candidates per round.  The reference is its loop as it stood before: one
+# start after another, each point costed alone by the reference cost, and
+# SciPy's minimize as the local search.
 
 
-def _drive_in_house(fun, x0, maxfev):
-    return _drive(optimizer._nelder_mead(x0, maxfev), fun)
-
-
-def _sequential_search(spec, nelder_mead=_drive_in_house):
+def _sequential_search(spec, nelder_mead=_scipy_nelder_mead):
     """(status, n_eval, w, objective) of the search of spec with its starts
     run one after another, each point costed alone by the reference cost,
-    and ``nelder_mead(fun, y0, maxfev) -> (y, f)`` as the local search."""
+    and ``nelder_mead(fun, y0, maxfev) -> (y, f, points, simplex)`` as the
+    local search, whose points taken make up n_eval."""
     t = spec.tableau
     ref, w_part, N = _ref_search_cost(t)
     oc = OrderConditions(t.A)
@@ -574,12 +573,6 @@ def _sequential_search(spec, nelder_mead=_drive_in_house):
     M, rhs = oc.up_to(p - 1)
     tau_main = oc.tau(t.b, p + 1)
     n_eval = 0
-
-    def cost(y):
-        nonlocal n_eval
-        n_eval += 1
-        return ref(y)
-
     rng = np.random.default_rng(spec.seed)
     per_start = max(200, spec.budget // spec.seeds)
     candidates = []
@@ -593,7 +586,8 @@ def _sequential_search(spec, nelder_mead=_drive_in_house):
             maxfev = min(per_start, spec.budget - n_eval)
             if maxfev <= 0:
                 break
-            y, fy = nelder_mead(cost, y0, maxfev)
+            y, fy, points, _ = nelder_mead(ref, y0, maxfev)
+            n_eval += len(points)
             if y_best is not None and fy >= f_best - 1e-14:
                 break
             y_best, f_best, y0 = y, fy, y
@@ -669,3 +663,68 @@ def test_searches_in_large_null_spaces_match_scipy_bit_for_bit(base, seed):
     # minimize runs each start of the sequential loop
     spec = OptimizationSpec(tableau=resolve(base), seeds=2, budget=800, seed=seed)
     _assert_same_search(optimize_embedded(spec), _sequential_search(spec, _scipy_nelder_mead))
+
+
+def _cut_steps(monkeypatch, spec):
+    """Run the search of spec with every round watched; returns the result
+    and the set of steps ("expansion", "contraction", "shrink") that the
+    budget of a descent cut short.  A step's wanted points follow from the
+    costs of its candidates and the simplex values before the round, as
+    SciPy's loop would ask for them."""
+    real = optimizer._nelder_mead_round
+    cut = set()
+
+    def watched(cost, sim, fsim, calls, maxfev):
+        costs = []
+        out = real(lambda Y: costs.append(np.asarray(cost(Y))) or costs[-1], sim, fsim, calls, maxfev)
+        k = sim.shape[2]
+        f = costs[0].reshape(len(sim), 4 + k)
+        for r in np.flatnonzero(calls > 0):
+            fr, fe, fo, fi = f[r, :4]
+            f0, f1, fl = fsim[r, 0], fsim[r, -2], fsim[r, -1]
+            if fr < f0:
+                name, wanted = "expansion", 2
+            elif fr < f1:
+                name, wanted = "reflection", 1
+            elif (fo <= fr) if fr < fl else (fi < fl):
+                name, wanted = "contraction", 2
+            else:
+                name, wanted = "shrink", 2 + k
+            took = out[2][r] - calls[r]
+            assert took == min(wanted, maxfev[r] - calls[r])
+            if took < wanted:
+                cut.add(name)
+        return out
+
+    monkeypatch.setattr(optimizer, "_nelder_mead_round", watched)
+    return optimize_embedded(spec), cut
+
+
+@pytest.mark.parametrize("spec, steps", [
+    (OptimizationSpec(tableau=resolve("ssp3,2-b1"), seeds=7, budget=1500, seed=0), {"shrink", "contraction"}),
+    (OptimizationSpec(tableau=resolve("ssp10,4-b3"), seeds=10, budget=5000, seed=0), {"expansion", "contraction"}),
+], ids=["ssp3,2-b1", "ssp10,4-b3"])
+def test_a_budget_cut_inside_a_step_matches_scipy_and_is_reached(monkeypatch, spec, steps):
+    # a descent's budget ends inside a shrink (the cut vertex written, its
+    # cost not), or inside an expansion or a contraction (nothing replaced);
+    # SciPy's minimize runs each start of the sequential loop
+    result, cut = _cut_steps(monkeypatch, spec)
+    assert steps <= cut
+    _assert_same_search(result, _sequential_search(spec, _scipy_nelder_mead))
+
+
+def test_the_default_search_costs_its_rounds_in_few_batched_calls(monkeypatch):
+    # one batched call per round, each round a whole iteration of every
+    # running descent; the point-per-round lockstep made 1,310
+    real = optimizer._search_cost
+    batches = []
+
+    def search_cost(*args):
+        cost = real(*args)
+        return lambda Y: batches.append(len(Y)) or cost(Y)
+
+    monkeypatch.setattr(optimizer, "_search_cost", search_cost)
+    result = optimize_embedded(OptimizationSpec(tableau=resolve("ssp3,2-b1"), seed=0))
+    assert result.n_eval == 45303
+    assert len(batches) < 700
+    assert sum(batches) > result.n_eval

@@ -50,6 +50,19 @@ def test_resolve_rejects_unknown_variant():
     ("ssp144,2-b2", "^stage count s of ssp144,2 must be between 2 and 99, got 144$"),
     ("ssp99999,2", "^stage count s of ssp99999,2 must be between 2 and 99, got 99999$"),
     ("ssp99999,2-w", "^stage count s of ssp99999,2 must be between 2 and 99, got 99999$"),
+    # int() refused the 5000-digit fields with Python's "Exceeds the limit
+    # (4300 digits) for integer string conversion", naming neither the field
+    # nor its bound
+    pytest.param("ssp" + "9" * 5000 + ",2",
+                 "^stage count s of ssp<5000 digits>,2 must be at most 99, got a number of 5000 digits$",
+                 id="s-of-5000-digits"),
+    pytest.param("ssp3," + "9" * 5000,
+                 "^order p of ssp3,<5000 digits> must be between 2 and 4, got a number of 5000 digits$",
+                 id="p-of-5000-digits"),
+    pytest.param("ssp" + "9" * 21 + ",3-w",
+                 "^stage count s of ssp<21 digits>,3 must be at most 99, got a number of 21 digits$",
+                 id="s-of-21-digits"),
+    ("ssp" + "9" * 20 + ",3", "^stage count s of ssp9{20},3 must be between 3 and 99, got 9{20}$"),
 ])
 def test_resolve_checks_the_stage_count_and_the_variant(bad, message):
     t0 = time.perf_counter()
