@@ -4,10 +4,9 @@ fixed-step driver for convergence studies.
 
 The solution is always advanced with the higher-order weights b (local
 extrapolation); the embedded weights enter only through the error estimate.
-The fixed-step driver and adaptive runs on states of more than
-``_SMALL_STATE`` components step with ``rk_step`` (and norm with
-``error_norm``); an adaptive run on an ODE-sized state takes each attempt
-in one pass of ``_small_attempt``, with the same result to the bit.
+The fixed-step driver steps with ``rk_step``; an adaptive run takes every
+attempt with one ``_attempt`` kernel built for the run, the same to the
+bit as ``rk_step`` followed by ``error_norm``.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ __all__ = [
 ]
 
 MAX_ATTEMPTS = 10_000_000
-# largest state integrate_adaptive attempts with _small_attempt: on a
-# 2-CPU x86-64 VM an ssp2,2-b2 attempt on u' = -u took 5-9 µs from 1 to 16
-# components against 11-12 µs for rk_step + error_norm, about even at 24
-# and slower from 32
+# largest state whose solutions and norm _attempt forms over Python floats:
+# on a 2-CPU x86-64 VM an ssp2,2-b2 attempt on u' = -u took 5-9 µs from 1 to
+# 16 components against 11-12 µs with the NumPy forms, about even at 24 and
+# slower from 32
 _SMALL_STATE = 16
 
 
@@ -145,16 +144,16 @@ def error_norm(
     return float((np.abs(u_next - u_hat) / sc).max())
 
 
-def _small_attempt(
+def _attempt(
     tab: EmbeddedTableau,
     f: Callable,
     n: int,
     atol: float,
     rtol: float,
-) -> Callable[[float, np.ndarray, float], tuple[list, float]]:
+) -> Callable[[float, np.ndarray, float], tuple[list | np.ndarray, float]]:
     """``attempt(t, u, h) -> (u_next, err)`` for states of n components,
     the same to the bit as ``rk_step`` followed by ``error_norm`` (the
-    sign and payload of a NaN aside), with u_next a list of Python floats.
+    sign and payload of a NaN aside).
 
     One (s, n) stage buffer and its views ``k[:i]``, a 0-d float64 step
     array, the rows A[i, :i] and the abscissae ``tab.c.tolist()`` are
@@ -166,14 +165,17 @@ def _small_attempt(
     again per stage.  The stage sums and both solutions stay
     ``ndarray.dot`` products: OpenBLAS's matrix-vector kernel fuses the
     multiply-add, so a sequential Python sum would change the last bit of
-    most products.  The two solutions ``u + x * h`` and the norm are then
-    formed in one pass over Python floats, with the IEEE operations of the
-    NumPy expressions (abs, max, ``*``, ``+``, ``-``, ``/``).  A NaN in
-    u makes u_next NaN there, so the ratio is NaN whichever scale is
+    most products.  Only the final pass depends on n.  Above
+    ``_SMALL_STATE`` components the solutions are the NumPy forms
+    ``u + b.dot(k) * h``, normed by ``error_norm``, and u_next is an array.
+    Up to it both solutions ``u + x * h`` and the norm are formed in one
+    pass over Python floats, with the IEEE operations of the NumPy
+    expressions (abs, max, ``*``, ``+``, ``-``, ``/``), and u_next is a
+    list, so the caller builds an array only for a step that stands.  A
+    NaN in u makes u_next NaN there, so the ratio is NaN whichever scale is
     taken, and a NaN ratio is kept, as ``ndarray.max`` keeps it (Python's
     ``max`` would drop it).  The scale is never zero, since
-    ``integrate_adaptive`` requires atol > 0.  u_next stays a list, so
-    the caller builds an array only for a step that stands.
+    ``integrate_adaptive`` requires atol > 0.
     """
     A, c = tab.A, tab.c.tolist()
     b, b_tilde = tab.b, tab.b_tilde
@@ -182,8 +184,9 @@ def _small_attempt(
     c0 = c[0]
     stages = tuple((i, c[i], A[i, :i], k[:i]) for i in range(1, tab.s))
     add, multiply = np.add, np.multiply
+    large = n > _SMALL_STATE
 
-    def attempt(t: float, u: np.ndarray, h: float) -> tuple[list, float]:
+    def attempt(t: float, u: np.ndarray, h: float) -> tuple[list | np.ndarray, float]:
         H[...] = h
         k[0] = f(t + c0 * h, u)
         for i, c_i, row, head in stages:
@@ -191,6 +194,9 @@ def _small_attempt(
             multiply(x, H, x)
             add(u, x, x)
             k[i] = f(t + c_i * h, x)
+        if large:
+            u_next = u + b.dot(k) * h
+            return u_next, error_norm(u, u_next, u + b_tilde.dot(k) * h, atol, rtol)
         u_next = []
         err = -math.inf
         for a, x, y in zip(u.tolist(), b.dot(k).tolist(), b_tilde.dot(k).tolist()):
@@ -297,10 +303,7 @@ def integrate_adaptive(
     to land on T exactly (not a rejection).  ``n_fev`` counts every call
     of ``problem.f``: s per attempted step plus the two of
     ``initial_step``.
-    A state of at most ``_SMALL_STATE`` components is stepped by one
-    ``_small_attempt`` kernel built for the run, a larger one by
-    ``rk_step`` and ``error_norm``; both give the same bits, and only an
-    accepted step's state becomes an array.
+    Every attempt is taken by one ``_attempt`` kernel built for the run.
     With ``log=True`` the result's ``step_log`` lists
     ``(t, dt, err, accepted)`` for every attempt; otherwise no log is
     built and ``step_log`` is None.
@@ -330,13 +333,7 @@ def integrate_adaptive(
     dt = initial_step(f, t, u, tab.p, atol, rtol, cfl)
     max_attempts = MAX_ATTEMPTS
 
-    if u.size <= _SMALL_STATE:
-        attempt = _small_attempt(tab, f, u.size, atol, rtol)
-    else:
-        def attempt(t, u, h):
-            u_next, u_hat = rk_step(tab, f, t, u, h)
-            return u_next, error_norm(u, u_next, u_hat, atol, rtol)
-
+    attempt = _attempt(tab, f, u.size, atol, rtol)
     ctl = ControllerState(controller.kind)
     propose, clamp = ctl.propose_factor, ctl.clamp
     on_accept, on_reject = ctl.on_accept, ctl.on_reject

@@ -288,9 +288,9 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     and each is kept, in start order, only with a finite cost (order
     residuals within ORDER_TOL), non-defective at order p (with the
     structural exemptions) and passing the SSP screen when
-    ``require_ssp_at`` is set.  With no surviving candidate the result is
-    an explicit no-solution report.  Runs are deterministic for a fixed
-    ``seed``.
+    ``require_ssp_at`` is set.  With no surviving candidate, or no weights
+    to search (k = 0), the result is an explicit no-solution report.  Runs
+    are deterministic for a fixed ``seed``.
     """
     t = spec.tableau
     A, s = t.A, t.s
@@ -301,11 +301,13 @@ def optimize_embedded(spec: OptimizationSpec) -> OptimizationResult:
     tol_sv = max(M.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
     rank = int(np.sum(sv > tol_sv))
     N = Vt[rank:].T                     # s x k, orthonormal columns
+    k = N.shape[1]
+    if k == 0:                          # the order conditions fix the weights at b
+        return OptimizationResult("no-solution", None, math.inf, {}, None, 0)
     cost = _search_cost(f_max, w_part, N)
 
     per_start = max(200, spec.budget // spec.seeds)
     rng = np.random.default_rng(spec.seed)
-    k = N.shape[1]
     found = []                          # best point per start, in start order
     runs = []                           # per descent: [start index, (y, f) and points of its first descent]
     sim, fsim = np.empty((0, k + 1, k)), np.empty((0, k + 1))

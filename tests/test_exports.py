@@ -457,3 +457,18 @@ def test_the_weight_search_has_one_nelder_mead_the_array_engine():
               if isinstance(node, ast.Name) and node.id == "_Budget"
               or isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Budget", "_nelder_mead")]
     assert yields == [] and budget == []
+
+
+def test_adaptive_runs_have_one_attempt_path_the_kernel():
+    # integrate_adaptive takes every attempt through _attempt, and only the
+    # kernel's final pass reads the size cut; a step-and-norm path beside it
+    # would be a second implementation of the attempt
+    tree = ast.parse((ROOT / "src" / "sspkit" / "integrator.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def loads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+
+    assert {n.id for n in loads(defs["integrate_adaptive"])}.isdisjoint({"rk_step", "error_norm", "_SMALL_STATE"})
+    cut = [n.lineno for n in loads(tree) if n.id == "_SMALL_STATE"]
+    assert cut and cut == [n.lineno for n in loads(defs["_attempt"]) if n.id == "_SMALL_STATE"]

@@ -221,7 +221,7 @@ def test_error_norm_matches_the_numpy_form_bit_for_bit(n):
         with np.errstate(all="ignore"):
             u_next, u_hat = rk_step(tab, _stage_feed(stages, seen["ref"]), 0.5, u_n, h)
             want = np_max_error_norm(u_n, u_next, u_hat, atol, rtol)
-            attempt = integrator._small_attempt(tab, _stage_feed(stages, seen["kernel"]), n, atol, rtol)
+            attempt = integrator._attempt(tab, _stage_feed(stages, seen["kernel"]), n, atol, rtol)
             got_u, got = attempt(0.5, u_n, h)
             norm = error_norm(u_n, u_next, u_hat, atol, rtol)
         case = (tab.id, u_n, stages, h, atol, rtol)
@@ -243,7 +243,7 @@ def test_error_norm_with_a_zero_scale_takes_the_numpy_form():
         assert error_norm(z, np.array([1.0, 2.0]), z, 0.0, 0.0) == np.inf
         assert np.isnan(error_norm(z, z, z, 0.0, 0.0))
     stages = np.array([[0.0, 0.0], [0.0, -1e-3]])
-    u_next, err = integrator._small_attempt(TAB22, _stage_feed(stages, []), 2, 1e-6, 0.0)(0.0, z, 0.1)
+    u_next, err = integrator._attempt(TAB22, _stage_feed(stages, []), 2, 1e-6, 0.0)(0.0, z, 0.1)
     # u_next = 0.05 k2 and u_hat = 0.025 k2, so the defect is 2.5e-5 in the second component
     assert u_next == [0.0, 0.1 * 0.5 * -1e-3]
     assert err == abs(0.1 * 0.5 * -1e-3 - 0.1 * 0.25 * -1e-3) / 1e-6
@@ -362,7 +362,8 @@ def _kernel_cases():
     # (n, name, u0, T, tol, f) per state size: a coupled cubic system, the
     # same returning a list of floats (as the ODE problems do), u' = -u|u|
     # from a state holding +0 and -0, and u' = u^2, which blows up before
-    # t = 2 (at a loose tolerance, which needs fewer steps there)
+    # t = 2 (at a loose tolerance, which needs fewer steps there); then two
+    # PDE states, advection on 40 cells and Euler on 20 (60 components)
     for n in range(1, integrator._SMALL_STATE + 2):
         rng = np.random.default_rng(1000 + n)
         M = rng.normal(size=(n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
@@ -375,14 +376,17 @@ def _kernel_cases():
         yield n, "cubic-list", u0, 2.0, 1e-4, lambda t, u, cubic=cubic: cubic(t, u).tolist()
         yield n, "signed-zeros", signed, 1.0, 1e-4, lambda t, u: -u * np.abs(u)
         yield n, "blow-up", rng.uniform(0.5, 1.0, size=n), 3.0, 1e-2, lambda t, u: u * u
+    for name, n_cells, T in (("advection", 40, 0.25), ("euler", 20, 0.05)):
+        prob = make_problem(name, n_cells)
+        yield prob.u0.size, name, prob.u0, T, 1e-4, prob.f
 
 
 @pytest.mark.parametrize("method", ["ssp2,2-b2", "ssp10,4-b3", "dp54"])
 def test_adaptive_runs_match_the_step_and_norm_loop_bit_for_bit(method):
     # every attempt's stage states, the step log, the end state and the
     # counts (or the same exception after the same attempts) against the
-    # loop built from rk_step and the NumPy norm; n = _SMALL_STATE + 1
-    # takes that loop itself
+    # loop built from rk_step and the NumPy norm; n = _SMALL_STATE + 1 and
+    # the PDE states take the kernel's NumPy final pass
     tab = resolve(method)
     for (n, name, u0, T, tol, f), kind in zip(_kernel_cases(), itertools.cycle(sorted(GAINS))):
         seen = {"new": [], "ref": []}

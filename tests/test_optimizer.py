@@ -19,7 +19,7 @@ from sspkit.optimizer import (
     optimize_embedded,
     ssp_feasible,
 )
-from sspkit.tableau import catalog_ids, resolve
+from sspkit.tableau import EmbeddedTableau, catalog_ids, resolve
 
 from conftest import embedded_method, pair_norms, ssp_ids
 
@@ -167,6 +167,17 @@ def test_ssp_screen_at_six_on_nine_stage_third_order_reports_no_solution():
     assert math.isinf(r.objective)
     assert r.residuals == {} and r.non_defective is None
     assert r.n_eval > 0
+
+
+def test_a_base_whose_order_conditions_fix_the_weights_reports_no_solution_unsearched():
+    # classic RK4: the four order-3 conditions on four weights leave a null
+    # space of dimension 0, so the only weights are b and there is no
+    # embedding to search for
+    rk4 = EmbeddedTableau(id="rk4", A=[[0, 0, 0, 0], [0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 1, 0]],
+                          b=[1 / 6, 1 / 3, 1 / 3, 1 / 6], p=4, b_tilde=[0.25, 0.25, 0.25, 0.25])
+    r = optimize_embedded(OptimizationSpec(tableau=rk4, seeds=2, budget=500))
+    assert (r.status, r.w, r.objective, r.residuals, r.non_defective, r.n_eval) == (
+        "no-solution", None, math.inf, {}, None, 0)
 
 
 def test_result_reports_only_what_the_search_found():
